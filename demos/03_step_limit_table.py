@@ -33,19 +33,11 @@ Acceptance criterion 6 checks all of this.
 """
 
 from gsfr import CorrectionParams, build_reference_element, build_scheme_operators, cfl_limit, solve_correction
-
-TABLE = [
-    (3, "rk33", [1, 1.274e-3, 1.438e-2, 7.848e-3], 0.385),
-    (3, "rk44", [1, 2.069e-4, 2.336e-3, 2.336e-3], 0.390),
-    (3, "rk55", [1, 6.952e-4, -6.158e-5, 2.336e-3], 0.443),
-    (4, "rk33", [1, 4.833e-4, 2.336e-5, -1.438e-4, 2.637e-4], 0.431),
-    (4, "rk44", [1, 1.624e-3, 2.637e-4, -2.637e-4, 2.637e-4], 0.430),
-    (4, "rk55", [1, 1.624e-3, 1.274e-5, -2.637e-4, 8.859e-4], 0.354),
-]
+from gsfr.spectral import PUBLISHED_STEP_LIMITS
 
 computed = {}
 print(f"{'p':>2} {'scheme':>6} {'strict tau':>12} {'tau @1e-4':>12} {'published':>10}")
-for p, rk, weights, published in TABLE:
+for p, rk, weights, published in PUBLISHED_STEP_LIMITS:
     pair = solve_correction(CorrectionParams(p, weights))
     ops = build_scheme_operators(build_reference_element(p, pair), alpha=1.0, jacobian=1.0)
     strict = cfl_limit(ops, rk, k_samples=256).tau_max
@@ -55,7 +47,7 @@ for p, rk, weights, published in TABLE:
 
 scale = 0.390 / computed[(3, "rk44")]
 print(f"\nglobal scale fitted on (p=3, rk44): s = {scale:.4f}")
-for p, rk, _, published in TABLE:
+for p, rk, _, published in PUBLISHED_STEP_LIMITS:
     value = scale * computed[(p, rk)]
     rel = 100.0 * abs(value - published) / published
     print(f"  p={p} {rk}: s*tau = {value:.4f} vs {published:.3f}  ({rel:.2f}%)")

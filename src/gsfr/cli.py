@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import pi
 
@@ -22,7 +21,7 @@ import numpy as np
 from . import correction as corr
 from . import experiments as xp
 from .operators import build_reference_element, build_scheme_operators
-from .spectral import cfl_limit, dispersion_sweep
+from .spectral import ConvergenceFailureError, cfl_limit, dispersion_sweep
 
 FMT = "%.17g"
 
@@ -102,9 +101,11 @@ def _cmd_corr_identify(args):
     if args.infile is not None:
         with open(args.infile, encoding="utf-8") as fh:
             params, pair = corr.pair_from_json(fh.read())
-    else:
+    elif args.iota is not None:
         params = _params(args)
         pair = corr.solve_correction(params)
+    else:
+        raise ValueError("corr identify needs --iota or --in")
     result: dict = {"p": params.p}
     try:
         iota = corr.osfr_iota(params.p, pair.h_l)
@@ -173,7 +174,7 @@ def _sweep_point(job):
         element = build_reference_element(p, pair, nodes)
         ops = build_scheme_operators(element, alpha, 1.0)
         return iota, cfl_limit(ops, rk, k_samples, rho_tol=rho_tol).tau_max
-    except Exception:
+    except (corr.SingularSystemError, ConvergenceFailureError):
         return iota, float("nan")
 
 
@@ -266,19 +267,25 @@ def _cmd_search_cfl(args):
     return 0
 
 
-def _add_common(sub, iota=True, scheme=False, spectral=False):
+_OPTIONS = {
+    "--iota": dict(type=_iota_list, required=True, help="comma-separated weights iota_0..iota_p"),
+    "--alpha": dict(type=float, default=1.0, help="interface upwinding ratio (1 upwind, 0.5 central)"),
+    "--nodes": dict(choices=("gauss", "lobatto"), default="gauss"),
+    "--rk": dict(choices=("rk33", "rk44", "rk55"), default="rk44"),
+    "--k-samples": dict(type=int, default=256),
+    "--rho-tol": dict(type=float, default=1e-10),
+}
+
+
+def _command(group, name, func, help, options=""):
+    """Add subcommand ``name`` taking --p, the space-separated shared ``options`` and --out."""
+    sub = group.add_parser(name, help=help)
     sub.add_argument("--p", type=int, required=True, help="polynomial order")
-    if iota:
-        sub.add_argument("--iota", type=_iota_list, required=True, help="comma-separated weights iota_0..iota_p")
-    sub.add_argument("--alpha", type=float, default=1.0, help="interface upwinding ratio (1 upwind, 0.5 central)")
-    sub.add_argument("--nodes", choices=("gauss", "lobatto"), default="gauss")
+    for flag in options.split():
+        sub.add_argument(flag, **_OPTIONS[flag])
     sub.add_argument("--out", default=None, help="output file path")
-    sub.add_argument("--seed", type=int, default=0, help="seed recorded in the config (studies are deterministic)")
-    if scheme:
-        sub.add_argument("--rk", choices=("rk33", "rk44", "rk55"), default="rk44")
-    if spectral:
-        sub.add_argument("--k-samples", dest="k_samples", type=int, default=256)
-        sub.add_argument("--rho-tol", dest="rho_tol", type=float, default=1e-10)
+    sub.set_defaults(func=func)
+    return sub
 
 
 def _build_parser() -> _Parser:
@@ -286,44 +293,30 @@ def _build_parser() -> _Parser:
     top = parser.add_subparsers(dest="group", required=True)
 
     corr_p = top.add_parser("corr", help="correction functions").add_subparsers(dest="cmd", required=True)
-    s = corr_p.add_parser("solve", help="solve for a correction pair")
-    _add_common(s)
-    s.set_defaults(func=_cmd_corr_solve)
-    s = corr_p.add_parser("bounds", help="check the sufficient stability bounds")
-    _add_common(s)
-    s.set_defaults(func=_cmd_corr_bounds)
-    s = corr_p.add_parser("identify", help="OSFR/ESFR membership and weight recovery")
-    _add_common(s)
+    _command(corr_p, "solve", _cmd_corr_solve, "solve for a correction pair", "--iota")
+    _command(corr_p, "bounds", _cmd_corr_bounds, "check the sufficient stability bounds", "--iota")
+    s = _command(corr_p, "identify", _cmd_corr_identify, "OSFR/ESFR membership and weight recovery")
+    s.add_argument("--iota", type=_iota_list, default=None, help="comma-separated weights, unless --in is given")
     s.add_argument("--in", dest="infile", default=None, help="JSON correction file instead of --iota")
-    s.set_defaults(func=_cmd_corr_identify)
 
     vn_p = top.add_parser("vn", help="wavenumber analysis").add_subparsers(dest="cmd", required=True)
-    s = vn_p.add_parser("dispersion", help="dispersion/dissipation curves CSV")
-    _add_common(s, spectral=True)
-    s.set_defaults(func=_cmd_vn_dispersion)
-    s = vn_p.add_parser("cfl", help="largest stable time step")
-    _add_common(s, scheme=True, spectral=True)
-    s.set_defaults(func=_cmd_vn_cfl)
-    s = vn_p.add_parser("sweep", help="CFL limit over a weight grid CSV")
-    _add_common(s, iota=False, scheme=True, spectral=True)
+    spectral = "--alpha --nodes --k-samples"
+    _command(vn_p, "dispersion", _cmd_vn_dispersion, "dispersion/dissipation curves CSV", "--iota " + spectral)
+    _command(vn_p, "cfl", _cmd_vn_cfl, "largest stable time step", "--iota --rk --rho-tol " + spectral)
+    s = _command(vn_p, "sweep", _cmd_vn_sweep, "CFL limit over a weight grid CSV", "--rk --rho-tol " + spectral)
     s.add_argument("--magnitudes", type=_iota_list, default=[0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
-    s.add_argument("--jobs", type=int, default=int(os.environ.get("GSFR_JOBS", "1")))
-    s.set_defaults(func=_cmd_vn_sweep)
+    s.add_argument("--jobs", type=int, default=1)
 
     run_p = top.add_parser("run", help="time-domain studies").add_subparsers(dest="cmd", required=True)
-    s = run_p.add_parser("advect", help="linear advection snapshot CSV")
-    _add_common(s, scheme=True)
+    study = "--iota --alpha --nodes --rk"
+    s = _command(run_p, "advect", _cmd_run_advect, "linear advection snapshot CSV", study)
     s.add_argument("--n-elements", dest="n_elements", type=int, default=50)
     s.add_argument("--t-end", dest="t_end", type=float, default=pi)
-    s.set_defaults(func=_cmd_run_advect)
-    s = run_p.add_parser("hetero", help="variable-speed aliasing energy study")
-    _add_common(s, scheme=True)
+    s = _command(run_p, "hetero", _cmd_run_hetero, "variable-speed aliasing energy study", study)
     s.add_argument("--n-elements", dest="n_elements", type=int, default=32)
     s.add_argument("--periods", type=int, default=15)
     s.add_argument("--cfl", type=float, default=0.06)
-    s.set_defaults(func=_cmd_run_hetero)
-    s = run_p.add_parser("ooa", help="order-of-accuracy study")
-    _add_common(s, scheme=True)
+    s = _command(run_p, "ooa", _cmd_run_ooa, "order-of-accuracy study", study)
     s.add_argument("--t-end", dest="t_end", type=float, default=pi)
     s.add_argument(
         "--element-counts",
@@ -331,15 +324,18 @@ def _build_parser() -> _Parser:
         type=lambda t: tuple(int(v) for v in t.split(",")),
         default=xp.DEFAULT_ELEMENT_COUNTS,
     )
-    s.set_defaults(func=_cmd_run_ooa)
 
     search_p = top.add_parser("search", help="coupled CFL/order search").add_subparsers(dest="cmd", required=True)
-    s = search_p.add_parser("cfl", help="maximise the stable step over a weight grid")
-    _add_common(s, iota=False, scheme=True)
+    s = _command(search_p, "cfl", _cmd_search_cfl, "maximise the stable step over a weight grid", "--alpha --rk")
     s.add_argument("--magnitudes", type=_iota_list, default=[0.0, 1e-4, 1e-3, 1e-2])
-    s.set_defaults(func=_cmd_search_cfl)
 
     return parser
+
+
+# exit code 2; every other GsfrError is invalid input, exit code 1
+_NUMERICAL_FAILURES = (
+    NumericalFailure, ConvergenceFailureError, corr.SingularSystemError, corr.SingularEtaError, corr.SingularDenominatorError
+)
 
 
 def main(argv=None) -> int:
@@ -347,16 +343,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericalFailure as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (corr.SingularSystemError, corr.SingularEtaError, corr.SingularDenominatorError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except (corr.GsfrError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (corr.GsfrError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 from numbers import Rational
 
 import numpy as np
@@ -98,6 +98,8 @@ class CorrectionParams:
             raise UnsupportedOrderError(f"order p={p} outside supported range 2..5")
         if len(iota) != p + 1:
             raise ValueError(f"expected {p + 1} weights for p={p}, got {len(iota)}")
+        if not all(isfinite(float(v)) for v in iota):
+            raise ValueError(f"weights must be finite, got {[float(v) for v in iota]}")
         if float(iota[0]) <= 0:
             raise ValueError("iota_0 must be positive (it scales the L2 part of the norm)")
         object.__setattr__(self, "p", p)

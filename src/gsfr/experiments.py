@@ -11,11 +11,11 @@ vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, pi, sqrt
+from math import ceil, inf, pi, sqrt
 
 import numpy as np
 
-from .correction import CorrectionParams, solve_correction, sufficient_bounds
+from .correction import CorrectionParams, SingularSystemError, solve_correction, sufficient_bounds
 from .operators import (
     build_reference_element,
     build_scheme_operators,
@@ -26,7 +26,7 @@ from .operators import (
     solution_energy,
     uniform_mesh,
 )
-from .spectral import cfl_limit
+from .spectral import ConvergenceFailureError, cfl_limit
 
 __all__ = [
     "OoaReport",
@@ -46,6 +46,13 @@ __all__ = [
 HETERO_PERIOD = 2.0 / sqrt(3.0)
 
 BLOWUP_ENERGY = 1e3
+
+# advection studies: wave cos(WAVENUMBER x), step SAFETY times the limit at REFERENCE_RHO_TOL
+WAVENUMBER = 1.0
+SAFETY = 0.2
+REFERENCE_RHO_TOL = 1e-4
+# the search accepts a fitted order of at least p + ORDER_MARGIN
+ORDER_MARGIN = 0.8
 
 DEFAULT_ELEMENT_COUNTS = (50, 55, 60, 65, 70, 75)
 
@@ -114,12 +121,33 @@ class SearchReport:
         }
 
 
-def _reference_tau(params: CorrectionParams, alpha: float, rk: str, rho_tol: float) -> float:
-    """Stable reference-domain step (jacobian 1) for the given scheme."""
-    pair = solve_correction(params)
-    element = build_reference_element(params.p, pair)
-    ops = build_scheme_operators(element, alpha, 1.0)
-    return cfl_limit(ops, rk, k_samples=128, rho_tol=rho_tol).tau_max
+def _reference_tau(pair, alpha: float, rk: str) -> float:
+    """Stable reference-domain step (Gauss nodes, jacobian 1) for the given scheme."""
+    ops = build_scheme_operators(build_reference_element(pair.p, pair), alpha, 1.0)
+    return cfl_limit(ops, rk, k_samples=128, rho_tol=REFERENCE_RHO_TOL).tau_max
+
+
+def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str, tau_ref: float):
+    """Advect cos(WAVENUMBER x) on [0, 2*pi] to t_end; return (x, u, eps_2).
+
+    The step is SAFETY times the stable limit, shrinks like 1/N and is
+    shortened to land exactly on t_end.
+    """
+    if n_elements < 1 or not 0.0 < t_end < inf:
+        raise ValueError(f"need n_elements >= 1 and a finite t_end > 0; got {n_elements}, {t_end}")
+    ops = build_scheme_operators(element, alpha, jacobian=pi / n_elements)
+    state = uniform_mesh(ops, n_elements, 0.0, 2.0 * pi, init=lambda x: np.cos(WAVENUMBER * x))
+    x = mesh_nodes(ops, state)
+    tau = SAFETY * tau_ref * ops.jacobian
+    steps = max(1, ceil(t_end / tau))
+    tau = t_end / steps
+    rhs = lambda s: linear_advection_rhs(ops, s)
+    for step in range(steps):
+        state = rk_advance(rhs, state, tau, rk)
+        if step % 256 == 0 and not np.all(np.isfinite(state.u)):
+            raise UnstableRunError(f"divergence at N={n_elements}, t={step * tau:.4g}")
+    eps = float(np.mean(np.abs(state.u - np.cos(WAVENUMBER * (x - t_end)))))
+    return x.ravel(), state.u.ravel(), eps
 
 
 def ooa_study(
@@ -129,23 +157,20 @@ def ooa_study(
     t_end: float = pi,
     rk: str = "rk44",
     node_kind: str = "gauss",
-    wavenumber: float = 1.0,
-    safety: float = 0.2,
-    rho_tol: float = 1e-4,
 ) -> OoaReport:
     """Measured order of accuracy for plane-wave advection on [0, 2*pi].
 
     A cosine wave is advected to t_end on each mesh and the point-averaged
     error eps_2 = mean |u - u_exact| is fitted against the total number of
     solution points in log-log; the negated slope is the realised order.
-    The time step is ``safety`` times the stable limit and shrinks like
+    The time step is SAFETY times the stable limit and shrinks like
     1/N, keeping the temporal error negligible next to the spatial one.
     """
     if len(element_counts) < 4:
         raise ValueError("need at least four mesh resolutions for a credible fit")
     pair = solve_correction(params)
     element = build_reference_element(params.p, pair, node_kind)
-    tau_ref = _reference_tau(params, alpha, rk, rho_tol)
+    tau_ref = _reference_tau(pair, alpha, rk)
     if tau_ref <= 0.02:
         # tolerance-dominated or vanishing limits mean the scheme is
         # unusable at study scale (a healthy member sits near 0.1..0.9)
@@ -154,18 +179,7 @@ def ooa_study(
         )
     errors = []
     for n in element_counts:
-        ops = build_scheme_operators(element, alpha, jacobian=pi / n)
-        state = uniform_mesh(ops, n, 0.0, 2.0 * pi, init=lambda x: np.cos(wavenumber * x))
-        x = mesh_nodes(ops, state)
-        tau = safety * tau_ref * ops.jacobian
-        steps = max(1, ceil(t_end / tau))
-        tau = t_end / steps
-        rhs = lambda s: linear_advection_rhs(ops, s)
-        for step in range(steps):
-            state = rk_advance(rhs, state, tau, rk)
-            if step % 256 == 0 and not np.all(np.isfinite(state.u)):
-                raise UnstableRunError(f"divergence at N={n}, t={step * tau:.4g}")
-        err = float(np.mean(np.abs(state.u - np.cos(wavenumber * (x - t_end)))))
+        err = _advect_cosine(element, alpha, n, t_end, rk, tau_ref)[2]
         if not np.isfinite(err) or err > BLOWUP_ENERGY:
             raise UnstableRunError(f"error {err:.3e} at N={n}; run reported, not fitted")
         errors.append(err)
@@ -202,6 +216,8 @@ def hetero_energy_study(
     exactly on period boundaries. Blow-up (energy above 1e3) stops the
     run and is flagged with its time rather than raised.
     """
+    if n_elements < 1 or n_periods < 1 or not cfl > 0.0:
+        raise ValueError(f"need n_elements >= 1, n_periods >= 1, cfl > 0; got {n_elements}, {n_periods}, {cfl}")
     pair = solve_correction(params)
     element = build_reference_element(params.p, pair, node_kind)
     ops = build_scheme_operators(element, alpha, jacobian=1.0 / n_elements)
@@ -254,31 +270,27 @@ def cfl_search(
     rk: str = "rk44",
     grid=None,
     alpha: float = 1.0,
-    ooa_threshold: float | None = None,
     element_counts=DEFAULT_ELEMENT_COUNTS,
-    rho_tol: float = 1e-4,
-    enforce_bounds: bool = True,
 ) -> SearchReport:
     """Largest stable step among weight vectors that keep the full order.
 
     Every grid point inside the sufficient bounds gets an analytic step
     limit; candidates are then checked in descending step order with the
-    mesh-refinement study until one reaches the order threshold p + 0.8.
+    mesh-refinement study until one reaches the order p + ORDER_MARGIN.
     """
-    if ooa_threshold is None:
-        ooa_threshold = p + 0.8
+    ooa_threshold = p + ORDER_MARGIN
     if grid is None:
         grid = default_search_grid(p)
     candidates = []
     skipped = 0
     for iota in grid:
         params = CorrectionParams(p, list(iota))
-        if enforce_bounds and not sufficient_bounds(params).satisfied:
+        if not sufficient_bounds(params).satisfied:
             skipped += 1
             continue
         try:
-            tau = _reference_tau(params, alpha, rk, rho_tol)
-        except Exception:
+            tau = _reference_tau(solve_correction(params), alpha, rk)
+        except (SingularSystemError, ConvergenceFailureError):
             continue
         if tau > 0.0:
             candidates.append((tau, params))
@@ -289,13 +301,7 @@ def cfl_search(
     candidates.sort(key=lambda item: -item[0])
     for tau, params in candidates:
         try:
-            report = ooa_study(
-                params,
-                alpha,
-                element_counts=element_counts,
-                rk=rk,
-                rho_tol=rho_tol,
-            )
+            report = ooa_study(params, alpha, element_counts=element_counts, rk=rk)
         except UnstableRunError:
             continue
         if report.fitted_order >= ooa_threshold:
@@ -318,23 +324,11 @@ def advect_snapshot(
     t_end: float = pi,
     rk: str = "rk44",
     node_kind: str = "gauss",
-    wavenumber: float = 1.0,
-    safety: float = 0.2,
 ):
     """Advect a cosine wave and return (x, u, eps_2) at t_end."""
     pair = solve_correction(params)
     element = build_reference_element(params.p, pair, node_kind)
-    tau_ref = _reference_tau(params, alpha, rk, rho_tol=1e-4)
+    tau_ref = _reference_tau(pair, alpha, rk)
     if tau_ref <= 0.0:
         raise UnstableRunError("scheme has no stable time step")
-    ops = build_scheme_operators(element, alpha, jacobian=pi / n_elements)
-    state = uniform_mesh(ops, n_elements, 0.0, 2.0 * pi, init=lambda x: np.cos(wavenumber * x))
-    x = mesh_nodes(ops, state)
-    tau = safety * tau_ref * ops.jacobian
-    steps = max(1, ceil(t_end / tau))
-    tau = t_end / steps
-    rhs = lambda s: linear_advection_rhs(ops, s)
-    for _ in range(steps):
-        state = rk_advance(rhs, state, tau, rk)
-    eps = float(np.mean(np.abs(state.u - np.cos(wavenumber * (x - t_end)))))
-    return x.ravel(), state.u.ravel(), eps
+    return _advect_cosine(element, alpha, n_elements, t_end, rk, tau_ref)

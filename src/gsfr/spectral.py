@@ -29,6 +29,7 @@ __all__ = [
     "StabilityResult",
     "ConvergenceFailureError",
     "RK_STAGE_ORDER",
+    "PUBLISHED_STEP_LIMITS",
     "bloch_matrix",
     "k_from_k_hat",
     "wave_speeds",
@@ -43,6 +44,17 @@ RK_STAGE_ORDER = {"rk33": 3, "rk44": 4, "rk55": 5}
 
 RHO_TOL = 1e-10
 BISECTION_REL_TOL = 1e-4
+
+# The paper's peak stable steps (per element width) with their weight vectors,
+# as (p, scheme, iota_0..iota_p, published step limit).
+PUBLISHED_STEP_LIMITS = (
+    (3, "rk33", (1, 1.274e-3, 1.438e-2, 7.848e-3), 0.385),
+    (3, "rk44", (1, 2.069e-4, 2.336e-3, 2.336e-3), 0.390),
+    (3, "rk55", (1, 6.952e-4, -6.158e-5, 2.336e-3), 0.443),
+    (4, "rk33", (1, 4.833e-4, 2.336e-5, -1.438e-4, 2.637e-4), 0.431),
+    (4, "rk44", (1, 1.624e-3, 2.637e-4, -2.637e-4, 2.637e-4), 0.430),
+    (4, "rk55", (1, 1.624e-3, 1.274e-5, -2.637e-4, 8.859e-4), 0.354),
+)
 
 
 class ConvergenceFailureError(Exception):
@@ -76,10 +88,10 @@ def k_from_k_hat(ops: SchemeOperators, k_hat: float) -> float:
     return k_hat * (ops.element.p + 1) / delta
 
 
-def bloch_matrix(ops: SchemeOperators, k: float) -> np.ndarray:
-    """Wavenumber-reduced semi-discrete operator Q(k)."""
+def bloch_matrix(ops: SchemeOperators, k) -> np.ndarray:
+    """Wavenumber-reduced semi-discrete operator Q(k); a stack for an array of k."""
     delta = 2.0 * ops.jacobian
-    phase = np.exp(1j * k * delta)
+    phase = np.exp(1j * np.asarray(k) * delta)[..., None, None]
     return -(ops.C_plus * phase + ops.C_zero + ops.C_minus / phase) / ops.jacobian
 
 
@@ -100,8 +112,7 @@ def wave_speeds(ops: SchemeOperators, k: float) -> WaveResponse:
     if k <= 0.0:
         raise ValueError("wave_speeds needs k > 0")
     c = (1j / k) * _eigvals(bloch_matrix(ops, k))
-    order = np.lexsort((c.imag, -c.real))
-    c = c[order]
+    c = c[np.lexsort((c.imag, -c.real))]
     delta = 2.0 * ops.jacobian
     k_hat = k * delta / (ops.element.p + 1)
     return WaveResponse(
@@ -114,22 +125,24 @@ def wave_speeds(ops: SchemeOperators, k: float) -> WaveResponse:
 
 
 def update_matrix(Q: np.ndarray, tau: float, rk: str = "rk44") -> np.ndarray:
-    """Fully-discrete one-step map: the exponential truncated at the scheme order."""
+    """Fully-discrete one-step map (exponential truncated at the scheme order); stacks map to stacks."""
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
     if rk not in RK_STAGE_ORDER:
         raise ValueError(f"unknown scheme {rk!r}; expected one of {RK_SCHEMES}")
-    out = np.eye(Q.shape[0], dtype=complex)
-    power = np.eye(Q.shape[0], dtype=complex)
+    out = np.eye(Q.shape[-1], dtype=complex)
+    power = np.eye(Q.shape[-1], dtype=complex)
     for n in range(1, RK_STAGE_ORDER[rk] + 1):
         power = power @ (tau * Q)
         out = out + power / factorial(n)
     return out
 
 
-def spectral_radius(mat: np.ndarray) -> float:
-    """Largest eigenvalue magnitude by full eigenvalue extraction."""
-    return float(np.max(np.abs(_eigvals(np.asarray(mat, dtype=complex)))))
+def spectral_radius(mat: np.ndarray):
+    """Largest eigenvalue magnitude by full eigenvalue extraction; one per matrix of a stack."""
+    mat = np.asarray(mat, dtype=complex)
+    rho = np.max(np.abs(_eigvals(mat)), axis=-1)
+    return float(rho) if mat.ndim == 2 else rho
 
 
 def _k_hat_grid(k_samples: int) -> np.ndarray:
@@ -160,18 +173,13 @@ def cfl_limit(
     if rk not in RK_STAGE_ORDER:
         raise ValueError(f"unknown scheme {rk!r}; expected one of {RK_SCHEMES}")
     k_hats = _k_hat_grid(k_samples)
-    q_mats = [bloch_matrix(ops, k_from_k_hat(ops, kh)) for kh in k_hats]
+    q_mats = bloch_matrix(ops, k_from_k_hat(ops, k_hats))
 
-    def worst(tau: float) -> tuple[float, float]:
-        rho_max, k_at = -np.inf, k_hats[0]
-        for kh, q in zip(k_hats, q_mats):
-            rho = spectral_radius(update_matrix(q, tau, rk))
-            if rho > rho_max:
-                rho_max, k_at = rho, kh
-        return rho_max, k_at
+    def radii(tau: float) -> np.ndarray:
+        return spectral_radius(update_matrix(q_mats, tau, rk))
 
     def stable(tau: float) -> bool:
-        return worst(tau)[0] <= 1.0 + rho_tol
+        return radii(tau).max() <= 1.0 + rho_tol
 
     lo, hi = 0.0, 0.05
     while stable(hi):
@@ -187,7 +195,7 @@ def cfl_limit(
         if hi < 1e-9:  # unstable for arbitrarily small steps
             lo = 0.0
             break
-    _, worst_k = worst(hi)
+    worst_k = k_hats[int(np.argmax(radii(hi)))]
     return StabilityResult(tau_max=lo, k_samples=k_samples, rk=rk, worst_k=float(worst_k))
 
 
@@ -199,28 +207,27 @@ def dispersion_sweep(ops: SchemeOperators, k_samples: int = 256):
     wavenumbers; column 0 starts from the physical mode at small k_hat.
     """
     k_hats = _k_hat_grid(k_samples)
+    ks = k_from_k_hat(ops, k_hats)
     n_modes = ops.element.p + 1
+    unsorted = (1j / ks)[:, None] * _eigvals(bloch_matrix(ops, ks))
     speeds = np.empty((k_samples, n_modes), dtype=complex)
-    prev = None
-    for row, kh in enumerate(k_hats):
-        resp = wave_speeds(ops, k_from_k_hat(ops, kh))
-        c = resp.c.copy()
-        if prev is None:
+    for row, c in enumerate(unsorted):
+        c = c[np.lexsort((c.imag, -c.real))]  # the order of wave_speeds
+        if row == 0:
             # start from the physical mode, then deterministic order
-            first = resp.physical_mode_index
+            first = int(np.argmin(np.abs(c - 1.0)))
             idx = [first] + [i for i in range(n_modes) if i != first]
             c = c[idx]
         else:
             taken = np.zeros(n_modes, dtype=bool)
             matched = np.empty(n_modes, dtype=complex)
             for col in range(n_modes):
-                dist = np.abs(c - prev[col])
+                dist = np.abs(c - speeds[row - 1, col])
                 dist[taken] = np.inf
                 j = int(np.argmin(dist))
                 taken[j] = True
                 matched[col] = c[j]
             c = matched
         speeds[row] = c
-        prev = c
     omega = speeds * k_hats[:, None]
     return k_hats, omega.real, omega.imag

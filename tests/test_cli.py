@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import gsfr.cli
+import gsfr.experiments
 from gsfr.cli import main
 
 
@@ -42,7 +44,7 @@ def test_corr_identify_unique_member(capsys):
 def test_corr_identify_from_file(tmp_path, capsys):
     path = tmp_path / "c.json"
     run(["corr", "solve", "--p", "3", "--iota", "1,0,0,0.01", "--out", str(path)], capsys)
-    code, out, _ = run(["corr", "identify", "--p", "3", "--iota", "0,0,0,0", "--in", str(path)], capsys)
+    code, out, _ = run(["corr", "identify", "--p", "3", "--in", str(path)], capsys)
     assert code == 0
     assert "osfr=0.0099" in out or "osfr=0.01" in out
 
@@ -177,6 +179,78 @@ def test_validation_errors_exit_one(capsys):
     assert code == 1 and "error" in err
 
 
+def test_corr_identify_needs_iota_or_in(capsys):
+    code, _, err = run(["corr", "identify", "--p", "3"], capsys)
+    assert code == 1 and err == "error: corr identify needs --iota or --in\n"
+
+
+# every subcommand with its required options
+REQUIRED = {
+    "corr solve": "--p 3 --iota 1,0,0,0",
+    "corr bounds": "--p 3 --iota 1,0,0,0",
+    "corr identify": "--p 3 --iota 1,0,0,0",
+    "vn dispersion": "--p 3 --iota 1,0,0,0",
+    "vn cfl": "--p 3 --iota 1,0,0,0",
+    "vn sweep": "--p 3",
+    "run advect": "--p 3 --iota 1,0,0,0",
+    "run hetero": "--p 3 --iota 1,0,0,0",
+    "run ooa": "--p 3 --iota 1,0,0,0",
+    "search cfl": "--p 3",
+}
+REMOVED_OPTIONS = (
+    [(cmd, "--seed 1") for cmd in REQUIRED]
+    + [(cmd, flag) for cmd in ("corr solve", "corr bounds", "corr identify") for flag in ("--alpha 0.5", "--nodes gauss")]
+    + [("search cfl", "--nodes lobatto"), ("vn dispersion", "--rho-tol 1e-4")]
+)
+
+
+@pytest.mark.parametrize("cmd,option", REMOVED_OPTIONS)
+def test_removed_options_are_rejected(cmd, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(f"{cmd} {REQUIRED[cmd]} {option}".split())
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corr", "solve", "--p", "3", "--iota", "1,inf,0,0"],
+        ["corr", "solve", "--p", "3", "--iota", "1,nan,0,0"],
+        ["run", "hetero", "--p", "3", "--iota", "1,0,0,0", "--n-elements", "0"],
+        ["run", "hetero", "--p", "3", "--iota", "1,0,0,0", "--cfl", "0"],
+        ["run", "hetero", "--p", "3", "--iota", "1,0,0,0", "--periods", "0"],
+        ["run", "advect", "--p", "3", "--iota", "1,0,0,0", "--n-elements", "0"],
+        ["run", "ooa", "--p", "3", "--iota", "1,0,0,0", "--t-end", "0"],
+    ],
+)
+def test_invalid_input_exits_one_with_one_line(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in out + err
+
+
+def test_advect_divergence_exits_two(monkeypatch, capsys):
+    # a step far above the stable limit: the run diverges and is reported, not printed as eps2 = nan
+    monkeypatch.setattr(gsfr.experiments, "_reference_tau", lambda *args, **kwargs: 5.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(
+            ["run", "advect", "--p", "3", "--iota", "1,0,0,0", "--n-elements", "10", "--t-end", "100"], capsys
+        )
+    assert code == 2
+    assert "divergence" in err and "eps2" not in out
+
+
+def test_sweep_lets_programming_errors_through(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(gsfr.cli, "cfl_limit", broken)
+    with pytest.raises(TypeError):
+        main(["vn", "sweep", "--p", "2", "--magnitudes", "0", "--k-samples", "8"])
+
+
 def test_missing_input_file_exit_one(capsys):
     code, _, err = run(["corr", "identify", "--p", "3", "--iota", "1,0,0,0", "--in", "/nonexistent/x.json"], capsys)
     assert code == 1
@@ -185,8 +259,8 @@ def test_missing_input_file_exit_one(capsys):
 def test_deterministic_csv_output(tmp_path, capsys):
     args = ["vn", "dispersion", "--p", "2", "--iota", "1,1e-3,1e-3", "--k-samples", "32"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run(args + ["--out", str(a), "--seed", "1"], capsys)
-    run(args + ["--out", str(b), "--seed", "1"], capsys)
+    run(args + ["--out", str(a)], capsys)
+    run(args + ["--out", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
 
 

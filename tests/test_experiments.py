@@ -3,6 +3,7 @@ from math import ceil, pi
 import numpy as np
 import pytest
 
+import gsfr.experiments
 from gsfr.correction import CorrectionParams, solve_correction
 from gsfr.experiments import (
     DEFAULT_ELEMENT_COUNTS,
@@ -135,6 +136,16 @@ def test_cfl_search_prefers_faster_member():
 def test_cfl_search_empty_feasible_set():
     with pytest.raises(EmptyFeasibleSetError):
         cfl_search(3, "rk44", grid=[np.array([1.0, -0.5, 0.0, 0.0])])
+
+
+def test_cfl_search_lets_programming_errors_through(monkeypatch):
+    # only numerical failures drop a grid point; a bug must not read as "unstable"
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(gsfr.experiments, "cfl_limit", broken)
+    with pytest.raises(TypeError):
+        cfl_search(3, "rk44", grid=[np.array([1.0, 0.0, 0.0, 0.0])])
 
 
 def test_ooa_unstable_run_reported():

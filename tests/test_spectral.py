@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gsfr.correction import CorrectionParams, solve_correction
-from gsfr.operators import MeshState, build_reference_element, build_scheme_operators, linear_advection_rhs
+from gsfr.operators import build_reference_element, build_scheme_operators
 from gsfr.spectral import (
+    PUBLISHED_STEP_LIMITS,
     RK_STAGE_ORDER,
     StabilityResult,
     bloch_matrix,
@@ -45,28 +46,17 @@ def test_bloch_matrix_finite_at_nyquist(dg3_up):
     assert np.all(np.isfinite(q))
 
 
-def test_bloch_oracle_against_physical_circulant(dg3_up):
-    # assemble the 64-element mesh operator from the actual rhs and
-    # compare its wavenumber-diagonalised blocks with bloch_matrix; this
-    # pins the exponent-sign convention on the neighbour couplings
-    n = 64
-    size = n * 4
-    mat = np.zeros((size, size))
-    for j in range(size):
-        e = np.zeros(size)
-        e[j] = 1.0
-        state = MeshState(n, 0.0, 2.0 * n, e.reshape(n, 4))
-        mat[:, j] = linear_advection_rhs(dg3_up, state).ravel()
-    delta = 2.0
-    blocks = [mat[0:4, 4 * j : 4 * j + 4] for j in range(n)]
-    for m in (1, 3, 7, 11, 17, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 63):
-        k_m = 2.0 * np.pi * m / (n * delta)
-        summed = sum(blocks[j] * np.exp(1j * k_m * j * delta) for j in range(n))
-        q = bloch_matrix(dg3_up, k_m)
-        assert np.max(np.abs(summed - q)) < 1e-9
-        eig_a = np.sort_complex(np.linalg.eigvals(summed))
-        eig_q = np.sort_complex(np.linalg.eigvals(q))
-        assert np.max(np.abs(eig_a - eig_q)) < 1e-9
+def test_stacked_kernels_match_one_matrix_at_a_time(dg3_up):
+    ks = k_from_k_hat(dg3_up, np.pi * np.arange(1, 17) / 16)
+    singles = [bloch_matrix(dg3_up, float(k)) for k in ks]
+    stack = bloch_matrix(dg3_up, ks)
+    assert stack.shape == (16, 4, 4) and np.array_equal(stack, singles)
+    updates = update_matrix(stack, 0.3, "rk44")
+    assert np.array_equal(updates, [update_matrix(q, 0.3, "rk44") for q in singles])
+    radii = spectral_radius(updates)
+    assert radii.shape == (16,)
+    assert np.array_equal(radii, [spectral_radius(m) for m in updates])
+    assert isinstance(spectral_radius(updates[0]), float)
 
 
 def test_wave_speeds_low_k_physical_mode(dg3_up):
@@ -244,12 +234,9 @@ def test_published_p3_step_limits_reproduce_at_threshold_tolerance():
     # to 4.5e-4, so they only admit finite steps under a thresholded
     # stability verdict; at rho_tol 1e-4 the limits plateau and match the
     # published numbers at exactly half the raw reference-domain value
-    rows = [
-        ("rk33", [1, 1.274e-3, 1.438e-2, 7.848e-3], 0.385),
-        ("rk44", [1, 2.069e-4, 2.336e-3, 2.336e-3], 0.390),
-        ("rk55", [1, 6.952e-4, -6.158e-5, 2.336e-3], 0.443),
-    ]
-    for rk, weights, published in rows:
+    rows = [row for row in PUBLISHED_STEP_LIMITS if row[0] == 3]
+    assert len(rows) == 3
+    for _, rk, weights, published in rows:
         ops = make_ops(weights, 1.0)
         tau = cfl_limit(ops, rk, k_samples=256, rho_tol=1e-4).tau_max
         assert 0.5 * tau == pytest.approx(published, rel=0.01)
