@@ -18,6 +18,8 @@ from gsfr.spectral import (
     wave_speeds,
 )
 
+from test_operators import dense_operator
+
 
 def make_ops(weights, alpha=1.0, p=3):
     pair = solve_correction(CorrectionParams(p, weights))
@@ -44,6 +46,24 @@ def test_bloch_matrix_constant_mode(dg3_up):
 def test_bloch_matrix_finite_at_nyquist(dg3_up):
     q = bloch_matrix(dg3_up, k_from_k_hat(dg3_up, np.pi))
     assert np.all(np.isfinite(q))
+
+
+def test_bloch_oracle_against_physical_circulant(dg3_up):
+    # assemble the 64-element mesh operator from the actual rhs and
+    # compare its wavenumber-diagonalised blocks with bloch_matrix; this
+    # pins the exponent-sign convention on the neighbour couplings
+    n = 64
+    mat = dense_operator(dg3_up, n)
+    delta = 2.0
+    blocks = [mat[0:4, 4 * j : 4 * j + 4] for j in range(n)]
+    for m in (1, 3, 7, 11, 17, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 63):
+        k_m = 2.0 * np.pi * m / (n * delta)
+        summed = sum(blocks[j] * np.exp(1j * k_m * j * delta) for j in range(n))
+        q = bloch_matrix(dg3_up, k_m)
+        assert np.max(np.abs(summed - q)) < 1e-9
+        eig_a = np.sort_complex(np.linalg.eigvals(summed))
+        eig_q = np.sort_complex(np.linalg.eigvals(q))
+        assert np.max(np.abs(eig_a - eig_q)) < 1e-9
 
 
 def test_stacked_kernels_match_one_matrix_at_a_time(dg3_up):
