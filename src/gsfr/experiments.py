@@ -10,7 +10,7 @@ vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, inf, pi, sqrt
 
 import numpy as np
@@ -26,7 +26,7 @@ from .operators import (
     solution_energy,
     uniform_mesh,
 )
-from .spectral import ConvergenceFailureError, cfl_limit
+from .spectral import RK_STAGE_ORDER, ConvergenceFailureError, cfl_limit
 
 __all__ = [
     "OoaReport",
@@ -40,6 +40,8 @@ __all__ = [
     "hetero_energy_study",
     "cfl_search",
     "advect_snapshot",
+    "StepMap",
+    "step_map",
 ]
 
 # exact traversal period of the variable-speed problem on [-1, 1]
@@ -75,6 +77,8 @@ class OoaReport:
     errors: np.ndarray
     fitted_order: float
     r_squared: float
+    steps: tuple
+    tau: tuple
 
     def to_dict(self) -> dict:
         return {
@@ -82,6 +86,8 @@ class OoaReport:
             "errors": [float(e) for e in self.errors],
             "fitted_order": self.fitted_order,
             "r_squared": self.r_squared,
+            "steps": list(self.steps),
+            "tau": list(self.tau),
         }
 
 
@@ -92,6 +98,8 @@ class EnergyReport:
     error_at_periods: np.ndarray
     blew_up: bool
     blowup_time: float | None
+    steps_per_period: int
+    tau: float
 
     def to_dict(self) -> dict:
         return {
@@ -100,6 +108,8 @@ class EnergyReport:
             "error_at_periods": [float(e) for e in self.error_at_periods],
             "blew_up": self.blew_up,
             "blowup_time": self.blowup_time,
+            "steps_per_period": self.steps_per_period,
+            "tau": self.tau,
         }
 
 
@@ -121,6 +131,56 @@ class SearchReport:
         }
 
 
+@dataclass(frozen=True)
+class StepMap:
+    """One explicit RK step of a linear right-hand side as a periodic block-banded matrix.
+
+    The step is a degree-s polynomial in the right-hand side (s =
+    RK_STAGE_ORDER[rk]), which couples only adjacent elements, so it
+    couples each element to its s neighbours on either side: element j
+    of the stepped solution is blocks[j] applied to the values of the
+    2s+1 elements neighbours[j] = (j-s, ..., j+s) mod n, stacked in
+    that order.
+    """
+
+    blocks: np.ndarray  # (n, p+1, (2s+1)(p+1))
+    neighbours: np.ndarray  # (n, 2s+1)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        n = u.shape[0]
+        return np.matmul(self.blocks, u[self.neighbours].reshape(n, -1, 1))[..., 0]
+
+
+def step_map(rhs_fn, state, tau: float, rk: str) -> StepMap:
+    """Assemble the one-step map of rk_advance(rhs_fn, ., tau, rk) by coloured probing.
+
+    Elements are coloured j mod c, with c the smallest divisor of n that is
+    at least min(2s+1, n). Each probe is a unit value at one local node of
+    every element of one colour, stepped by rk_advance; a row element then
+    meets at most one probed element within its band, so the probe's
+    response fills exactly one of its blocks. That takes c(p+1) steps
+    instead of n(p+1). When n < 2s+1, every element is probed alone and
+    its coupling lands in the first slot that names it; the other slots
+    naming the same element stay zero.
+    """
+    n, width = state.u.shape
+    s = RK_STAGE_ORDER[rk]
+    colours = next(c for c in range(min(2 * s + 1, n), n + 1) if n % c == 0)
+    rows = np.arange(n)
+    blocks = np.zeros((n, width, (2 * s + 1) * width))
+    for colour in range(colours):
+        # offset from row j to the element of this colour in its band, if any
+        offset = (colour - rows + s) % colours - s
+        near = offset <= s
+        for i in range(width):
+            probe = np.zeros_like(state.u)
+            probe[colour::colours, i] = 1.0
+            response = rk_advance(rhs_fn, replace(state, u=probe), tau, rk).u
+            blocks[rows[near], :, (offset[near] + s) * width + i] = response[near]
+    neighbours = (rows[:, None] + np.arange(-s, s + 1)) % n
+    return StepMap(blocks, neighbours)
+
+
 def _reference_tau(pair, alpha: float, rk: str) -> float:
     """Stable reference-domain step (Gauss nodes, jacobian 1) for the given scheme."""
     ops = build_scheme_operators(build_reference_element(pair.p, pair), alpha, 1.0)
@@ -128,7 +188,7 @@ def _reference_tau(pair, alpha: float, rk: str) -> float:
 
 
 def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str, tau_ref: float):
-    """Advect cos(WAVENUMBER x) on [0, 2*pi] to t_end; return (x, u, eps_2).
+    """Advect cos(WAVENUMBER x) on [0, 2*pi] to t_end; return (x, u, eps_2, steps, tau).
 
     The step is SAFETY times the stable limit, shrinks like 1/N and is
     shortened to land exactly on t_end.
@@ -141,13 +201,16 @@ def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str
     tau = SAFETY * tau_ref * ops.jacobian
     steps = max(1, ceil(t_end / tau))
     tau = t_end / steps
-    rhs = lambda s: linear_advection_rhs(ops, s)
-    for step in range(steps):
-        state = rk_advance(rhs, state, tau, rk)
-        if step % 256 == 0 and not np.all(np.isfinite(state.u)):
-            raise UnstableRunError(f"divergence at N={n_elements}, t={step * tau:.4g}")
-    eps = float(np.mean(np.abs(state.u - np.cos(WAVENUMBER * (x - t_end)))))
-    return x.ravel(), state.u.ravel(), eps
+    step = step_map(lambda s: linear_advection_rhs(ops, s), state, tau, rk)
+    u = state.u
+    # divergence overflows on its way to inf; the finite checks report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            u = step(u)
+            if (k % 256 == 0 or k == steps - 1) and not np.all(np.isfinite(u)):
+                raise UnstableRunError(f"divergence at N={n_elements}, t={k * tau:.4g}")
+    eps = float(np.mean(np.abs(u - np.cos(WAVENUMBER * (x - t_end)))))
+    return x.ravel(), u.ravel(), eps, steps, tau
 
 
 def ooa_study(
@@ -177,12 +240,14 @@ def ooa_study(
         raise UnstableRunError(
             f"no usable stable time step (reference limit {tau_ref:.3e}); study not run"
         )
-    errors = []
+    errors, steps, taus = [], [], []
     for n in element_counts:
-        err = _advect_cosine(element, alpha, n, t_end, rk, tau_ref)[2]
+        _, _, err, n_steps, tau = _advect_cosine(element, alpha, n, t_end, rk, tau_ref)
         if not np.isfinite(err) or err > BLOWUP_ENERGY:
             raise UnstableRunError(f"error {err:.3e} at N={n}; run reported, not fitted")
         errors.append(err)
+        steps.append(n_steps)
+        taus.append(tau)
     errors = np.array(errors)
     n_points = np.array(element_counts, dtype=float) * (params.p + 1)
     slope, intercept = np.polyfit(np.log(n_points), np.log(errors), 1)
@@ -195,6 +260,8 @@ def ooa_study(
         errors=errors,
         fitted_order=float(-slope),
         r_squared=r2,
+        steps=tuple(steps),
+        tau=tuple(taus),
     )
 
 
@@ -228,32 +295,36 @@ def hetero_energy_study(
     tau = HETERO_PERIOD / steps_per_period
     record_stride = max(1, steps_per_period // 32)
 
-    rhs = make_heterogeneous_rhs(ops, state)
+    step = step_map(make_heterogeneous_rhs(ops, state), state, tau, rk)
     times = [0.0]
     energy = [solution_energy(ops, state)]
     period_errors = []
     blew_up = False
     blowup_time = None
     t = 0.0
-    for n in range(1, n_periods * steps_per_period + 1):
-        state = rk_advance(rhs, state, tau, rk)
-        t = n * tau
-        e = solution_energy(ops, state)
-        if n % record_stride == 0 or n % steps_per_period == 0:
-            times.append(t)
-            energy.append(e)
-        if not np.isfinite(e) or e > BLOWUP_ENERGY:
-            blew_up = True
-            blowup_time = t
-            break
-        if n % steps_per_period == 0:
-            period_errors.append(abs(e - 1.0))
+    # blow-up overflows on its way to inf; the energy check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_periods * steps_per_period + 1):
+            state = replace(state, u=step(state.u))
+            t = n * tau
+            e = solution_energy(ops, state)
+            if n % record_stride == 0 or n % steps_per_period == 0:
+                times.append(t)
+                energy.append(e)
+            if not np.isfinite(e) or e > BLOWUP_ENERGY:
+                blew_up = True
+                blowup_time = t
+                break
+            if n % steps_per_period == 0:
+                period_errors.append(abs(e - 1.0))
     return EnergyReport(
         times=np.array(times),
         energy=np.array(energy),
         error_at_periods=np.array(period_errors),
         blew_up=blew_up,
         blowup_time=blowup_time,
+        steps_per_period=steps_per_period,
+        tau=tau,
     )
 
 
@@ -331,4 +402,4 @@ def advect_snapshot(
     tau_ref = _reference_tau(pair, alpha, rk)
     if tau_ref <= 0.0:
         raise UnstableRunError("scheme has no stable time step")
-    return _advect_cosine(element, alpha, n_elements, t_end, rk, tau_ref)
+    return _advect_cosine(element, alpha, n_elements, t_end, rk, tau_ref)[:3]

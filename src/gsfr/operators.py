@@ -267,6 +267,11 @@ def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> Me
     standard stage forms, and rk55 applies the order-5 Taylor update in
     Horner form (a six-stage fifth-order scheme would append a spurious
     sixth-power term relative to the spectral update matrix).
+
+    This stage form defines every time step in the package and is the
+    oracle for the fast path: the studies build the step's block-banded
+    matrix once with `gsfr.experiments.step_map`, which probes this
+    function, and apply that matrix instead; tests hold the two together.
     """
     if tau < 0.0:
         raise ValueError("tau must be non-negative")

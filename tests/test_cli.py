@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,10 @@ def test_run_ooa_json(tmp_path, capsys):
     doc = json.loads(out_file.read_text())
     assert doc["result"]["fitted_order"] == pytest.approx(3.0, abs=0.2)
     assert doc["config"]["element_counts"] == [40, 50, 60, 70]
+    # each mesh's step count and step land exactly on t_end = pi
+    steps, taus = doc["result"]["steps"], doc["result"]["tau"]
+    assert len(steps) == len(taus) == 4 and steps == sorted(steps)
+    assert all(n * tau == pytest.approx(np.pi, rel=1e-14) for n, tau in zip(steps, taus))
 
 
 def test_run_ooa_csv_variant(tmp_path, capsys):
@@ -232,14 +237,17 @@ def test_invalid_input_exits_one_with_one_line(argv, capsys):
 
 
 def test_advect_divergence_exits_two(monkeypatch, capsys):
-    # a step far above the stable limit: the run diverges and is reported, not printed as eps2 = nan
+    # a step far above the stable limit: the run diverges and is reported, not printed as eps2 = nan;
+    # the overflow on the way there is not a warning (turned into an error here so it cannot hide)
     monkeypatch.setattr(gsfr.experiments, "_reference_tau", lambda *args, **kwargs: 5.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out, err = run(
             ["run", "advect", "--p", "3", "--iota", "1,0,0,0", "--n-elements", "10", "--t-end", "100"], capsys
         )
     assert code == 2
     assert "divergence" in err and "eps2" not in out
+    assert err.count("\n") == 1 and "RuntimeWarning" not in err
 
 
 def test_sweep_lets_programming_errors_through(monkeypatch):

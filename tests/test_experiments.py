@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import ceil, pi
 
 import numpy as np
@@ -6,23 +7,35 @@ import pytest
 import gsfr.experiments
 from gsfr.correction import CorrectionParams, solve_correction
 from gsfr.experiments import (
+    BLOWUP_ENERGY,
     DEFAULT_ELEMENT_COUNTS,
     HETERO_PERIOD,
+    SAFETY,
     EmptyFeasibleSetError,
     UnstableRunError,
+    _reference_tau,
     advect_snapshot,
     cfl_search,
     default_search_grid,
     hetero_energy_study,
     ooa_study,
+    step_map,
 )
 from gsfr.operators import (
+    RK_SCHEMES,
     build_reference_element,
     build_scheme_operators,
     heterogeneous_rhs,
+    linear_advection_rhs,
+    make_heterogeneous_rhs,
+    mesh_nodes,
     rk_advance,
+    solution_energy,
     uniform_mesh,
 )
+from gsfr.spectral import RK_STAGE_ORDER
+
+DG3 = CorrectionParams(3, [1, 0, 0, 0])
 
 
 def test_period_constant():
@@ -66,6 +79,86 @@ def test_hetero_energy_initial_value_and_window():
     assert report.times[-1] == pytest.approx(HETERO_PERIOD, rel=1e-12)
     assert not report.blew_up
     assert len(report.error_at_periods) == 1
+    # cfl 0.06 per solution point against the top speed 3, rounded to land on the period
+    assert report.steps_per_period == ceil(HETERO_PERIOD / (0.06 * (2.0 / 16 / 4) / 3.0))
+    assert report.steps_per_period * report.tau == pytest.approx(HETERO_PERIOD, rel=1e-14)
+    assert report.to_dict()["steps_per_period"] == report.steps_per_period
+
+
+@pytest.mark.parametrize("rk", RK_SCHEMES)
+@pytest.mark.parametrize("rhs_kind", ["advection", "heterogeneous"])
+def test_step_map_matches_stage_form(rk, rhs_kind):
+    # n = 1, 2, 5 lie below the band 2s+1 of every scheme; the larger n colour by a proper divisor (32)
+    # or element by element (7, 8, 9, 11 for some schemes); alpha below 1 puts mass on both sides of the band
+    element = build_reference_element(3, solve_correction(DG3))
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 7, 8, 9, 11, 32):
+        ops = build_scheme_operators(element, 0.75, jacobian=1.0 / n)
+        state = uniform_mesh(ops, n, -1.0, 1.0)
+        if rhs_kind == "advection":
+            rhs = lambda s: linear_advection_rhs(ops, s)
+        else:
+            rhs = make_heterogeneous_rhs(ops, state)
+        tau = 0.05 * state.element_width / 4
+        step = step_map(rhs, state, tau, rk)
+        assert step.blocks.shape == (n, 4, (2 * RK_STAGE_ORDER[rk] + 1) * 4)
+        for _ in range(3):
+            u = rng.standard_normal(state.u.shape)
+            gap = np.max(np.abs(step(u) - rk_advance(rhs, replace(state, u=u), tau, rk).u))
+            assert gap <= 1e-14, (n, gap)
+
+
+def test_step_map_probes_one_colour_at_a_time(monkeypatch):
+    # N=32 rk44: 16 colours (the smallest divisor of 32 that is >= 9) x 4 nodes, not 32 x 4
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rk_advance(*args, **kwargs)
+
+    monkeypatch.setattr(gsfr.experiments, "rk_advance", counting)
+    ops = build_scheme_operators(build_reference_element(3, solve_correction(DG3)), 1.0, jacobian=1.0 / 32)
+    state = uniform_mesh(ops, 32, -1.0, 1.0)
+    step_map(make_heterogeneous_rhs(ops, state), state, 1e-3, "rk44")
+    assert len(calls) == 64
+
+
+@pytest.mark.parametrize("alpha, cfl", [(1.0, 0.06), (0.5, 0.06), (1.0, 1.5)])
+def test_hetero_study_matches_stage_form(alpha, cfl):
+    # the third run steps well past the stable limit and blows up in its first period
+    report = hetero_energy_study(DG3, alpha=alpha, n_elements=16, n_periods=2, cfl=cfl)
+    # the same run stepped by the stage form, at the step the report names
+    ops = build_scheme_operators(build_reference_element(3, solve_correction(DG3)), alpha, jacobian=1.0 / 16)
+    state = uniform_mesh(ops, 16, -1.0, 1.0, init=lambda x: np.sin(4.0 * np.pi * x))
+    rhs = make_heterogeneous_rhs(ops, state)
+    period_errors, blowup_time = [], None
+    for n in range(1, 2 * report.steps_per_period + 1):
+        state = rk_advance(rhs, state, report.tau, "rk44")
+        e = solution_energy(ops, state)
+        if not np.isfinite(e) or e > BLOWUP_ENERGY:
+            blowup_time = n * report.tau
+            break
+        if n % report.steps_per_period == 0:
+            period_errors.append(abs(e - 1.0))
+    assert report.blew_up == (cfl > 1.0) == (blowup_time is not None)
+    assert report.blowup_time == blowup_time
+    assert len(report.error_at_periods) == len(period_errors)
+    np.testing.assert_allclose(report.error_at_periods, period_errors, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("rk", RK_SCHEMES)
+def test_advect_snapshot_matches_stage_form(rk):
+    n, t_end = 30, 1.0
+    _, u, eps = advect_snapshot(DG3, n_elements=n, t_end=t_end, rk=rk)
+    pair = solve_correction(DG3)
+    ops = build_scheme_operators(build_reference_element(3, pair), 1.0, jacobian=pi / n)
+    state = uniform_mesh(ops, n, 0.0, 2.0 * pi, init=np.cos)
+    steps = ceil(t_end / (SAFETY * _reference_tau(pair, 1.0, rk) * ops.jacobian))
+    for _ in range(steps):
+        state = rk_advance(lambda s: linear_advection_rhs(ops, s), state, t_end / steps, rk)
+    ref = float(np.mean(np.abs(state.u - np.cos(mesh_nodes(ops, state) - t_end))))
+    assert eps == pytest.approx(ref, rel=1e-6)
+    assert np.max(np.abs(u - state.u.ravel())) < 1e-12
 
 
 def test_hetero_upwind_survives_fifteen_periods():
