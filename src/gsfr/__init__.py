@@ -36,10 +36,8 @@ from .experiments import (
 from .legendre import (
     LegendreSeries,
     endpoint_derivative,
-    eval_legendre,
     integral_dm_dm1,
     legendre_b,
-    mass_matrix,
     series_derivative,
 )
 from .operators import (
@@ -48,8 +46,8 @@ from .operators import (
     SchemeOperators,
     build_reference_element,
     build_scheme_operators,
-    heterogeneous_rhs,
     linear_advection_rhs,
+    make_heterogeneous_rhs,
     rk_advance,
     uniform_mesh,
 )

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import correction as corr
 from . import experiments as xp
-from .operators import build_reference_element, build_scheme_operators
+from .operators import NODE_KINDS, RK_SCHEMES, build_reference_element, build_scheme_operators
 from .spectral import ConvergenceFailureError, cfl_limit, dispersion_sweep
 
 FMT = "%.17g"
@@ -270,8 +270,8 @@ def _cmd_search_cfl(args):
 _OPTIONS = {
     "--iota": dict(type=_iota_list, required=True, help="comma-separated weights iota_0..iota_p"),
     "--alpha": dict(type=float, default=1.0, help="interface upwinding ratio (1 upwind, 0.5 central)"),
-    "--nodes": dict(choices=("gauss", "lobatto"), default="gauss"),
-    "--rk": dict(choices=("rk33", "rk44", "rk55"), default="rk44"),
+    "--nodes": dict(choices=tuple(NODE_KINDS), default="gauss"),
+    "--rk": dict(choices=RK_SCHEMES, default="rk44"),
     "--k-samples": dict(type=int, default=256),
     "--rho-tol": dict(type=float, default=1e-10),
 }

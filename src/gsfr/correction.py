@@ -206,7 +206,7 @@ def _solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
 def _condition_estimate(mat) -> float:
     try:
         return float(np.linalg.cond(np.array([[float(v) for v in row] for row in mat])))
-    except Exception:
+    except np.linalg.LinAlgError:
         return float("inf")
 
 

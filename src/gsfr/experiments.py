@@ -24,9 +24,10 @@ from .operators import (
     mesh_nodes,
     rk_advance,
     solution_energy,
+    stage_order,
     uniform_mesh,
 )
-from .spectral import RK_STAGE_ORDER, ConvergenceFailureError, cfl_limit
+from .spectral import ConvergenceFailureError, cfl_limit
 
 __all__ = [
     "OoaReport",
@@ -164,7 +165,7 @@ def step_map(rhs_fn, state, tau: float, rk: str) -> StepMap:
     naming the same element stay zero.
     """
     n, width = state.u.shape
-    s = RK_STAGE_ORDER[rk]
+    s = stage_order(rk)
     colours = next(c for c in range(min(2 * s + 1, n), n + 1) if n % c == 0)
     rows = np.arange(n)
     blocks = np.zeros((n, width, (2 * s + 1) * width))

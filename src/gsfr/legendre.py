@@ -1,7 +1,7 @@
 """Legendre polynomial algebra on [-1, 1].
 
 Everything combinatorial (derivative-product integrals, endpoint
-derivatives, mass matrix entries) is computed in exact rational
+derivatives, the mass diagonal) is computed in exact rational
 arithmetic with :class:`fractions.Fraction`; factorials up to roughly
 (2p+2)! appear and would overflow fixed-width integers. Floating point
 enters only when a series is evaluated or handed to the linear algebra
@@ -19,32 +19,12 @@ import numpy.polynomial.legendre as npleg
 
 __all__ = [
     "LegendreSeries",
-    "eval_legendre",
     "endpoint_derivative",
     "legendre_b",
     "integral_dm_dm1",
-    "mass_matrix",
     "mass_diagonal",
     "series_derivative",
 ]
-
-
-def eval_legendre(n: int, xi):
-    """Evaluate the degree-n Legendre polynomial at xi (scalar or array).
-
-    Uses the Bonnet three-term recurrence; values outside [-1, 1] are
-    extrapolated.
-    """
-    if n < 0:
-        raise ValueError("polynomial degree must be non-negative")
-    xi = np.asarray(xi, dtype=float)
-    p_prev = np.ones_like(xi)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p_cur = xi.copy()
-    for k in range(2, n + 1):
-        p_prev, p_cur = p_cur, ((2 * k - 1) * xi * p_cur - (k - 1) * p_prev) / k
-    return p_cur if p_cur.ndim else float(p_cur)
 
 
 def endpoint_derivative(n: int, j: int, side: str) -> Fraction:
@@ -103,15 +83,6 @@ def mass_diagonal(p: int) -> list[Fraction]:
     if p < 0:
         raise ValueError("order must be non-negative")
     return [Fraction(2, 2 * j + 1) for j in range(p + 1)]
-
-
-def mass_matrix(p: int) -> list[list[Fraction]]:
-    """(p+1) x (p+1) Legendre mass matrix, exact and diagonal."""
-    diag = mass_diagonal(p)
-    return [
-        [diag[i] if i == j else Fraction(0) for j in range(p + 1)]
-        for i in range(p + 1)
-    ]
 
 
 def series_derivative(coeffs):

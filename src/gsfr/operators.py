@@ -28,20 +28,31 @@ __all__ = [
     "MeshState",
     "gauss_nodes",
     "lobatto_nodes",
+    "NODE_KINDS",
     "build_reference_element",
     "build_scheme_operators",
     "uniform_mesh",
     "mesh_nodes",
     "linear_advection_rhs",
-    "heterogeneous_rhs",
     "make_heterogeneous_rhs",
     "wave_speed",
     "rk_advance",
     "solution_energy",
+    "RK_STAGE_ORDER",
     "RK_SCHEMES",
+    "stage_order",
 ]
 
-RK_SCHEMES = ("rk33", "rk44", "rk55")
+# truncation order of each scheme's one-step polynomial (see rk_advance)
+RK_STAGE_ORDER = {"rk33": 3, "rk44": 4, "rk55": 5}
+RK_SCHEMES = tuple(RK_STAGE_ORDER)
+
+
+def stage_order(rk: str) -> int:
+    """RK_STAGE_ORDER[rk], with a ValueError naming RK_SCHEMES for an unknown scheme."""
+    if rk not in RK_STAGE_ORDER:
+        raise ValueError(f"unknown scheme {rk!r}; expected one of {RK_SCHEMES}")
+    return RK_STAGE_ORDER[rk]
 
 
 def gauss_nodes(p: int):
@@ -60,6 +71,9 @@ def lobatto_nodes(p: int):
     pm1 = npleg.legval(nodes, [0.0] * p + [1.0])
     weights = 2.0 / (n * (n - 1) * pm1**2)
     return nodes, weights
+
+
+NODE_KINDS = {"gauss": gauss_nodes, "lobatto": lobatto_nodes}
 
 
 def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
@@ -138,12 +152,9 @@ def build_reference_element(
     """Assemble nodes, derivative matrix, and correction-gradient samples."""
     if p < 1:
         raise ValueError("need p >= 1")
-    if node_kind == "gauss":
-        nodes, weights = gauss_nodes(p)
-    elif node_kind == "lobatto":
-        nodes, weights = lobatto_nodes(p)
-    else:
+    if node_kind not in NODE_KINDS:
         raise ValueError(f"unknown node kind {node_kind!r}")
+    nodes, weights = NODE_KINDS[node_kind](p)
     return ReferenceElement(
         p=p,
         nodes=nodes,
@@ -216,10 +227,13 @@ def wave_speed(x):
 
 
 def make_heterogeneous_rhs(ops: SchemeOperators, state: MeshState):
-    """Heterogeneous rhs closure with the mesh-dependent speeds precomputed.
+    """du/dt for the variable-speed flux f = (sin(pi x) + 2) u, as a closure over the mesh.
 
-    The node and interface speeds depend only on the mesh geometry, so a
-    time loop should build this once and call it per stage.
+    The flux is collocated at the solution points before differentiation
+    (the product is under-resolved by the nodal basis, which is the
+    aliasing mechanism of interest). The node and interface speeds depend
+    only on the mesh geometry, so build this once per mesh and call the
+    returned rhs(state) per stage.
     """
     el = ops.element
     jac = state.jacobian
@@ -248,16 +262,6 @@ def make_heterogeneous_rhs(ops: SchemeOperators, state: MeshState):
     return rhs
 
 
-def heterogeneous_rhs(ops: SchemeOperators, state: MeshState) -> np.ndarray:
-    """du/dt for the variable-speed flux f = (sin(pi x) + 2) u.
-
-    The flux is collocated at the solution points before differentiation
-    (the product is under-resolved by the nodal basis, which is the
-    aliasing mechanism of interest).
-    """
-    return make_heterogeneous_rhs(ops, state)(state)
-
-
 def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> MeshState:
     """One explicit Runge-Kutta step of the semi-discrete system.
 
@@ -275,9 +279,8 @@ def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> Me
     """
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
+    stage_order(scheme)  # rejects an unknown scheme, also at tau 0
     if tau == 0.0:
-        if scheme not in RK_SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}; expected one of {RK_SCHEMES}")
         return state
     u = state.u
 
@@ -294,13 +297,11 @@ def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> Me
         k3 = f(u + 0.5 * tau * k2)
         k4 = f(u + tau * k3)
         new = u + tau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    elif scheme == "rk55":
+    else:  # rk55
         acc = u.copy()
         for n in range(5, 0, -1):
             acc = u + (tau / n) * f(acc)
         new = acc
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {RK_SCHEMES}")
     return replace(state, u=new)
 
 

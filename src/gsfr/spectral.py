@@ -22,13 +22,12 @@ from math import factorial
 
 import numpy as np
 
-from .operators import RK_SCHEMES, SchemeOperators
+from .operators import SchemeOperators, stage_order
 
 __all__ = [
     "WaveResponse",
     "StabilityResult",
     "ConvergenceFailureError",
-    "RK_STAGE_ORDER",
     "PUBLISHED_STEP_LIMITS",
     "bloch_matrix",
     "k_from_k_hat",
@@ -38,9 +37,6 @@ __all__ = [
     "cfl_limit",
     "dispersion_sweep",
 ]
-
-# truncation order of the one-step update polynomial per scheme
-RK_STAGE_ORDER = {"rk33": 3, "rk44": 4, "rk55": 5}
 
 RHO_TOL = 1e-10
 BISECTION_REL_TOL = 1e-4
@@ -128,11 +124,9 @@ def update_matrix(Q: np.ndarray, tau: float, rk: str = "rk44") -> np.ndarray:
     """Fully-discrete one-step map (exponential truncated at the scheme order); stacks map to stacks."""
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
-    if rk not in RK_STAGE_ORDER:
-        raise ValueError(f"unknown scheme {rk!r}; expected one of {RK_SCHEMES}")
     out = np.eye(Q.shape[-1], dtype=complex)
     power = np.eye(Q.shape[-1], dtype=complex)
-    for n in range(1, RK_STAGE_ORDER[rk] + 1):
+    for n in range(1, stage_order(rk) + 1):
         power = power @ (tau * Q)
         out = out + power / factorial(n)
     return out
@@ -170,8 +164,6 @@ def cfl_limit(
     tau_max = 0; passing a looser rho_tol reproduces threshold-style
     stability verdicts instead.
     """
-    if rk not in RK_STAGE_ORDER:
-        raise ValueError(f"unknown scheme {rk!r}; expected one of {RK_SCHEMES}")
     k_hats = _k_hat_grid(k_samples)
     q_mats = bloch_matrix(ops, k_from_k_hat(ops, k_hats))
 

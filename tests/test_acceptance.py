@@ -26,15 +26,15 @@ from gsfr.correction import (
 from gsfr.experiments import HETERO_PERIOD, hetero_energy_study, ooa_study
 from gsfr.legendre import LegendreSeries, integral_dm_dm1, series_derivative
 from gsfr.operators import (
+    RK_STAGE_ORDER,
     build_reference_element,
     build_scheme_operators,
-    heterogeneous_rhs,
+    make_heterogeneous_rhs,
     rk_advance,
     uniform_mesh,
 )
 from gsfr.spectral import (
     PUBLISHED_STEP_LIMITS,
-    RK_STAGE_ORDER,
     bloch_matrix,
     cfl_limit,
     k_from_k_hat,
@@ -47,9 +47,10 @@ from test_correction import (
     GOLDEN_P4_AS_PUBLISHED,
     P4_IOTA0_SIGN_ENTRIES,
     P4_OTHER_DEVIATIONS,
-    coefficient_matrices,
+    _check_golden,
     sample_inside_bounds,
 )
+from test_legendre import _dpsi
 from test_operators import dense_operator
 
 TABLE_RK44_P3 = [1, 2.069e-4, 2.336e-3, 2.336e-3]
@@ -62,18 +63,6 @@ P4_CALIBRATED_LIMITS = {"rk33": 0.1134, "rk44": 0.1254, "rk55": 0.1217}
 
 def _verdict(num, ok, detail=""):
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} {detail}")
-
-
-def _check_golden(p, golden):
-    mats = coefficient_matrices(p)
-    deviations = []
-    for r in range(p):
-        for c in range(p + 2):
-            assembled = [mats[i][r][c] for i in range(p + 1)]
-            expected = [F(v) for v in golden.get((r, c), [0] * (p + 1))]
-            if assembled != expected:
-                deviations.append(((r, c), assembled, expected))
-    return deviations
 
 
 def test_criterion_01_golden_matrices():
@@ -163,20 +152,13 @@ def test_criterion_04_norm_positivity_suite():
 def test_criterion_05_derivative_product_integral_oracle():
     """Exhaustive quadrature check of the closed-form integral, m,n,k <= 6."""
     xs, ws = npleg.leggauss(20)
-
-    def dpsi(order, n):
-        c = [0.0] * n + [1.0]
-        for _ in range(order):
-            c = series_derivative(c) if len(c) > 1 else [0.0]
-        return npleg.legval(xs, c)
-
     worst = 0.0
     count = 0
     for m in range(7):
         for n in range(7):
             for k in range(7):
                 exact = float(integral_dm_dm1(m, n, k))
-                terms = ws * dpsi(m, n) * dpsi(m + 1, k)
+                terms = ws * _dpsi(m, n, xs) * _dpsi(m + 1, k, xs)
                 # tolerance scaled by the quadrature's own term magnitudes:
                 # products reach ~1e7 where absolute 1e-10 is below one ulp
                 scale = max(1.0, float(np.sum(np.abs(terms))))
@@ -350,8 +332,9 @@ def test_criterion_08_heterogeneous_advection():
     tau = 0.5 * state.element_width / (4 * 3.0)
     steps = ceil(HETERO_PERIOD / tau)
     tau = HETERO_PERIOD / steps
+    rhs = make_heterogeneous_rhs(ops, state)
     for _ in range(steps):
-        state = rk_advance(lambda s: heterogeneous_rhs(ops, s), state, tau, "rk44")
+        state = rk_advance(rhs, state, tau, "rk44")
     period_eps = float(np.mean(np.abs(state.u - u0)))
     ok = upwind_ok and central_ok and period_eps < 1e-4
     _verdict(

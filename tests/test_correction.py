@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,6 +10,7 @@ from gsfr.correction import (
     CorrectionParams,
     DegenerateCoefficientError,
     SingularEtaError,
+    SingularSystemError,
     UnsupportedOrderError,
     correction_matrix,
     esfr3_gradient,
@@ -91,14 +93,6 @@ def _check_golden(p, golden):
     return deviations
 
 
-def test_golden_matrix_p2_exact():
-    assert _check_golden(2, GOLDEN_P2) == []
-
-
-def test_golden_matrix_p3_exact():
-    assert _check_golden(3, GOLDEN_P3) == []
-
-
 def test_golden_matrix_p4_known_deviations():
     # the published p=4 matrix flips the sign of the isolated iota_0
     # entries relative to its own p=2/p=3 forms, and its (3, 5) entry
@@ -139,6 +133,19 @@ def test_params_validation():
         CorrectionParams(3, [1, 0, 0])
     with pytest.raises(ValueError):
         CorrectionParams(3, [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "params",
+    # the determinants are -2(45 iota_2 + 1) and -2(1575 iota_3 + 1)
+    [CorrectionParams(2, [1, 0, F(-1, 45)]), CorrectionParams(3, [1, 0, 0, F(-1, 1575)])],
+    ids=["p2", "p3"],
+)
+def test_singular_system_reports_condition_estimate(params):
+    cond = np.linalg.cond(np.array(correction_matrix(params), dtype=float))
+    assert 1e15 < cond < np.inf  # the float copy of the exact system is ill-conditioned, not exactly singular
+    with pytest.raises(SingularSystemError, match=re.escape(f"(float condition estimate {cond:.3e})")):
+        solve_correction(params)
 
 
 def test_solve_dg_p2():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from math import ceil, pi
 
@@ -23,9 +24,9 @@ from gsfr.experiments import (
 )
 from gsfr.operators import (
     RK_SCHEMES,
+    RK_STAGE_ORDER,
     build_reference_element,
     build_scheme_operators,
-    heterogeneous_rhs,
     linear_advection_rhs,
     make_heterogeneous_rhs,
     mesh_nodes,
@@ -33,7 +34,7 @@ from gsfr.operators import (
     solution_energy,
     uniform_mesh,
 )
-from gsfr.spectral import RK_STAGE_ORDER
+from gsfr.spectral import cfl_limit, update_matrix
 
 DG3 = CorrectionParams(3, [1, 0, 0, 0])
 
@@ -179,21 +180,23 @@ def test_hetero_central_blows_up():
     assert report.blowup_time < 15 * HETERO_PERIOD
 
 
-def test_dense_reference_returns_to_initial_state():
-    # independent check of the analytic period: a fine mesh comes back to
-    # its initial data after exactly one traversal
-    params = CorrectionParams(3, [1, 0, 0, 0])
-    element = build_reference_element(3, solve_correction(params))
-    n = 256
-    ops = build_scheme_operators(element, 1.0, jacobian=1.0 / n)
-    state = uniform_mesh(ops, n, -1.0, 1.0, init=lambda x: np.sin(4 * np.pi * x))
-    u0 = state.u.copy()
-    tau = 0.4 * state.element_width / (4 * 3.0)
-    steps = ceil(HETERO_PERIOD / tau)
-    tau = HETERO_PERIOD / steps
-    for _ in range(steps):
-        state = rk_advance(lambda s: heterogeneous_rhs(ops, s), state, tau, "rk44")
-    assert np.mean(np.abs(state.u - u0)) < 1e-4
+# every entry point that takes a scheme name, called with an unknown one
+UNKNOWN_SCHEME_CALLS = {
+    "rk_advance-tau0": lambda ops, state: rk_advance(lambda s: linear_advection_rhs(ops, s), state, 0.0, "rk99"),
+    "rk_advance-tau>0": lambda ops, state: rk_advance(lambda s: linear_advection_rhs(ops, s), state, 0.1, "rk99"),
+    "update_matrix": lambda ops, state: update_matrix(np.zeros((4, 4)), 0.1, "rk99"),
+    "cfl_limit": lambda ops, state: cfl_limit(ops, "rk99"),
+    "step_map": lambda ops, state: step_map(make_heterogeneous_rhs(ops, state), state, 0.1, "rk99"),
+    "hetero_energy_study": lambda ops, state: hetero_energy_study(DG3, n_elements=4, n_periods=1, rk="rk99"),
+}
+
+
+@pytest.mark.parametrize("entry", UNKNOWN_SCHEME_CALLS)
+def test_unknown_scheme_is_one_value_error(entry):
+    ops = build_scheme_operators(build_reference_element(3, solve_correction(DG3)), 1.0, jacobian=0.25)
+    state = uniform_mesh(ops, 4, -1.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"unknown scheme 'rk99'; expected one of {RK_SCHEMES}")):
+        UNKNOWN_SCHEME_CALLS[entry](ops, state)
 
 
 def test_default_search_grid_shape():

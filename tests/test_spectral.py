@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from gsfr.correction import CorrectionParams, solve_correction
-from gsfr.operators import build_reference_element, build_scheme_operators
+from gsfr.operators import RK_STAGE_ORDER, build_reference_element, build_scheme_operators
 from gsfr.spectral import (
     PUBLISHED_STEP_LIMITS,
-    RK_STAGE_ORDER,
     StabilityResult,
     bloch_matrix,
     cfl_limit,
@@ -17,8 +16,6 @@ from gsfr.spectral import (
     update_matrix,
     wave_speeds,
 )
-
-from test_operators import dense_operator
 
 
 def make_ops(weights, alpha=1.0, p=3):
@@ -48,24 +45,6 @@ def test_bloch_matrix_finite_at_nyquist(dg3_up):
     assert np.all(np.isfinite(q))
 
 
-def test_bloch_oracle_against_physical_circulant(dg3_up):
-    # assemble the 64-element mesh operator from the actual rhs and
-    # compare its wavenumber-diagonalised blocks with bloch_matrix; this
-    # pins the exponent-sign convention on the neighbour couplings
-    n = 64
-    mat = dense_operator(dg3_up, n)
-    delta = 2.0
-    blocks = [mat[0:4, 4 * j : 4 * j + 4] for j in range(n)]
-    for m in (1, 3, 7, 11, 17, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 63):
-        k_m = 2.0 * np.pi * m / (n * delta)
-        summed = sum(blocks[j] * np.exp(1j * k_m * j * delta) for j in range(n))
-        q = bloch_matrix(dg3_up, k_m)
-        assert np.max(np.abs(summed - q)) < 1e-9
-        eig_a = np.sort_complex(np.linalg.eigvals(summed))
-        eig_q = np.sort_complex(np.linalg.eigvals(q))
-        assert np.max(np.abs(eig_a - eig_q)) < 1e-9
-
-
 def test_stacked_kernels_match_one_matrix_at_a_time(dg3_up):
     ks = k_from_k_hat(dg3_up, np.pi * np.arange(1, 17) / 16)
     singles = [bloch_matrix(dg3_up, float(k)) for k in ks]
@@ -90,27 +69,6 @@ def test_wave_speeds_low_k_physical_mode(dg3_up):
 def test_wave_speeds_requires_positive_k(dg3_up):
     with pytest.raises(ValueError):
         wave_speeds(dg3_up, 0.0)
-
-
-def test_superconvergent_dispersion_slope(dg3_up):
-    # |Re c - 1| decays like k_hat^(2p+2); fit the log-log slope over the
-    # decade window, keeping points above the eigensolver noise floor
-    k_hats = np.logspace(-3, -1, 21)
-    errs = []
-    for kh in k_hats:
-        resp = wave_speeds(dg3_up, k_from_k_hat(dg3_up, kh))
-        errs.append(abs(resp.c[resp.physical_mode_index].real - 1.0))
-    errs = np.array(errs)
-    mask = errs > 1e-12
-    assert mask.sum() >= 3
-    slope = np.polyfit(np.log(k_hats[mask]), np.log(errs[mask]), 1)[0]
-    assert slope >= 6.0  # at least 2p; the full rate is 2p+2 = 8
-
-
-def test_central_interfaces_have_no_dissipation(dg3_central):
-    for kh in np.pi * np.arange(1, 65) / 64:
-        resp = wave_speeds(dg3_central, k_from_k_hat(dg3_central, kh))
-        assert np.max(np.abs(resp.c.imag)) < 1e-10
 
 
 def test_upwind_physical_mode_never_grows(dg3_up):
