@@ -14,9 +14,10 @@ three p=3 rows line up at s = 0.5 to within 0.2 percent.
 The p=4 rows land at s * tau = 0.1134 / 0.1254 / 0.1217 against the
 published 0.431 / 0.430 / 0.354, and the computed values are sound:
 
-- the raw limits 0.226978 / 0.251025 / 0.243530 are reproduced by a
-  second route that solves the eigenvalues of Q(k) once and bisects on
-  max |R(tau lambda)| (spectral mapping, eig(R(tau Q)) = R(tau eig(Q)));
+- the raw limits 0.226978 / 0.251025 / 0.243530 are reproduced bit for
+  bit by the update-matrix route, and to 1e-4 by criterion 6's own route,
+  which bisects on max |R(tau lambda)| (spectral mapping,
+  eig(R(tau Q)) = R(tau eig(Q))) from a 400-point tau grid down to 1e-9;
 - they move under 1 percent between rho_tol 1e-6 and 1e-2 (rk33 and rk44
   are unchanged down to 1e-10), so no thresholded reading reaches the
   published values, which would need raw limits of 0.862 / 0.860 / 0.708;

@@ -24,6 +24,8 @@ from .operators import NODE_KINDS, RK_SCHEMES, build_reference_element, build_sc
 from .spectral import ConvergenceFailureError, cfl_limit, dispersion_sweep
 
 FMT = "%.17g"
+# an abscissa above this is true growth, not eigen-solver round-off (~1e-15)
+ABSCISSA_TOL = 1e-12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,9 +160,21 @@ def _cmd_vn_dispersion(args):
 def _cmd_vn_cfl(args):
     params, ops = _ops_for(args)
     res = cfl_limit(ops, args.rk, args.k_samples, rho_tol=args.rho_tol)
-    doc = {"tau_max": res.tau_max, "worst_k_hat": res.worst_k, "k_samples": res.k_samples, "rk": res.rk}
+    doc = {
+        "tau_max": res.tau_max,
+        "worst_k_hat": res.worst_k,
+        "k_samples": res.k_samples,
+        "rk": res.rk,
+        "probes": res.probes,
+        "spectral_abscissa": res.spectral_abscissa,
+    }
     _write_text(args.out, _json_doc(_config(args, ("p", "iota", "alpha", "rk", "k_samples", "rho_tol")), doc))
     print(f"tau_max = {FMT % res.tau_max} ({args.rk}, worst k_hat {res.worst_k:.4f})")
+    if res.spectral_abscissa > ABSCISSA_TOL:
+        print(
+            f"note: spectral abscissa {res.spectral_abscissa:.3g} > 0, so a mode grows at every step; "
+            f"tau_max depends on --rho-tol ({args.rho_tol:g} here)"
+        )
     return 0
 
 

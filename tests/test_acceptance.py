@@ -9,12 +9,10 @@ from math import ceil
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
-import pytest
 
 from gsfr.correction import (
     CorrectionPair,
     CorrectionParams,
-    correction_matrix,
     esfr3_weights,
     osfr_correction,
     osfr_iota,

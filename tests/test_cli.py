@@ -65,6 +65,29 @@ def test_vn_cfl_reports_table_value(tmp_path, capsys):
     assert 0.5 * tau == pytest.approx(0.390, rel=0.01)
 
 
+@pytest.mark.parametrize(
+    "iota,growing",
+    [("1,2.069e-4,2.336e-3,2.336e-3", True), ("1,0,0,0", False)],
+    ids=["published-p3-rk44", "dg"],
+)
+def test_vn_cfl_explains_its_limit(iota, growing, tmp_path, capsys):
+    out_file = tmp_path / "cfl.json"
+    code, out, _ = run(
+        ["vn", "cfl", "--p", "3", "--rk", "rk44", "--iota", iota, "--k-samples", "64", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 0
+    result = json.loads(out_file.read_text())["result"]
+    assert result["probes"] > 0
+    if growing:
+        assert result["spectral_abscissa"] == pytest.approx(3.3e-5, rel=0.05)
+    else:
+        assert abs(result["spectral_abscissa"]) < 1e-12
+    lines = out.splitlines()
+    assert len(lines) == (2 if growing else 1)
+    assert ("--rho-tol" in lines[-1]) == growing
+
+
 def test_vn_dispersion_csv(tmp_path, capsys):
     out_file = tmp_path / "disp.csv"
     code, out, _ = run(

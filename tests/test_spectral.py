@@ -3,9 +3,11 @@ from math import factorial
 import numpy as np
 import pytest
 
-from gsfr.correction import CorrectionParams, solve_correction
+from gsfr.correction import CorrectionParams, solve_correction, sufficient_bounds
+from gsfr.experiments import default_search_grid
 from gsfr.operators import RK_STAGE_ORDER, build_reference_element, build_scheme_operators
 from gsfr.spectral import (
+    BISECTION_REL_TOL,
     PUBLISHED_STEP_LIMITS,
     StabilityResult,
     bloch_matrix,
@@ -218,6 +220,100 @@ def test_published_p3_step_limits_reproduce_at_threshold_tolerance():
         ops = make_ops(weights, 1.0)
         tau = cfl_limit(ops, rk, k_samples=256, rho_tol=1e-4).tau_max
         assert 0.5 * tau == pytest.approx(published, rel=0.01)
+
+
+def _matrix_route_limit(ops, rk, k_samples, rho_tol):
+    """cfl_limit's bisection with one update_matrix + spectral_radius per probe.
+
+    Returns (tau_max, worst_k, probes); this is the route the eigenvalue
+    route replaced, kept here as its oracle.
+    """
+    k_hats = np.pi * np.arange(1, k_samples + 1) / k_samples
+    q_mats = bloch_matrix(ops, k_from_k_hat(ops, k_hats))
+    probes = 0
+
+    def radii(tau):
+        return spectral_radius(update_matrix(q_mats, tau, rk))
+
+    def stable(tau):
+        nonlocal probes
+        probes += 1
+        return radii(tau).max() <= 1.0 + rho_tol
+
+    lo, hi = 0.0, 0.05
+    while stable(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e3:
+            return lo, float(k_hats[-1]), probes
+    while hi - lo > BISECTION_REL_TOL * max(hi, 1e-12):
+        mid = 0.5 * (lo + hi)
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi < 1e-9:
+            lo = 0.0
+            break
+    return lo, float(k_hats[int(np.argmax(radii(hi)))]), probes
+
+
+def _route_cases():
+    cases = [(p, rk, w, rho_tol, 256) for p, rk, w, _ in PUBLISHED_STEP_LIMITS for rho_tol in (1e-10, 1e-4)]
+    grid = default_search_grid(3, magnitudes=[0.0, 1e-3])
+    inside = [[float(v) for v in iota] for iota in grid if sufficient_bounds(CorrectionParams(3, iota)).satisfied]
+    assert len(inside) == 12
+    return cases + [(3, "rk44", iota, 1e-10, 64) for iota in inside]
+
+
+# the one case whose bisection takes a different turn: both routes put
+# the strict p=3 rk33 limit near 2.2e-7, 5.2e-5 apart (relative)
+ROUTE_EXCEPTIONS = {(3, "rk33", 1e-10)}
+
+
+def test_cfl_limit_matches_matrix_route():
+    for p, rk, weights, rho_tol, k_samples in _route_cases():
+        ops = make_ops(weights, 1.0, p=p)
+        res = cfl_limit(ops, rk, k_samples, rho_tol)
+        tau, worst_k, probes = _matrix_route_limit(ops, rk, k_samples, rho_tol)
+        case = (p, rk, tuple(weights), rho_tol)
+        assert (res.tau_max > 0.0) == (tau > 0.0), case
+        if (p, rk, rho_tol) in ROUTE_EXCEPTIONS:
+            assert abs(res.tau_max - tau) <= 1e-4 * tau, case
+            continue
+        assert res.tau_max.hex() == tau.hex(), case
+        assert res.worst_k.hex() == worst_k.hex(), case
+        assert res.probes == probes, case
+
+
+def _first_loss_of_stability(ops, rk, rho_tol, k_samples=256):
+    """Smallest positive root of |R(tau lambda)|^2 = (1 + rho_tol)^2 over all eigenvalues.
+
+    R(z) = sum_{n<=s} z^n / n!, so |R(tau lambda)|^2 is a real polynomial
+    of degree 2s in tau: its tau^j coefficient is
+    sum_{m+n=j} Re(lambda^m conj(lambda)^n) / (m! n!).
+    """
+    k_hats = np.pi * np.arange(1, k_samples + 1) / k_samples
+    lams = np.linalg.eigvals(bloch_matrix(ops, k_from_k_hat(ops, k_hats))).ravel()
+    order = RK_STAGE_ORDER[rk]
+    coef = np.array([1.0 / factorial(n) for n in range(order + 1)])
+    first = np.inf
+    for lam in lams:
+        terms = coef * lam ** np.arange(order + 1)
+        poly = np.convolve(terms, terms.conj()).real
+        poly[0] -= (1.0 + rho_tol) ** 2
+        roots = np.roots(poly[::-1])
+        real = roots[(np.abs(roots.imag) <= 1e-9 * np.abs(roots)) & (roots.real > 0.0)].real
+        if real.size:
+            first = min(first, real.min())
+    return first
+
+
+def test_cfl_limit_brackets_the_exact_root():
+    for p, rk, weights, _ in PUBLISHED_STEP_LIMITS:
+        ops = make_ops(weights, 1.0, p=p)
+        root = _first_loss_of_stability(ops, rk, 1e-4)
+        tau = cfl_limit(ops, rk, 256, 1e-4).tau_max
+        assert root * (1.0 - BISECTION_REL_TOL) <= tau <= root, (p, rk, tau, root)
 
 
 def test_degeneration_towards_lower_order():

@@ -1,0 +1,139 @@
+"""Before/after medians of the benchmark's end-to-end metrics, from alternating runs.
+
+Runs each tree's own ``benchmarks/run.py --workload W --seed S --seconds T
+--trace 0`` in a temporary export of a base revision and in the working
+tree, one run of each per pair, with the side that runs first
+alternating from pair to pair. It writes one JSON document with the
+per-run values, their medians and quartiles, the number of pairs in
+which the working tree was better, and the Python and numpy versions and
+core count of the machine. Standard library only.
+
+    python tools/bench_pair.py --base HEAD --pairs 5 --seconds 10 --out BENCH_N.json
+
+The base is exported with ``git archive`` into a temporary directory, so
+an interrupted run leaves nothing behind in the repository.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    archive = dest / "base.tar"
+    subprocess.run(["git", "archive", "--output", str(archive), rev], cwd=ROOT, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest / "tree", filter="data")
+    archive.unlink()
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run; the JSON document it prints last."""
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", repr(seconds), "--trace", "0"],
+        cwd=tree, check=True, capture_output=True, text=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list) -> list:
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else [values[0]] * 3
+
+
+def summary(spec: dict, before: list, after: list) -> dict:
+    """Medians, quartiles and the pairs won; a gain is claimed only when after wins
+    at least nine in ten pairs and the medians differ by more than before's IQR."""
+    lower = spec["better"] == "lower"
+    wins = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
+    q_before, q_after = quartiles(before), quartiles(after)
+    return {
+        "unit": spec["unit"],
+        "better": spec["better"],
+        "before": q_before[1],
+        "after": q_after[1],
+        "change": q_after[1] / q_before[1] - 1.0,
+        "before_quartiles": q_before,
+        "after_quartiles": q_after,
+        "after_better_pairs": wins,
+        "gain": wins >= 0.9 * len(before) and abs(q_after[1] - q_before[1]) > q_before[2] - q_before[0],
+        "before_runs": before,
+        "after_runs": after,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="git revision to compare the working tree with")
+    parser.add_argument("--workloads", default=None, help="comma-separated; default: all in BENCHMARK.json")
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seconds", type=float, default=10.0, help="run time of each benchmark run")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    numpy_version = subprocess.run(
+        [sys.executable, "-c", "import numpy; print(numpy.__version__)"], check=True, capture_output=True, text=True
+    ).stdout.strip()
+    base_rev = git("rev-parse", args.base)
+    doc = {
+        "command": f"benchmarks/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0",
+        "base": base_rev,
+        "after": f"working tree at {git('rev-parse', 'HEAD')}" + (" (modified)" if git("status", "--porcelain") else ""),
+        "pairs": args.pairs,
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "cores": os.cpu_count(),
+        "machine": platform.machine(),
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+        export(base_rev, Path(tmp))
+        trees = {"before": Path(tmp) / "tree", "after": ROOT}
+        for workload in workloads:
+            runs = {"before": [], "after": []}
+            for pair in range(args.pairs):
+                order = ("before", "after") if pair % 2 == 0 else ("after", "before")
+                for side in order:
+                    tree = trees[side]
+                    result = bench(tree, workload, args.seed, args.seconds)
+                    runs[side].append(result)
+                    wall = result["metrics"]["wall_s"]["value"]
+                    print(f"{workload} pair {pair + 1}/{args.pairs} {side}: wall_s {wall:.4g}", file=sys.stderr)
+            entry = {
+                metric["name"]: summary(
+                    metric,
+                    [r["metrics"][metric["name"]]["value"] for r in runs["before"]],
+                    [r["metrics"][metric["name"]]["value"] for r in runs["after"]],
+                )
+                for metric in spec["end_to_end"]
+            }
+            for side in runs:
+                entry[f"failed_{side}"] = sum(r["failed"] for r in runs[side])
+                entry[f"attempted_{side}"] = sum(r["attempted"] for r in runs[side])
+            doc["workloads"][workload] = entry
+    Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
