@@ -12,6 +12,7 @@ search).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from math import pi
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import correction as corr
 from . import experiments as xp
-from .operators import NODE_KINDS, RK_SCHEMES, build_reference_element, build_scheme_operators
+from .operators import NODE_KINDS, RK_SCHEMES
 from .spectral import ConvergenceFailureError, cfl_limit, dispersion_sweep
 
 FMT = "%.17g"
@@ -103,6 +104,8 @@ def _cmd_corr_identify(args):
     if args.infile is not None:
         with open(args.infile, encoding="utf-8") as fh:
             params, pair = corr.pair_from_json(fh.read())
+        if params.p != args.p:
+            raise ValueError(f"--p {args.p} differs from p = {params.p} in {args.infile}")
     elif args.iota is not None:
         params = _params(args)
         pair = corr.solve_correction(params)
@@ -139,9 +142,7 @@ def _cmd_corr_identify(args):
 
 def _ops_for(args):
     params = _params(args)
-    pair = corr.solve_correction(params)
-    element = build_reference_element(params.p, pair, args.nodes)
-    return params, build_scheme_operators(element, args.alpha, 1.0)
+    return params, xp.reference_operators(corr.solve_correction(params), args.alpha, args.nodes)
 
 
 def _cmd_vn_dispersion(args):
@@ -178,51 +179,33 @@ def _cmd_vn_cfl(args):
     return 0
 
 
-def _sweep_point(job):
-    p, iota, alpha, rk, k_samples, rho_tol, nodes = job
-    params = corr.CorrectionParams(p, iota)
-    if not corr.sufficient_bounds(params).satisfied:
-        return iota, float("nan")
-    try:
-        pair = corr.solve_correction(params)
-        element = build_reference_element(p, pair, nodes)
-        ops = build_scheme_operators(element, alpha, 1.0)
-        return iota, cfl_limit(ops, rk, k_samples, rho_tol=rho_tol).tau_max
-    except (corr.SingularSystemError, ConvergenceFailureError):
-        return iota, float("nan")
-
-
 def _cmd_vn_sweep(args):
     grid = xp.default_search_grid(args.p, magnitudes=args.magnitudes)
-    jobs = [
-        (args.p, [float(v) for v in iota], args.alpha, args.rk, args.k_samples, args.rho_tol, args.nodes)
-        for iota in grid
-    ]
+    points = [corr.CorrectionParams(args.p, iota) for iota in grid]
+    limit = functools.partial(
+        xp.step_limit, alpha=args.alpha, rk=args.rk, node_kind=args.nodes,
+        k_samples=args.k_samples, rho_tol=args.rho_tol,
+    )
     if args.jobs > 1:
         from multiprocessing import Pool
 
         with Pool(args.jobs) as pool:
-            results = pool.map(_sweep_point, jobs)
+            taus = pool.map(limit, points)
     else:
-        results = [_sweep_point(job) for job in jobs]
+        taus = [limit(params) for params in points]
     header = [f"iota_{i}" for i in range(1, args.p + 1)] + ["tau_max"]
-    cols = [np.array([r[0][i] for r in results]) for i in range(1, args.p + 1)]
-    cols.append(np.array([r[1] for r in results]))
+    cols = list(np.array(grid)[:, 1:].T)
+    cols.append(np.array(taus))
     _write_csv(args.out, header, cols)
     finite = np.isfinite(cols[-1])
     best = np.nanmax(cols[-1]) if finite.any() else float("nan")
-    print(f"sweep: {len(results)} points, best tau_max = {FMT % best}" + (f" -> {args.out}" if args.out else ""))
+    print(f"sweep: {len(points)} points, best tau_max = {FMT % best}" + (f" -> {args.out}" if args.out else ""))
     return 0
 
 
 def _cmd_run_advect(args):
     params = _params(args)
-    try:
-        x, u, eps = xp.advect_snapshot(
-            params, args.alpha, args.n_elements, args.t_end, args.rk, args.nodes
-        )
-    except xp.UnstableRunError as exc:
-        raise NumericalFailure(str(exc))
+    x, u, eps = xp.advect_snapshot(params, args.alpha, args.n_elements, args.t_end, args.rk, args.nodes)
     _write_csv(args.out, ["x", "u"], [x, u])
     print(f"advect: N={args.n_elements}, t={args.t_end:g}, eps2 = {FMT % eps}")
     return 0
@@ -244,10 +227,7 @@ def _cmd_run_hetero(args):
 
 def _cmd_run_ooa(args):
     params = _params(args)
-    try:
-        report = xp.ooa_study(params, args.alpha, args.element_counts, args.t_end, args.rk, args.nodes)
-    except xp.UnstableRunError as exc:
-        raise NumericalFailure(str(exc))
+    report = xp.ooa_study(params, args.alpha, args.element_counts, args.t_end, args.rk, args.nodes)
     if args.out and args.out.endswith(".csv"):
         _write_csv(
             args.out,
@@ -265,10 +245,7 @@ def _cmd_run_ooa(args):
 
 def _cmd_search_cfl(args):
     grid = xp.default_search_grid(args.p, magnitudes=args.magnitudes)
-    try:
-        report = xp.cfl_search(args.p, args.rk, grid, args.alpha)
-    except xp.EmptyFeasibleSetError as exc:
-        raise NumericalFailure(str(exc))
+    report = xp.cfl_search(args.p, args.rk, grid, args.alpha)
     _write_text(
         args.out,
         _json_doc(_config(args, ("p", "rk", "alpha", "magnitudes")), report.to_dict()),
@@ -348,7 +325,8 @@ def _build_parser() -> _Parser:
 
 # exit code 2; every other GsfrError is invalid input, exit code 1
 _NUMERICAL_FAILURES = (
-    NumericalFailure, ConvergenceFailureError, corr.SingularSystemError, corr.SingularEtaError, corr.SingularDenominatorError
+    NumericalFailure, xp.UnstableRunError, xp.EmptyFeasibleSetError, ConvergenceFailureError,
+    corr.SingularSystemError, corr.SingularEtaError, corr.SingularDenominatorError,
 )
 
 

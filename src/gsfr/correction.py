@@ -219,7 +219,11 @@ def solve_correction(params: CorrectionParams) -> CorrectionPair:
     """
     mat = correction_matrix(params)
     rhs = [Fraction(0)] * (params.p + 1) + [Fraction(1)]
-    h_l = _solve_rational(mat, rhs)
+    return _reflected_pair(_solve_rational(mat, rhs))
+
+
+def _reflected_pair(h_l: list[Fraction]) -> CorrectionPair:
+    """Pair from exact left coefficients; the right function is h_r(xi) = h_l(-xi)."""
     h_r = [(-1) ** i * c for i, c in enumerate(h_l)]
     hl = LegendreSeries(np.array([float(c) for c in h_l]))
     hr = LegendreSeries(np.array([float(c) for c in h_r]))
@@ -254,6 +258,11 @@ def _top_weight(i: int) -> Fraction:
     return 2 * c * c
 
 
+# Row i holds the coefficients of iota_0..iota_{i-1} in the bound on iota_i,
+# before the scale -1/_top_weight(i).
+_BOUND_ROWS = {1: (2.0 / 3.0,), 2: (0.4, 6), 3: (2.0 / 7.0, 8, 150), 4: (2.0 / 9.0, 11, 290, 7350)}
+
+
 def sufficient_bounds(params: CorrectionParams) -> StabilityBounds:
     """Componentwise sufficient lower bounds for norm positivity, p in {2,3,4}.
 
@@ -265,44 +274,21 @@ def sufficient_bounds(params: CorrectionParams) -> StabilityBounds:
     nothing (the condition is one-sided).
     """
     p = params.p
-    i0, *rest = [float(v) for v in params.iota]
-    if p == 2:
-        i1, i2 = rest
-        lower = np.array([0.0, -0.5 * (2.0 / 3.0) * i0, -float(1 / _top_weight(2)) * (0.4 * i0 + 6 * i1)])
-        nonneg = ()
-    elif p == 3:
-        i1, i2, i3 = rest
-        lower = np.array(
-            [
-                0.0,
-                0.0,
-                -float(1 / _top_weight(2)) * (0.4 * i0 + 6 * i1),
-                -float(1 / _top_weight(3)) * (2.0 / 7.0 * i0 + 8 * i1 + 150 * i2),
-            ]
-        )
-        nonneg = (1,)
-    elif p == 4:
-        i1, i2, i3, i4 = rest
-        lower = np.array(
-            [
-                0.0,
-                0.0,
-                0.0,
-                -float(1 / _top_weight(3)) * (2.0 / 7.0 * i0 + 8 * i1 + 150 * i2),
-                -float(1 / _top_weight(4)) * (2.0 / 9.0 * i0 + 11 * i1 + 290 * i2 + 7350 * i3),
-            ]
-        )
-        nonneg = (1, 2)
-    else:
+    if p not in _BOUND_ROWS:
         raise UnsupportedOrderError(f"sufficient bounds are only tabulated for p in 2..4, got p={p}")
     values = params.iota_array
+    lower = np.zeros(p + 1)
+    for i in (p - 1, p):
+        row = _BOUND_ROWS[i]
+        # summed left to right as first written, so each bound stays the same double
+        acc = row[0] * values[0]
+        for coeff, value in zip(row[1:], values[1:]):
+            acc += coeff * value
+        lower[i] = -float(1 / _top_weight(i)) * acc
     margins = values - lower
     ok = values[0] > 0.0
     for i in range(1, p + 1):
-        if i in nonneg:
-            ok = ok and values[i] >= 0.0
-        else:
-            ok = ok and values[i] > lower[i]
+        ok = ok and (values[i] >= 0.0 if i <= p - 2 else values[i] > lower[i])
     return StabilityBounds(lower=lower, satisfied=bool(ok), margins=margins)
 
 
@@ -318,10 +304,7 @@ def osfr_correction(p: int, iota) -> CorrectionPair:
     h_l[p] = sign
     h_l[p - 1] = -sign * eta / (1 + eta)
     h_l[p + 1] = -sign / (1 + eta)
-    h_r = [(-1) ** i * c for i, c in enumerate(h_l)]
-    hl = LegendreSeries(np.array([float(c) for c in h_l]))
-    hr = LegendreSeries(np.array([float(c) for c in h_r]))
-    return CorrectionPair(h_l=hl, h_r=hr, g_l=hl.derivative(), g_r=hr.derivative())
+    return _reflected_pair(h_l)
 
 
 def osfr_iota(p: int, h_l: LegendreSeries, tol: float = MEMBERSHIP_TOL):
@@ -444,8 +427,14 @@ def pair_to_json(params: CorrectionParams, pair: CorrectionPair) -> str:
 
 
 def pair_from_json(text: str) -> tuple[CorrectionParams, CorrectionPair]:
+    """Read what pair_to_json wrote; a missing or ill-typed field is a ValueError naming it."""
     doc = json.loads(text)
-    params = CorrectionParams(int(doc["p"]), doc["iota"])
+    if not isinstance(doc, dict):
+        raise ValueError(f"correction file holds a JSON {type(doc).__name__}, not an object")
+    for name, kind in (("p", int), ("iota", list), ("h_l", list), ("h_r", list)):
+        if not isinstance(doc.get(name), kind):
+            raise ValueError(f"correction file field {name!r} is missing or not of type {kind.__name__}")
+    params = CorrectionParams(doc["p"], doc["iota"])
     hl = LegendreSeries(np.array(doc["h_l"], dtype=float))
     hr = LegendreSeries(np.array(doc["h_r"], dtype=float))
     return params, CorrectionPair(h_l=hl, h_r=hr, g_l=hl.derivative(), g_r=hr.derivative())

@@ -11,7 +11,7 @@ vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import ceil, inf, pi, sqrt
+from math import ceil, inf, nan, pi, sqrt
 
 import numpy as np
 
@@ -34,13 +34,14 @@ __all__ = [
     "EnergyReport",
     "SearchReport",
     "UnstableRunError",
-    "BlowupError",
     "EmptyFeasibleSetError",
     "HETERO_PERIOD",
     "ooa_study",
     "hetero_energy_study",
     "cfl_search",
     "advect_snapshot",
+    "reference_operators",
+    "step_limit",
     "StepMap",
     "step_map",
 ]
@@ -61,10 +62,6 @@ DEFAULT_ELEMENT_COUNTS = (50, 55, 60, 65, 70, 75)
 
 
 class UnstableRunError(Exception):
-    pass
-
-
-class BlowupError(Exception):
     pass
 
 
@@ -182,10 +179,57 @@ def step_map(rhs_fn, state, tau: float, rk: str) -> StepMap:
     return StepMap(blocks, neighbours)
 
 
-def _reference_tau(pair, alpha: float, rk: str) -> float:
-    """Stable reference-domain step (Gauss nodes, jacobian 1) for the given scheme."""
-    ops = build_scheme_operators(build_reference_element(pair.p, pair), alpha, 1.0)
-    return cfl_limit(ops, rk, k_samples=128, rho_tol=REFERENCE_RHO_TOL).tau_max
+def reference_operators(pair, alpha: float, node_kind: str = "gauss"):
+    """Scheme operators of a correction pair on one reference element (jacobian 1)."""
+    return build_scheme_operators(build_reference_element(pair.p, pair, node_kind), alpha, 1.0)
+
+
+def _reference_tau(
+    pair, alpha: float, rk: str, node_kind: str = "gauss", k_samples: int = 128, rho_tol: float = REFERENCE_RHO_TOL
+) -> float:
+    """Stable reference-domain step (jacobian 1) for the given scheme."""
+    return cfl_limit(reference_operators(pair, alpha, node_kind), rk, k_samples, rho_tol=rho_tol).tau_max
+
+
+def step_limit(
+    params: CorrectionParams,
+    alpha: float = 1.0,
+    rk: str = "rk44",
+    node_kind: str = "gauss",
+    k_samples: int = 128,
+    rho_tol: float = REFERENCE_RHO_TOL,
+) -> float:
+    """Reference-element step limit of a weight vector, the one path from weights to tau_max.
+
+    nan outside the sufficient bounds and when the correction system is
+    singular or the bisection fails; every other error propagates.
+    """
+    if not sufficient_bounds(params).satisfied:
+        return nan
+    try:
+        return _reference_tau(solve_correction(params), alpha, rk, node_kind, k_samples, rho_tol)
+    except (SingularSystemError, ConvergenceFailureError):
+        return nan
+
+
+def _advection_setup(
+    params: CorrectionParams, alpha: float, rk: str, node_kind: str, element_counts, t_end: float
+):
+    """Reference element and step limit of an advection study.
+
+    Invalid meshes and end times are refused before the solve, and a
+    limit of 0.02 or less is an UnstableRunError.
+    """
+    if min(element_counts) < 1 or not 0.0 < t_end < inf:
+        raise ValueError(f"need n_elements >= 1 and a finite t_end > 0; got {min(element_counts)}, {t_end}")
+    pair = solve_correction(params)
+    element = build_reference_element(params.p, pair, node_kind)
+    tau_ref = _reference_tau(pair, alpha, rk)
+    if tau_ref <= 0.02:
+        # tolerance-dominated or vanishing limits mean the scheme is
+        # unusable at study scale (a healthy member sits near 0.1..0.9)
+        raise UnstableRunError(f"no usable stable time step (reference limit {tau_ref:.3e}); study not run")
+    return element, tau_ref
 
 
 def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str, tau_ref: float):
@@ -194,8 +238,6 @@ def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str
     The step is SAFETY times the stable limit, shrinks like 1/N and is
     shortened to land exactly on t_end.
     """
-    if n_elements < 1 or not 0.0 < t_end < inf:
-        raise ValueError(f"need n_elements >= 1 and a finite t_end > 0; got {n_elements}, {t_end}")
     ops = build_scheme_operators(element, alpha, jacobian=pi / n_elements)
     state = uniform_mesh(ops, n_elements, 0.0, 2.0 * pi, init=lambda x: np.cos(WAVENUMBER * x))
     x = mesh_nodes(ops, state)
@@ -230,17 +272,9 @@ def ooa_study(
     The time step is SAFETY times the stable limit and shrinks like
     1/N, keeping the temporal error negligible next to the spatial one.
     """
-    if len(element_counts) < 4:
-        raise ValueError("need at least four mesh resolutions for a credible fit")
-    pair = solve_correction(params)
-    element = build_reference_element(params.p, pair, node_kind)
-    tau_ref = _reference_tau(pair, alpha, rk)
-    if tau_ref <= 0.02:
-        # tolerance-dominated or vanishing limits mean the scheme is
-        # unusable at study scale (a healthy member sits near 0.1..0.9)
-        raise UnstableRunError(
-            f"no usable stable time step (reference limit {tau_ref:.3e}); study not run"
-        )
+    if len(set(element_counts)) < 4:
+        raise ValueError("need at least four distinct mesh resolutions for a credible fit")
+    element, tau_ref = _advection_setup(params, alpha, rk, node_kind, element_counts, t_end)
     errors, steps, taus = [], [], []
     for n in element_counts:
         _, _, err, n_steps, tau = _advect_cosine(element, alpha, n, t_end, rk, tau_ref)
@@ -297,6 +331,8 @@ def hetero_energy_study(
     record_stride = max(1, steps_per_period // 32)
 
     step = step_map(make_heterogeneous_rhs(ops, state), state, tau, rk)
+    # solution_energy's expression on the bare array, so the energies are the same doubles
+    u, jac, w = state.u, state.jacobian, ops.element.weights[None, :]
     times = [0.0]
     energy = [solution_energy(ops, state)]
     period_errors = []
@@ -306,9 +342,9 @@ def hetero_energy_study(
     # blow-up overflows on its way to inf; the energy check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_periods * steps_per_period + 1):
-            state = replace(state, u=step(state.u))
+            u = step(u)
             t = n * tau
-            e = solution_energy(ops, state)
+            e = float(jac * np.sum(w * u**2))
             if n % record_stride == 0 or n % steps_per_period == 0:
                 times.append(t)
                 energy.append(e)
@@ -353,20 +389,11 @@ def cfl_search(
     ooa_threshold = p + ORDER_MARGIN
     if grid is None:
         grid = default_search_grid(p)
-    candidates = []
-    skipped = 0
-    for iota in grid:
-        params = CorrectionParams(p, list(iota))
-        if not sufficient_bounds(params).satisfied:
-            skipped += 1
-            continue
-        try:
-            tau = _reference_tau(solve_correction(params), alpha, rk)
-        except (SingularSystemError, ConvergenceFailureError):
-            continue
-        if tau > 0.0:
-            candidates.append((tau, params))
+    points = [CorrectionParams(p, list(iota)) for iota in grid]
+    taus = [step_limit(params, alpha, rk) for params in points]
+    candidates = [(tau, params) for tau, params in zip(taus, points) if tau > 0.0]
     if not candidates:
+        skipped = sum(not sufficient_bounds(params).satisfied for params in points)
         raise EmptyFeasibleSetError(
             f"no stable grid point among {len(grid)} ({skipped} outside the bounds)"
         )
@@ -398,9 +425,5 @@ def advect_snapshot(
     node_kind: str = "gauss",
 ):
     """Advect a cosine wave and return (x, u, eps_2) at t_end."""
-    pair = solve_correction(params)
-    element = build_reference_element(params.p, pair, node_kind)
-    tau_ref = _reference_tau(pair, alpha, rk)
-    if tau_ref <= 0.0:
-        raise UnstableRunError("scheme has no stable time step")
+    element, tau_ref = _advection_setup(params, alpha, rk, node_kind, (n_elements,), t_end)
     return _advect_cosine(element, alpha, n_elements, t_end, rk, tau_ref)[:3]

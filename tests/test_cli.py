@@ -50,6 +50,26 @@ def test_corr_identify_from_file(tmp_path, capsys):
     assert "osfr=0.0099" in out or "osfr=0.01" in out
 
 
+@pytest.mark.parametrize(
+    "content,p,message",
+    [
+        ('{"p": 3}', "3", "field 'iota' is missing"),
+        ("[1, 2]", "3", "JSON list"),
+        (None, "4", "--p 4 differs from p = 2"),
+    ],
+    ids=["missing-field", "not-an-object", "other-p"],
+)
+def test_corr_identify_rejects_a_bad_file(content, p, message, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    if content is None:
+        run(["corr", "solve", "--p", "2", "--iota", "1,0,0", "--out", str(path)], capsys)
+    else:
+        path.write_text(content)
+    code, out, err = run(["corr", "identify", "--p", p, "--in", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_vn_cfl_reports_table_value(tmp_path, capsys):
     out_file = tmp_path / "cfl.json"
     code, out, _ = run(
@@ -250,6 +270,10 @@ def test_removed_options_are_rejected(cmd, option, capsys):
         ["run", "hetero", "--p", "3", "--iota", "1,0,0,0", "--periods", "0"],
         ["run", "advect", "--p", "3", "--iota", "1,0,0,0", "--n-elements", "0"],
         ["run", "ooa", "--p", "3", "--iota", "1,0,0,0", "--t-end", "0"],
+        ["run", "ooa", "--p", "3", "--iota", "1,0,0,0", "--element-counts", "40,40,40,40"],
+        # invalid input is reported before a weight vector with no usable step limit
+        ["run", "advect", "--p", "3", "--iota", "1,-0.3,0,0", "--n-elements", "0"],
+        ["run", "ooa", "--p", "3", "--iota", "1,-0.3,0,0", "--t-end", "0"],
     ],
 )
 def test_invalid_input_exits_one_with_one_line(argv, capsys):
@@ -257,6 +281,14 @@ def test_invalid_input_exits_one_with_one_line(argv, capsys):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("study", ["advect", "ooa"])
+def test_unusable_step_limit_exits_two(study, capsys):
+    # reference limit 3.1e-5, about 8 million steps at the default t_end: both studies refuse it at once
+    code, out, err = run(["run", study, "--p", "3", "--iota", "1,-0.3,0,0", "--t-end", "0.01"], capsys)
+    assert code == 2 and out == ""
+    assert err == "numerical failure: no usable stable time step (reference limit 3.095e-05); study not run\n"
 
 
 def test_advect_divergence_exits_two(monkeypatch, capsys):
@@ -277,7 +309,7 @@ def test_sweep_lets_programming_errors_through(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug")
 
-    monkeypatch.setattr(gsfr.cli, "cfl_limit", broken)
+    monkeypatch.setattr(gsfr.experiments, "cfl_limit", broken)
     with pytest.raises(TypeError):
         main(["vn", "sweep", "--p", "2", "--magnitudes", "0", "--k-samples", "8"])
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gsfr.experiments
-from gsfr.correction import CorrectionParams, solve_correction
+from gsfr.correction import CorrectionParams, SingularSystemError, solve_correction
 from gsfr.experiments import (
     BLOWUP_ENERGY,
     DEFAULT_ELEMENT_COUNTS,
@@ -20,6 +20,8 @@ from gsfr.experiments import (
     default_search_grid,
     hetero_energy_study,
     ooa_study,
+    reference_operators,
+    step_limit,
     step_map,
 )
 from gsfr.operators import (
@@ -64,6 +66,18 @@ def test_ooa_study_needs_enough_resolutions():
 def test_ooa_study_p2():
     report = ooa_study(CorrectionParams(2, [1, 0, 0]), element_counts=(40, 50, 60, 70))
     assert report.fitted_order == pytest.approx(3.0, abs=0.2)
+
+
+def test_step_limit_is_nan_off_the_usable_set(monkeypatch):
+    pair = solve_correction(DG3)
+    assert step_limit(DG3) == cfl_limit(reference_operators(pair, 1.0), "rk44", 128, rho_tol=1e-4).tau_max > 0.0
+    assert np.isnan(step_limit(CorrectionParams(3, [1, -0.5, 0, 0])))  # outside the sufficient bounds
+
+    def singular(params):
+        raise SingularSystemError("singular")
+
+    monkeypatch.setattr(gsfr.experiments, "solve_correction", singular)
+    assert np.isnan(step_limit(DG3))
 
 
 def test_advect_snapshot():

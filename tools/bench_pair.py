@@ -6,7 +6,10 @@ tree, one run of each per pair, with the side that runs first
 alternating from pair to pair. It writes one JSON document with the
 per-run values, their medians and quartiles, the number of pairs in
 which the working tree was better, and the Python and numpy versions and
-core count of the machine. Standard library only.
+core count of the machine. A metric is flagged ``regressed`` when its
+after-median is worse than its before-median by more than the metric's
+relative ``bound`` in BENCHMARK.json, and a workload ``more_failed`` when
+the working tree failed more calls than the base. Standard library only.
 
     python tools/bench_pair.py --base HEAD --pairs 5 --seconds 10 --out BENCH_N.json
 
@@ -62,16 +65,18 @@ def summary(spec: dict, before: list, after: list) -> dict:
     lower = spec["better"] == "lower"
     wins = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
     q_before, q_after = quartiles(before), quartiles(after)
+    change = q_after[1] / q_before[1] - 1.0
     return {
         "unit": spec["unit"],
         "better": spec["better"],
         "before": q_before[1],
         "after": q_after[1],
-        "change": q_after[1] / q_before[1] - 1.0,
+        "change": change,
         "before_quartiles": q_before,
         "after_quartiles": q_after,
         "after_better_pairs": wins,
         "gain": wins >= 0.9 * len(before) and abs(q_after[1] - q_before[1]) > q_before[2] - q_before[0],
+        "regressed": (change if lower else -change) > spec["bound"],
         "before_runs": before,
         "after_runs": after,
     }
@@ -130,6 +135,7 @@ def main(argv=None) -> int:
             for side in runs:
                 entry[f"failed_{side}"] = sum(r["failed"] for r in runs[side])
                 entry[f"attempted_{side}"] = sum(r["attempted"] for r in runs[side])
+            entry["more_failed"] = entry["failed_after"] > entry["failed_before"]
             doc["workloads"][workload] = entry
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
