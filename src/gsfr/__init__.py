@@ -53,13 +53,11 @@ from .operators import (
 )
 from .spectral import (
     StabilityResult,
-    WaveResponse,
     bloch_matrix,
     cfl_limit,
     dispersion_sweep,
     spectral_radius,
     update_matrix,
-    wave_speeds,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import numpy as np
 from . import correction as corr
 from . import experiments as xp
 from .operators import NODE_KINDS, RK_SCHEMES
-from .spectral import ConvergenceFailureError, cfl_limit, dispersion_sweep
+from .spectral import cfl_limit, dispersion_sweep
 
 FMT = "%.17g"
 # an abscissa above this is true growth, not eigen-solver round-off (~1e-15)
@@ -34,10 +34,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-class NumericalFailure(Exception):
-    pass
 
 
 def _iota_list(text: str) -> list[float]:
@@ -142,7 +138,7 @@ def _cmd_corr_identify(args):
 
 def _ops_for(args):
     params = _params(args)
-    return params, xp.reference_operators(corr.solve_correction(params), args.alpha, args.nodes)
+    return params, xp.reference_operators(corr.solve_correction(params), args.alpha)
 
 
 def _cmd_vn_dispersion(args):
@@ -183,8 +179,7 @@ def _cmd_vn_sweep(args):
     grid = xp.default_search_grid(args.p, magnitudes=args.magnitudes)
     points = [corr.CorrectionParams(args.p, iota) for iota in grid]
     limit = functools.partial(
-        xp.step_limit, alpha=args.alpha, rk=args.rk, node_kind=args.nodes,
-        k_samples=args.k_samples, rho_tol=args.rho_tol,
+        xp.step_limit, alpha=args.alpha, rk=args.rk, k_samples=args.k_samples, rho_tol=args.rho_tol
     )
     if args.jobs > 1:
         from multiprocessing import Pool
@@ -218,7 +213,7 @@ def _cmd_run_hetero(args):
     )
     _write_csv(args.out, ["t", "energy"], [report.times, report.energy])
     if report.blew_up:
-        raise NumericalFailure(f"energy blow-up at t = {report.blowup_time:.6g}")
+        raise xp.UnstableRunError(f"energy blow-up at t = {report.blowup_time:.6g}")
     print(
         f"hetero: survived {args.periods} periods, |E(nT)-1| final = {FMT % report.error_at_periods[-1]}"
     )
@@ -228,17 +223,10 @@ def _cmd_run_hetero(args):
 def _cmd_run_ooa(args):
     params = _params(args)
     report = xp.ooa_study(params, args.alpha, args.element_counts, args.t_end, args.rk, args.nodes)
-    if args.out and args.out.endswith(".csv"):
-        _write_csv(
-            args.out,
-            ["n_elements", "eps2"],
-            [np.array(report.element_counts, dtype=float), report.errors],
-        )
-    else:
-        _write_text(
-            args.out,
-            _json_doc(_config(args, ("p", "iota", "alpha", "rk", "t_end", "element_counts")), report.to_dict()),
-        )
+    _write_text(
+        args.out,
+        _json_doc(_config(args, ("p", "iota", "alpha", "rk", "t_end", "element_counts")), report.to_dict()),
+    )
     print(f"ooa: fitted order = {report.fitted_order:.4f} (r^2 = {report.r_squared:.6f})")
     return 0
 
@@ -291,7 +279,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--in", dest="infile", default=None, help="JSON correction file instead of --iota")
 
     vn_p = top.add_parser("vn", help="wavenumber analysis").add_subparsers(dest="cmd", required=True)
-    spectral = "--alpha --nodes --k-samples"
+    # node kind cannot change a linear-advection spectrum (see xp.reference_operators)
+    spectral = "--alpha --k-samples"
     _command(vn_p, "dispersion", _cmd_vn_dispersion, "dispersion/dissipation curves CSV", "--iota " + spectral)
     _command(vn_p, "cfl", _cmd_vn_cfl, "largest stable time step", "--iota --rk --rho-tol " + spectral)
     s = _command(vn_p, "sweep", _cmd_vn_sweep, "CFL limit over a weight grid CSV", "--rk --rho-tol " + spectral)
@@ -323,19 +312,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# exit code 2; every other GsfrError is invalid input, exit code 1
-_NUMERICAL_FAILURES = (
-    NumericalFailure, xp.UnstableRunError, xp.EmptyFeasibleSetError, ConvergenceFailureError,
-    corr.SingularSystemError, corr.SingularEtaError, corr.SingularDenominatorError,
-)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL_FAILURES as exc:
+    except corr.NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (corr.GsfrError, ValueError, OSError) as exc:

@@ -30,6 +30,7 @@ __all__ = [
     "CorrectionPair",
     "StabilityBounds",
     "GsfrError",
+    "NumericalFailure",
     "SingularSystemError",
     "UnsupportedOrderError",
     "SingularEtaError",
@@ -54,10 +55,14 @@ MEMBERSHIP_TOL = 1e-9
 
 
 class GsfrError(Exception):
-    """Base class for correction-function failures."""
+    """Base class of the package's errors; the CLI exits 1 on one unless it is a NumericalFailure."""
 
 
-class SingularSystemError(GsfrError):
+class NumericalFailure(GsfrError):
+    """Base class of numerical failures (singular system, failed eigen-solve, blow-up, empty search); the CLI exits 2."""
+
+
+class SingularSystemError(NumericalFailure):
     pass
 
 
@@ -65,11 +70,11 @@ class UnsupportedOrderError(GsfrError):
     pass
 
 
-class SingularEtaError(GsfrError):
+class SingularEtaError(NumericalFailure):
     pass
 
 
-class SingularDenominatorError(GsfrError):
+class SingularDenominatorError(NumericalFailure):
     pass
 
 

@@ -15,7 +15,7 @@ from math import ceil, inf, nan, pi, sqrt
 
 import numpy as np
 
-from .correction import CorrectionParams, SingularSystemError, solve_correction, sufficient_bounds
+from .correction import CorrectionParams, NumericalFailure, SingularSystemError, solve_correction, sufficient_bounds
 from .operators import (
     build_reference_element,
     build_scheme_operators,
@@ -61,11 +61,11 @@ ORDER_MARGIN = 0.8
 DEFAULT_ELEMENT_COUNTS = (50, 55, 60, 65, 70, 75)
 
 
-class UnstableRunError(Exception):
+class UnstableRunError(NumericalFailure):
     pass
 
 
-class EmptyFeasibleSetError(Exception):
+class EmptyFeasibleSetError(NumericalFailure):
     pass
 
 
@@ -98,17 +98,6 @@ class EnergyReport:
     blowup_time: float | None
     steps_per_period: int
     tau: float
-
-    def to_dict(self) -> dict:
-        return {
-            "times": [float(t) for t in self.times],
-            "energy": [float(e) for e in self.energy],
-            "error_at_periods": [float(e) for e in self.error_at_periods],
-            "blew_up": self.blew_up,
-            "blowup_time": self.blowup_time,
-            "steps_per_period": self.steps_per_period,
-            "tau": self.tau,
-        }
 
 
 @dataclass(frozen=True)
@@ -179,23 +168,27 @@ def step_map(rhs_fn, state, tau: float, rk: str) -> StepMap:
     return StepMap(blocks, neighbours)
 
 
-def reference_operators(pair, alpha: float, node_kind: str = "gauss"):
-    """Scheme operators of a correction pair on one reference element (jacobian 1)."""
-    return build_scheme_operators(build_reference_element(pair.p, pair, node_kind), alpha, 1.0)
+def reference_operators(pair, alpha: float):
+    """Scheme operators of a correction pair on one Gauss reference element (jacobian 1).
+
+    On linear advection the nodal operators of any node kind are
+    similarity transforms of one modal operator, so the node kind cannot
+    change a spectrum; the wavenumber analysis uses Gauss points only.
+    """
+    return build_scheme_operators(build_reference_element(pair.p, pair), alpha, 1.0)
 
 
 def _reference_tau(
-    pair, alpha: float, rk: str, node_kind: str = "gauss", k_samples: int = 128, rho_tol: float = REFERENCE_RHO_TOL
+    pair, alpha: float, rk: str, k_samples: int = 128, rho_tol: float = REFERENCE_RHO_TOL
 ) -> float:
     """Stable reference-domain step (jacobian 1) for the given scheme."""
-    return cfl_limit(reference_operators(pair, alpha, node_kind), rk, k_samples, rho_tol=rho_tol).tau_max
+    return cfl_limit(reference_operators(pair, alpha), rk, k_samples, rho_tol=rho_tol).tau_max
 
 
 def step_limit(
     params: CorrectionParams,
     alpha: float = 1.0,
     rk: str = "rk44",
-    node_kind: str = "gauss",
     k_samples: int = 128,
     rho_tol: float = REFERENCE_RHO_TOL,
 ) -> float:
@@ -207,7 +200,7 @@ def step_limit(
     if not sufficient_bounds(params).satisfied:
         return nan
     try:
-        return _reference_tau(solve_correction(params), alpha, rk, node_kind, k_samples, rho_tol)
+        return _reference_tau(solve_correction(params), alpha, rk, k_samples, rho_tol)
     except (SingularSystemError, ConvergenceFailureError):
         return nan
 
@@ -365,8 +358,11 @@ def hetero_energy_study(
     )
 
 
-def default_search_grid(p: int, magnitudes=(0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)):
-    """Coarse log-spaced weight grid [1, +/-m1, ..., +/-mp], filtered to the bounds."""
+def default_search_grid(p: int, magnitudes):
+    """Every weight vector [1, iota_1, ..., iota_p] with each iota_i in {0, +/-m for m in magnitudes}.
+
+    Points outside the sufficient bounds are kept; step_limit maps them to nan.
+    """
     axes = sorted({0.0} | {s * m for m in magnitudes for s in (1.0, -1.0)})
     grids = np.meshgrid(*([axes] * p), indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
@@ -375,8 +371,8 @@ def default_search_grid(p: int, magnitudes=(0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)):
 
 def cfl_search(
     p: int,
-    rk: str = "rk44",
-    grid=None,
+    rk: str,
+    grid,
     alpha: float = 1.0,
     element_counts=DEFAULT_ELEMENT_COUNTS,
 ) -> SearchReport:
@@ -387,8 +383,6 @@ def cfl_search(
     mesh-refinement study until one reaches the order p + ORDER_MARGIN.
     """
     ooa_threshold = p + ORDER_MARGIN
-    if grid is None:
-        grid = default_search_grid(p)
     points = [CorrectionParams(p, list(iota)) for iota in grid]
     taus = [step_limit(params, alpha, rk) for params in points]
     candidates = [(tau, params) for tau, params in zip(taus, points) if tau > 0.0]

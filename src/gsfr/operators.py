@@ -115,7 +115,6 @@ class ReferenceElement:
     l_right: np.ndarray
     g_left: np.ndarray
     g_right: np.ndarray
-    correction: CorrectionPair
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,6 @@ def build_reference_element(
         l_right=_interpolation_vector(nodes, 1.0),
         g_left=correction.g_l(nodes),
         g_right=correction.g_r(nodes),
-        correction=correction,
     )
 
 

@@ -18,20 +18,19 @@ i.e. normalised so the grid Nyquist limit sits at pi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, inf
 
 import numpy as np
 
+from .correction import NumericalFailure
 from .operators import SchemeOperators, stage_order
 
 __all__ = [
-    "WaveResponse",
     "StabilityResult",
     "ConvergenceFailureError",
     "PUBLISHED_STEP_LIMITS",
     "bloch_matrix",
     "k_from_k_hat",
-    "wave_speeds",
     "update_matrix",
     "spectral_radius",
     "cfl_limit",
@@ -53,19 +52,8 @@ PUBLISHED_STEP_LIMITS = (
 )
 
 
-class ConvergenceFailureError(Exception):
+class ConvergenceFailureError(NumericalFailure):
     """Eigenvalue extraction failed (matrices here are at most 8x8)."""
-
-
-@dataclass(frozen=True)
-class WaveResponse:
-    """Per-wavenumber modified wave speeds, split into dispersion/dissipation."""
-
-    k_hat: float
-    c: np.ndarray
-    omega_re: np.ndarray
-    omega_im: np.ndarray
-    physical_mode_index: int
 
 
 @dataclass(frozen=True)
@@ -98,32 +86,6 @@ def _eigvals(mat: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(mat)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"eigenvalue extraction failed: {exc}") from exc
-
-
-def _sorted_modes(c: np.ndarray) -> np.ndarray:
-    """Modes along the last axis by descending real part, imaginary part as tie-break."""
-    return np.take_along_axis(c, np.lexsort((c.imag, -c.real), axis=-1), axis=-1)
-
-
-def wave_speeds(ops: SchemeOperators, k: float) -> WaveResponse:
-    """Modified wave speeds c(k): eigenvalues of (i/k) Q(k).
-
-    Eigenvalues are ordered deterministically (descending real part,
-    imaginary part as tie-break); the physical mode is the one closest
-    to the exact speed 1.
-    """
-    if k <= 0.0:
-        raise ValueError("wave_speeds needs k > 0")
-    c = _sorted_modes((1j / k) * _eigvals(bloch_matrix(ops, k)))
-    delta = 2.0 * ops.jacobian
-    k_hat = k * delta / (ops.element.p + 1)
-    return WaveResponse(
-        k_hat=float(k_hat),
-        c=c,
-        omega_re=c.real * k_hat,
-        omega_im=c.imag * k_hat,
-        physical_mode_index=int(np.argmin(np.abs(c - 1.0))),
-    )
 
 
 def update_matrix(Q: np.ndarray, tau: float, rk: str = "rk44") -> np.ndarray:
@@ -178,6 +140,8 @@ def cfl_limit(
     reproduces threshold-style stability verdicts instead.
     """
     order = stage_order(rk)
+    if not 0.0 <= rho_tol < inf:
+        raise ValueError(f"rho_tol must be finite and non-negative, got {rho_tol!r}")
     k_hats = _k_hat_grid(k_samples)
     q_mats = bloch_matrix(ops, k_from_k_hat(ops, k_hats))
     lam = _eigvals(q_mats).ravel()
@@ -229,7 +193,9 @@ def dispersion_sweep(ops: SchemeOperators, k_samples: int = 256):
     k_hats = _k_hat_grid(k_samples)
     ks = k_from_k_hat(ops, k_hats)
     n_modes = ops.element.p + 1
-    ordered = _sorted_modes((1j / ks)[:, None] * _eigvals(bloch_matrix(ops, ks)))  # the order of wave_speeds
+    raw = (1j / ks)[:, None] * _eigvals(bloch_matrix(ops, ks))
+    # modes by descending real part, imaginary part as tie-break
+    ordered = np.take_along_axis(raw, np.lexsort((raw.imag, -raw.real), axis=-1), axis=-1)
     speeds = np.empty((k_samples, n_modes), dtype=complex)
     for row, c in enumerate(ordered):
         if row == 0:

@@ -1,9 +1,13 @@
+import importlib
+import inspect
 import json
+import pkgutil
 import warnings
 
 import numpy as np
 import pytest
 
+import gsfr
 import gsfr.cli
 import gsfr.experiments
 from gsfr.cli import main
@@ -180,21 +184,6 @@ def test_run_ooa_json(tmp_path, capsys):
     assert all(n * tau == pytest.approx(np.pi, rel=1e-14) for n, tau in zip(steps, taus))
 
 
-def test_run_ooa_csv_variant(tmp_path, capsys):
-    out_file = tmp_path / "ooa.csv"
-    code, _, _ = run(
-        [
-            "run", "ooa", "--p", "2", "--iota", "1,0,0",
-            "--element-counts", "40,50,60,70", "--out", str(out_file),
-        ],
-        capsys,
-    )
-    assert code == 0
-    lines = out_file.read_text().strip().splitlines()
-    assert lines[0] == "n_elements,eps2"
-    assert len(lines) == 5
-
-
 def test_vn_sweep_parallel_matches_serial(tmp_path, capsys):
     base = ["vn", "sweep", "--p", "2", "--rk", "rk44", "--k-samples", "16", "--magnitudes", "0,1e-3"]
     a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
@@ -249,6 +238,7 @@ REMOVED_OPTIONS = (
     [(cmd, "--seed 1") for cmd in REQUIRED]
     + [(cmd, flag) for cmd in ("corr solve", "corr bounds", "corr identify") for flag in ("--alpha 0.5", "--nodes gauss")]
     + [("search cfl", "--nodes lobatto"), ("vn dispersion", "--rho-tol 1e-4")]
+    + [(cmd, "--nodes lobatto") for cmd in ("vn dispersion", "vn cfl", "vn sweep")]
 )
 
 
@@ -274,6 +264,10 @@ def test_removed_options_are_rejected(cmd, option, capsys):
         # invalid input is reported before a weight vector with no usable step limit
         ["run", "advect", "--p", "3", "--iota", "1,-0.3,0,0", "--n-elements", "0"],
         ["run", "ooa", "--p", "3", "--iota", "1,-0.3,0,0", "--t-end", "0"],
+        ["vn", "cfl", "--p", "3", "--iota", "1,0,0,0", "--rho-tol", "-1"],
+        ["vn", "cfl", "--p", "3", "--iota", "1,0,0,0", "--rho-tol", "nan"],
+        ["vn", "sweep", "--p", "2", "--magnitudes", "0", "--rho-tol", "-1"],
+        ["vn", "sweep", "--p", "2", "--magnitudes", "0", "--rho-tol", "nan"],
     ],
 )
 def test_invalid_input_exits_one_with_one_line(argv, capsys):
@@ -303,6 +297,31 @@ def test_advect_divergence_exits_two(monkeypatch, capsys):
     assert code == 2
     assert "divergence" in err and "eps2" not in out
     assert err.count("\n") == 1 and "RuntimeWarning" not in err
+
+
+def test_every_package_error_has_one_exit_code(monkeypatch, capsys):
+    from gsfr.correction import NumericalFailure
+
+    modules = [importlib.import_module(f"gsfr.{info.name}") for info in pkgutil.iter_modules(gsfr.__path__)]
+    errors = [
+        cls
+        for module in modules
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+    ]
+    numerical = {cls.__name__ for cls in errors if issubclass(cls, NumericalFailure)}
+    assert numerical == {
+        "NumericalFailure", "SingularSystemError", "SingularEtaError", "SingularDenominatorError",
+        "ConvergenceFailureError", "UnstableRunError", "EmptyFeasibleSetError",
+    }
+    for error in errors:
+        def fail(args, error=error):
+            raise error("boom")
+
+        monkeypatch.setattr(gsfr.cli, "_cmd_corr_bounds", fail)
+        code, _, err = run(["corr", "bounds", "--p", "3", "--iota", "1,0,0,0"], capsys)
+        expected = (2, "numerical failure: boom\n") if error.__name__ in numerical else (1, "error: boom\n")
+        assert (code, err) == expected, error
 
 
 def test_sweep_lets_programming_errors_through(monkeypatch):

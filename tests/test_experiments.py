@@ -97,7 +97,6 @@ def test_hetero_energy_initial_value_and_window():
     # cfl 0.06 per solution point against the top speed 3, rounded to land on the period
     assert report.steps_per_period == ceil(HETERO_PERIOD / (0.06 * (2.0 / 16 / 4) / 3.0))
     assert report.steps_per_period * report.tau == pytest.approx(HETERO_PERIOD, rel=1e-14)
-    assert report.to_dict()["steps_per_period"] == report.steps_per_period
 
 
 @pytest.mark.parametrize("rk", RK_SCHEMES)
