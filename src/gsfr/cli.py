@@ -2,18 +2,21 @@
 
 Commands are grouped as ``corr`` (solve/bounds/identify), ``vn``
 (dispersion/cfl/sweep), ``run`` (advect/hetero/ooa), and ``search``
-(cfl). Results go to CSV or JSON files with 17-significant-digit
-numbers (round-trippable doubles); every JSON document embeds the
-resolved configuration. Exit codes: 0 success, 1 invalid usage or
-configuration, 2 numerical failure (singular system, blow-up, empty
-search).
+(cfl). Results go to CSV files with 17-significant-digit numbers or to
+JSON files with Python's shortest round-trip repr; both round-trip
+every double. A JSON document holds the command's parsed options as
+``config`` and its result's fields as ``result``. Exit codes: 0
+success, 1 invalid usage or configuration, 2 numerical failure
+(singular system, blow-up, empty search).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import os
 import sys
 from math import pi
 
@@ -22,7 +25,7 @@ import numpy as np
 from . import correction as corr
 from . import experiments as xp
 from .operators import NODE_KINDS, RK_SCHEMES
-from .spectral import cfl_limit, dispersion_sweep
+from .spectral import RHO_TOL, cfl_limit, dispersion_sweep
 
 FMT = "%.17g"
 # an abscissa above this is true growth, not eigen-solver round-off (~1e-15)
@@ -62,12 +65,12 @@ def _write_csv(path, header, columns):
     _write_text(path, "\n".join(rows) + "\n")
 
 
-def _json_doc(config: dict, result: dict) -> str:
-    return json.dumps({"config": config, "result": result}, sort_keys=True) + "\n"
-
-
-def _config(args, fields):
-    return {name: getattr(args, name) for name in fields if hasattr(args, name)}
+def _json_doc(args, result) -> str:
+    """Every parsed option but the routing and --out as config; a dataclass result as its fields."""
+    config = {k: v for k, v in vars(args).items() if k not in ("group", "cmd", "func", "out")}
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.asdict(result)
+    return json.dumps({"config": config, "result": result}, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
 def _cmd_corr_solve(args):
@@ -85,12 +88,7 @@ def _cmd_corr_solve(args):
 def _cmd_corr_bounds(args):
     params = _params(args)
     bounds = corr.sufficient_bounds(params)
-    doc = {
-        "lower": [float(v) for v in bounds.lower],
-        "margins": [float(v) for v in bounds.margins],
-        "satisfied": bounds.satisfied,
-    }
-    _write_text(args.out, _json_doc(_config(args, ("p", "iota")), doc))
+    _write_text(args.out, _json_doc(args, bounds))
     verdict = "satisfied" if bounds.satisfied else "NOT satisfied"
     print(f"sufficient bounds {verdict}; margins = [" + ", ".join(FMT % v for v in bounds.margins) + "]")
     return 0
@@ -102,11 +100,9 @@ def _cmd_corr_identify(args):
             params, pair = corr.pair_from_json(fh.read())
         if params.p != args.p:
             raise ValueError(f"--p {args.p} differs from p = {params.p} in {args.infile}")
-    elif args.iota is not None:
+    else:
         params = _params(args)
         pair = corr.solve_correction(params)
-    else:
-        raise ValueError("corr identify needs --iota or --in")
     result: dict = {"p": params.p}
     try:
         iota = corr.osfr_iota(params.p, pair.h_l)
@@ -123,7 +119,7 @@ def _cmd_corr_identify(args):
             result["recovered_iota"] = [float(v) for v in corr.recover_weights_p3(pair.h_l)]
         except corr.GsfrError as exc:
             result["recovered_iota"] = f"degenerate: {exc}"
-    _write_text(args.out, _json_doc(_config(args, ("p", "iota", "infile")), result))
+    _write_text(args.out, _json_doc(args, result))
     osfr = result.get("osfr_iota")
     esfr = result.get("esfr_kappa")
     print(
@@ -157,16 +153,8 @@ def _cmd_vn_dispersion(args):
 def _cmd_vn_cfl(args):
     params, ops = _ops_for(args)
     res = cfl_limit(ops, args.rk, args.k_samples, rho_tol=args.rho_tol)
-    doc = {
-        "tau_max": res.tau_max,
-        "worst_k_hat": res.worst_k,
-        "k_samples": res.k_samples,
-        "rk": res.rk,
-        "probes": res.probes,
-        "spectral_abscissa": res.spectral_abscissa,
-    }
-    _write_text(args.out, _json_doc(_config(args, ("p", "iota", "alpha", "rk", "k_samples", "rho_tol")), doc))
-    print(f"tau_max = {FMT % res.tau_max} ({args.rk}, worst k_hat {res.worst_k:.4f})")
+    _write_text(args.out, _json_doc(args, res))
+    print(f"tau_max = {FMT % res.tau_max} ({args.rk}, worst k_hat {res.worst_k_hat:.4f})")
     if res.spectral_abscissa > ABSCISSA_TOL:
         print(
             f"note: spectral abscissa {res.spectral_abscissa:.3g} > 0, so a mode grows at every step; "
@@ -176,6 +164,9 @@ def _cmd_vn_cfl(args):
 
 
 def _cmd_vn_sweep(args):
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise ValueError(f"--jobs must be between 1 and the {cpus} CPUs, got {args.jobs}")
     grid = xp.default_search_grid(args.p, magnitudes=args.magnitudes)
     points = [corr.CorrectionParams(args.p, iota) for iota in grid]
     limit = functools.partial(
@@ -223,10 +214,7 @@ def _cmd_run_hetero(args):
 def _cmd_run_ooa(args):
     params = _params(args)
     report = xp.ooa_study(params, args.alpha, args.element_counts, args.t_end, args.rk, args.nodes)
-    _write_text(
-        args.out,
-        _json_doc(_config(args, ("p", "iota", "alpha", "rk", "t_end", "element_counts")), report.to_dict()),
-    )
+    _write_text(args.out, _json_doc(args, report))
     print(f"ooa: fitted order = {report.fitted_order:.4f} (r^2 = {report.r_squared:.6f})")
     return 0
 
@@ -234,10 +222,7 @@ def _cmd_run_ooa(args):
 def _cmd_search_cfl(args):
     grid = xp.default_search_grid(args.p, magnitudes=args.magnitudes)
     report = xp.cfl_search(args.p, args.rk, grid, args.alpha)
-    _write_text(
-        args.out,
-        _json_doc(_config(args, ("p", "rk", "alpha", "magnitudes")), report.to_dict()),
-    )
+    _write_text(args.out, _json_doc(args, report))
     print(
         f"search: best tau = {FMT % report.best_tau} at iota = ["
         + ", ".join(FMT % v for v in report.best_iota)
@@ -252,7 +237,7 @@ _OPTIONS = {
     "--nodes": dict(choices=tuple(NODE_KINDS), default="gauss"),
     "--rk": dict(choices=RK_SCHEMES, default="rk44"),
     "--k-samples": dict(type=int, default=256),
-    "--rho-tol": dict(type=float, default=1e-10),
+    "--rho-tol": dict(type=float, default=RHO_TOL),
 }
 
 
@@ -275,8 +260,9 @@ def _build_parser() -> _Parser:
     _command(corr_p, "solve", _cmd_corr_solve, "solve for a correction pair", "--iota")
     _command(corr_p, "bounds", _cmd_corr_bounds, "check the sufficient stability bounds", "--iota")
     s = _command(corr_p, "identify", _cmd_corr_identify, "OSFR/ESFR membership and weight recovery")
-    s.add_argument("--iota", type=_iota_list, default=None, help="comma-separated weights, unless --in is given")
-    s.add_argument("--in", dest="infile", default=None, help="JSON correction file instead of --iota")
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--iota", type=_iota_list, help="comma-separated weights")
+    source.add_argument("--in", dest="infile", help="JSON correction file written by corr solve")
 
     vn_p = top.add_parser("vn", help="wavenumber analysis").add_subparsers(dest="cmd", required=True)
     # node kind cannot change a linear-advection spectrum (see xp.reference_operators)

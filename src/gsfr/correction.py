@@ -48,10 +48,13 @@ __all__ = [
     "pair_to_json",
     "pair_from_json",
     "MEMBERSHIP_TOL",
+    "PIVOT_TOL",
 ]
 
 # Absolute per-coefficient tolerance for the OSFR/ESFR membership tests.
 MEMBERSHIP_TOL = 1e-9
+# Smallest pivot or psi_3/psi_4 coefficient magnitude that p=3 weight recovery accepts.
+PIVOT_TOL = 1e-12
 
 
 class GsfrError(Exception):
@@ -312,12 +315,12 @@ def osfr_correction(p: int, iota) -> CorrectionPair:
     return _reflected_pair(h_l)
 
 
-def osfr_iota(p: int, h_l: LegendreSeries, tol: float = MEMBERSHIP_TOL):
+def osfr_iota(p: int, h_l: LegendreSeries):
     """Recover the single-parameter iota reproducing h_l, or None.
 
     The candidate comes from the top Legendre coefficient; membership
     requires the regenerated pair to match every coefficient within
-    ``tol``. Returns None when h_l lies outside the one-parameter family.
+    MEMBERSHIP_TOL. Returns None outside the one-parameter family.
     """
     coeffs = np.asarray(h_l.coeffs, dtype=float)
     if len(coeffs) != p + 2:
@@ -332,7 +335,7 @@ def osfr_iota(p: int, h_l: LegendreSeries, tol: float = MEMBERSHIP_TOL):
         rebuilt = osfr_correction(p, iota)
     except SingularEtaError:
         return None
-    if np.max(np.abs(rebuilt.h_l.coeffs - coeffs)) > tol:
+    if np.max(np.abs(rebuilt.h_l.coeffs - coeffs)) > MEMBERSHIP_TOL:
         return None
     return iota
 
@@ -356,12 +359,13 @@ def esfr3_gradient(kappa0: float, kappa1: float) -> LegendreSeries:
     )
 
 
-def esfr3_weights(g_l: LegendreSeries, tol: float = MEMBERSHIP_TOL):
+def esfr3_weights(g_l: LegendreSeries):
     """Recover (kappa0, kappa1) for a p=3 gradient, or None if not a member.
 
     kappa1 comes from the psi_2 coefficient and kappa0 from the psi_1
     coefficient; membership additionally requires the psi_3-coefficient
-    consistency relation and a full regenerate-and-compare within ``tol``.
+    consistency relation and a full regenerate-and-compare within
+    MEMBERSHIP_TOL.
     """
     g = np.asarray(g_l.coeffs, dtype=float)
     if len(g) != 4:
@@ -376,13 +380,13 @@ def esfr3_weights(g_l: LegendreSeries, tol: float = MEMBERSHIP_TOL):
         if abs(g[3]) < 1e-14:
             raise DegenerateCoefficientError("psi_3 coefficient of g_l vanishes")
         lhs = (175.0 * kappa1**2 * g[3] + 105.0 * kappa1 + 42.0 - 12.0 * g[3]) / (42.0 * g[3])
-        if abs(lhs - kappa0) > tol:
+        if abs(lhs - kappa0) > MEMBERSHIP_TOL:
             return None
     else:
         # The psi_1 equation degenerates to a pure consistency constraint
         # (its kappa_0 factor vanishes, e.g. at nodal DG); kappa_0 then
         # comes from the psi_3 equation instead.
-        if abs(numer1) > tol:
+        if abs(numer1) > MEMBERSHIP_TOL:
             return None
         if abs(g[3]) < 1e-14:
             raise DegenerateCoefficientError("psi_3 coefficient of g_l vanishes")
@@ -391,12 +395,12 @@ def esfr3_weights(g_l: LegendreSeries, tol: float = MEMBERSHIP_TOL):
         rebuilt = esfr3_gradient(kappa0, kappa1)
     except SingularDenominatorError:
         return None
-    if np.max(np.abs(rebuilt.coeffs - g)) > tol:
+    if np.max(np.abs(rebuilt.coeffs - g)) > MEMBERSHIP_TOL:
         return None
     return kappa0, kappa1
 
 
-def recover_weights_p3(h_l: LegendreSeries, tol: float = 1e-12) -> np.ndarray:
+def recover_weights_p3(h_l: LegendreSeries) -> np.ndarray:
     """Invert a p=3 left correction function back to [1, iota_1..iota_3].
 
     Solves the lower-triangular system obtained by making the weights the
@@ -410,7 +414,7 @@ def recover_weights_p3(h_l: LegendreSeries, tol: float = 1e-12) -> np.ndarray:
     piv1 = 3.0 * h[2] + 10.0 * h[4]
     piv2 = 45.0 * h[3]
     piv3 = 1575.0 * h[4]
-    if min(abs(piv1), abs(piv2), abs(piv3)) < tol or abs(h[3]) < tol or abs(h[4]) < tol:
+    if min(abs(piv1), abs(piv2), abs(piv3)) < PIVOT_TOL or abs(h[3]) < PIVOT_TOL or abs(h[4]) < PIVOT_TOL:
         raise DegenerateCoefficientError(
             "weight recovery is degenerate (a psi_3/psi_4 pivot vanishes)"
         )

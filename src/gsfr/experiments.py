@@ -78,16 +78,6 @@ class OoaReport:
     steps: tuple
     tau: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "element_counts": list(self.element_counts),
-            "errors": [float(e) for e in self.errors],
-            "fitted_order": self.fitted_order,
-            "r_squared": self.r_squared,
-            "steps": list(self.steps),
-            "tau": list(self.tau),
-        }
-
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -107,15 +97,6 @@ class SearchReport:
     ooa_at_best: float
     grid_spec: str
     evaluated: int
-
-    def to_dict(self) -> dict:
-        return {
-            "best_iota": [float(v) for v in self.best_iota],
-            "best_tau": self.best_tau,
-            "ooa_at_best": self.ooa_at_best,
-            "grid_spec": self.grid_spec,
-            "evaluated": self.evaluated,
-        }
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ class StabilityResult:
     tau_max: float
     k_samples: int
     rk: str
-    worst_k: float
+    worst_k_hat: float  # normalised wavenumber in (0, pi] of the largest growth
     probes: int  # stability-predicate evaluations of the bisection
     spectral_abscissa: float  # max Re lambda over the sampled Q(k)
 
@@ -128,7 +128,7 @@ def cfl_limit(
     the eigenvalues of the Q(k) stack are solved once and each probe
     evaluates max |R(tau lambda)| over them. The update-matrix route
     (update_matrix + spectral_radius) runs once, at the first unstable
-    bracket end, to pick worst_k; it also serves the tests as the oracle.
+    bracket end, to pick worst_k_hat; it also serves the tests as the oracle.
     tau is expressed for the operators as given; with jacobian 1
     (element width 2) it is the reference-domain time step for unit
     advection speed.
@@ -156,12 +156,12 @@ def cfl_limit(
             growth = 1.0 + growth * z / n
         return np.abs(growth).max() <= 1.0 + rho_tol
 
-    def result(tau_max: float, worst_k: float) -> StabilityResult:
+    def result(tau_max: float, worst_k_hat: float) -> StabilityResult:
         return StabilityResult(
             tau_max=tau_max,
             k_samples=k_samples,
             rk=rk,
-            worst_k=float(worst_k),
+            worst_k_hat=float(worst_k_hat),
             probes=probes,
             spectral_abscissa=float(lam.real.max()),
         )

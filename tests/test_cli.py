@@ -1,8 +1,12 @@
 import importlib
 import inspect
 import json
+import multiprocessing
+import os
 import pkgutil
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,8 +192,20 @@ def test_vn_sweep_parallel_matches_serial(tmp_path, capsys):
     base = ["vn", "sweep", "--p", "2", "--rk", "rk44", "--k-samples", "16", "--magnitudes", "0,1e-3"]
     a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     run(base + ["--jobs", "1", "--out", str(a)], capsys)
-    run(base + ["--jobs", "2", "--out", str(b)], capsys)
+    run(base + ["--jobs", str(min(2, os.cpu_count())), "--out", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "cpus+1", "1000000"])
+def test_vn_sweep_jobs_out_of_range_exits_one(jobs, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    jobs = str(os.cpu_count() + 1) if jobs == "cpus+1" else jobs
+    code, out, err = run(["vn", "sweep", "--p", "2", "--magnitudes", "0", "--jobs", jobs], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --jobs") and err.count("\n") == 1
 
 
 def test_search_cfl_small_grid(tmp_path, capsys):
@@ -217,8 +233,66 @@ def test_validation_errors_exit_one(capsys):
 
 
 def test_corr_identify_needs_iota_or_in(capsys):
-    code, _, err = run(["corr", "identify", "--p", "3"], capsys)
-    assert code == 1 and err == "error: corr identify needs --iota or --in\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["corr", "identify", "--p", "3"])
+    assert exc.value.code == 1
+    assert "one of the arguments --iota --in is required" in capsys.readouterr().err
+
+
+def test_corr_identify_rejects_iota_and_in(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    run(["corr", "solve", "--p", "3", "--iota", "1,0,0,0", "--out", str(path)], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["corr", "identify", "--p", "3", "--iota", "1,0,0,0.01", "--in", str(path)])
+    assert exc.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+# every command that writes JSON, a cheap command line for it, and the config keys it records
+JSON_COMMANDS = {
+    "corr bounds": ("--p 3 --iota 1,0,0,0", {"p", "iota"}),
+    "corr identify": ("--p 3 --iota 1,0,0,0", {"p", "iota", "infile"}),
+    "vn cfl": ("--p 3 --iota 1,0,0,0 --k-samples 16", {"p", "iota", "alpha", "rk", "k_samples", "rho_tol"}),
+    "run ooa": (
+        "--p 2 --iota 1,0,0 --element-counts 8,10,12,14 --t-end 0.5",
+        {"p", "iota", "alpha", "nodes", "rk", "t_end", "element_counts"},
+    ),
+    "search cfl": ("--p 2 --magnitudes 0", {"p", "alpha", "rk", "magnitudes"}),
+}
+
+
+@pytest.mark.parametrize("cmd", JSON_COMMANDS)
+def test_json_config_holds_every_option(cmd, tmp_path, capsys):
+    options, keys = JSON_COMMANDS[cmd]
+    out_file = tmp_path / "doc.json"
+    code, _, _ = run(f"{cmd} {options} --out {out_file}".split(), capsys)
+    assert code == 0
+    doc = json.loads(out_file.read_text())
+    assert set(doc) == {"config", "result"}
+    assert set(doc["config"]) == keys
+
+
+def test_run_ooa_config_records_the_nodes(tmp_path, capsys):
+    configs = []
+    for nodes in ("gauss", "lobatto"):
+        out_file = tmp_path / f"{nodes}.json"
+        argv = "run ooa --p 2 --iota 1,0,0 --element-counts 8,10,12,14 --t-end 0.5 --nodes".split()
+        run(argv + [nodes, "--out", str(out_file)], capsys)
+        configs.append(json.loads(out_file.read_text())["config"])
+    assert configs[0] != configs[1]
+    assert [c["nodes"] for c in configs] == ["gauss", "lobatto"]
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.strip()]
+    assert len(lines) == 11
+    parser = gsfr.cli._build_parser()
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "gsfr", line
+        parser.parse_args(argv[1:])
 
 
 # every subcommand with its required options
@@ -334,8 +408,8 @@ def test_sweep_lets_programming_errors_through(monkeypatch):
 
 
 def test_missing_input_file_exit_one(capsys):
-    code, _, err = run(["corr", "identify", "--p", "3", "--iota", "1,0,0,0", "--in", "/nonexistent/x.json"], capsys)
-    assert code == 1
+    code, _, err = run(["corr", "identify", "--p", "3", "--in", "/nonexistent/x.json"], capsys)
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_deterministic_csv_output(tmp_path, capsys):

@@ -197,11 +197,6 @@ def test_osfr_iota_round_trip():
     assert osfr_iota(3, osfr_correction(3, 0).h_l) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_osfr_iota_rejects_general_member():
-    pair = solve_correction(CorrectionParams(3, [1, 0.01, 0.01, 0.1]))
-    assert osfr_iota(3, pair.h_l) is None
-
-
 def test_osfr_iota_degenerate_top_coefficient():
     with pytest.raises(DegenerateCoefficientError):
         osfr_iota(3, LegendreSeries(np.array([0.0, 0.0, 0.25, -0.5, 0.0])))
@@ -231,11 +226,6 @@ def test_esfr3_dg_membership():
     assert abs(k0) < 1e-12 and abs(k1) < 1e-12
 
 
-def test_esfr3_rejects_general_member():
-    pair = solve_correction(CorrectionParams(3, [1, 0.01, 0.01, 0.1]))
-    assert esfr3_weights(pair.g_l) is None
-
-
 def test_esfr_members_embed_exactly():
     # integrate an ESFR gradient to its correction function, recover the
     # derivative-norm weights, and re-solve: the family must contain it
@@ -247,14 +237,6 @@ def test_esfr_members_embed_exactly():
         weights = recover_weights_p3(h_l)
         pair = solve_correction(CorrectionParams(3, weights))
         assert np.max(np.abs(pair.h_l.coeffs - h_l.coeffs)) < 1e-12
-
-
-def test_recover_weights_round_trip():
-    pair = solve_correction(CorrectionParams(3, [1, 0.01, 0.01, 0.1]))
-    weights = recover_weights_p3(pair.h_l)
-    assert np.allclose(weights, [1, 0.01, 0.01, 0.1], atol=1e-9)
-    rebuilt = solve_correction(CorrectionParams(3, weights))
-    assert np.max(np.abs(rebuilt.h_l.coeffs - pair.h_l.coeffs)) < 1e-9
 
 
 def test_recover_weights_osfr_embedding():
@@ -343,17 +325,6 @@ def test_sufficient_bounds_examples():
 def test_sufficient_bounds_unsupported_order():
     with pytest.raises(UnsupportedOrderError):
         sufficient_bounds(CorrectionParams(5, [1, 0, 0, 0, 0, 0]))
-
-
-def test_norm_positive_inside_bounds():
-    rng = np.random.default_rng(5)
-    for p in (2, 3, 4):
-        for _ in range(20):
-            params = CorrectionParams(p, sample_inside_bounds(p, rng))
-            assert sufficient_bounds(params).satisfied
-            for _ in range(20):
-                u = rng.standard_normal(p + 1)
-                assert sobolev_norm_squared(params, u) > 0.0
 
 
 def test_violating_bounds_is_not_asserted_indefinite():

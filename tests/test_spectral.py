@@ -145,7 +145,7 @@ def test_cfl_limit_bracket_properties(dg3_up):
         q = bloch_matrix(dg3_up, k_from_k_hat(dg3_up, kh))
         assert spectral_radius(update_matrix(q, res.tau_max, "rk44")) <= 1.0 + 1e-10
     tau_probe = res.tau_max * (1.0 + 2e-4)
-    q_worst = bloch_matrix(dg3_up, k_from_k_hat(dg3_up, res.worst_k))
+    q_worst = bloch_matrix(dg3_up, k_from_k_hat(dg3_up, res.worst_k_hat))
     assert spectral_radius(update_matrix(q_worst, tau_probe, "rk44")) > 1.0 + 1e-10
 
 
@@ -216,7 +216,7 @@ def test_published_p3_step_limits_reproduce_at_threshold_tolerance():
 def _matrix_route_limit(ops, rk, k_samples, rho_tol):
     """cfl_limit's bisection with one update_matrix + spectral_radius per probe.
 
-    Returns (tau_max, worst_k, probes); this is the route the eigenvalue
+    Returns (tau_max, worst_k_hat, probes); this is the route the eigenvalue
     route replaced, kept here as its oracle.
     """
     k_hats = np.pi * np.arange(1, k_samples + 1) / k_samples
@@ -265,14 +265,14 @@ def test_cfl_limit_matches_matrix_route():
     for p, rk, weights, rho_tol, k_samples in _route_cases():
         ops = make_ops(weights, 1.0, p=p)
         res = cfl_limit(ops, rk, k_samples, rho_tol)
-        tau, worst_k, probes = _matrix_route_limit(ops, rk, k_samples, rho_tol)
+        tau, worst_k_hat, probes = _matrix_route_limit(ops, rk, k_samples, rho_tol)
         case = (p, rk, tuple(weights), rho_tol)
         assert (res.tau_max > 0.0) == (tau > 0.0), case
         if (p, rk, rho_tol) in ROUTE_EXCEPTIONS:
             assert abs(res.tau_max - tau) <= 1e-4 * tau, case
             continue
         assert res.tau_max.hex() == tau.hex(), case
-        assert res.worst_k.hex() == worst_k.hex(), case
+        assert res.worst_k_hat.hex() == worst_k_hat.hex(), case
         assert res.probes == probes, case
 
 
