@@ -15,7 +15,7 @@ from gsfr import (
     osfr_correction,
     osfr_iota,
     pair_to_json,
-    recover_weights_p3,
+    recover_weights,
     solve_correction,
     sufficient_bounds,
 )
@@ -41,7 +41,7 @@ print(f"  identical to the closed form: "
 unique = describe("a new member", CorrectionParams(3, [1, 0.01, 0.01, 0.1]))
 print(f"  one-parameter family: {osfr_iota(3, unique.h_l)} (None = not a member)")
 print(f"  kappa-matrix family:  {esfr3_weights(unique.g_l)} (None = not a member)")
-print(f"  recovered weights:    {np.round(recover_weights_p3(unique.h_l), 10)}")
+print(f"  recovered weights:    {np.round(recover_weights(unique.h_l), 10)}")
 
 print("\nJSON document for exchange:")
 print(pair_to_json(CorrectionParams(3, [1, 0.01, 0.01, 0.1]), unique))

@@ -20,7 +20,7 @@ from .correction import (
     osfr_iota,
     pair_from_json,
     pair_to_json,
-    recover_weights_p3,
+    recover_weights,
     sobolev_norm_squared,
     solve_correction,
     sufficient_bounds,

@@ -103,32 +103,21 @@ def _cmd_corr_identify(args):
     else:
         params = _params(args)
         pair = corr.solve_correction(params)
-    result: dict = {"p": params.p}
-    try:
-        iota = corr.osfr_iota(params.p, pair.h_l)
-        result["osfr_iota"] = iota if iota is None else float(iota)
-    except corr.GsfrError as exc:
-        result["osfr_iota"] = f"degenerate: {exc}"
+    maps = [("osfr_iota", "osfr", lambda: corr.osfr_iota(params.p, pair.h_l))]
     if params.p == 3:
+        maps.append(("esfr_kappa", "esfr", lambda: corr.esfr3_weights(pair.g_l)))
+    maps.append(("recovered_iota", "iota", lambda: corr.recover_weights(pair.h_l)))
+    result: dict = {"p": params.p}
+    shown = []
+    for key, label, recover in maps:
         try:
-            kappas = corr.esfr3_weights(pair.g_l)
-            result["esfr_kappa"] = None if kappas is None else [float(k) for k in kappas]
+            value = recover()
+            result[key] = None if value is None else np.asarray(value, dtype=float).tolist()
         except corr.GsfrError as exc:
-            result["esfr_kappa"] = f"degenerate: {exc}"
-        try:
-            result["recovered_iota"] = [float(v) for v in corr.recover_weights_p3(pair.h_l)]
-        except corr.GsfrError as exc:
-            result["recovered_iota"] = f"degenerate: {exc}"
+            result[key] = f"degenerate: {exc}"
+        shown.append(f"{label}=" + ("not a member" if result[key] is None else str(result[key])))
     _write_text(args.out, _json_doc(args, result))
-    osfr = result.get("osfr_iota")
-    esfr = result.get("esfr_kappa")
-    print(
-        "identify: osfr="
-        + ("not a member" if osfr is None else str(osfr))
-        + ", esfr="
-        + ("not a member" if esfr is None else str(esfr))
-        + (", iota=" + str(result.get("recovered_iota")) if params.p == 3 else "")
-    )
+    print("identify: " + ", ".join(shown))
     return 0
 
 

@@ -6,11 +6,15 @@ norm ``sum_i iota_i * integral (u^(i))^2 dxi``. Each weight vector yields
 a (p+2)x(p+2) linear system whose solution is the left correction
 function in the Legendre basis; the right function follows by parity.
 
-The assembly, solve, and the recovery maps back to the classical
-one-parameter (OSFR) and kappa-matrix (ESFR) families are all exact:
-weights are embedded into Fraction (binary-exact for floats) and the
-tiny systems are solved by rational Gaussian elimination, so identical
-inputs give bit-identical outputs.
+The system is linear in the weights: iota_i contributes one block of
+interior rows, written once (``_weight_block``). The assembly, the solve
+and the weight recovery ``recover_weights`` (the same blocks with the
+weights as unknowns) are exact: floats are embedded into Fraction
+(binary-exact) and the tiny systems are solved by rational Gaussian
+elimination, so identical inputs give bit-identical outputs. The maps to
+the classical one-parameter (OSFR) and kappa-matrix (ESFR) families are
+closed forms evaluated in floating point; their membership tests
+regenerate the function and compare within MEMBERSHIP_TOL.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial, isfinite
 from numbers import Rational
 
@@ -44,17 +49,14 @@ __all__ = [
     "osfr_iota",
     "esfr3_gradient",
     "esfr3_weights",
-    "recover_weights_p3",
+    "recover_weights",
     "pair_to_json",
     "pair_from_json",
     "MEMBERSHIP_TOL",
-    "PIVOT_TOL",
 ]
 
 # Absolute per-coefficient tolerance for the OSFR/ESFR membership tests.
 MEMBERSHIP_TOL = 1e-9
-# Smallest pivot or psi_3/psi_4 coefficient magnitude that p=3 weight recovery accepts.
-PIVOT_TOL = 1e-12
 
 
 class GsfrError(Exception):
@@ -154,35 +156,32 @@ def _boundary_product(i: int, n: int, m: int) -> Fraction:
     return right - left
 
 
+@cache
+def _weight_block(p: int, i: int) -> tuple:
+    """Interior rows (test orders m = 1..p) that a unit weight iota_i adds, exact.
+
+    Entry (m-1, n) is -1/2 times the derivative-product integral of psi_n
+    against psi_m minus its endpoint term: the raw combination is exactly
+    -2x the conventional normalization (row scaling does not change the
+    solution; the factor pins the golden form).
+    """
+    return tuple(
+        tuple(-(integral_dm_dm1(i, n, m) - (_boundary_product(i, n, m) if i else 0)) / 2 for n in range(p + 2))
+        for m in range(1, p + 1)
+    )
+
+
 def correction_matrix(params: CorrectionParams) -> list[list[Fraction]]:
     """Assemble the exact (p+2)x(p+2) correction-function system matrix.
 
-    Rows 0..p-1 weigh the test orders m = 1..p: entry (m-1, n) combines
-    the derivative-product integrals of psi_n against psi_m with the
-    matching endpoint terms, summed over the norm weights. The raw
-    combination evaluates to exactly -2x the conventional normalization,
-    so interior rows carry a fixed -1/2 factor (row scaling does not
-    change the solution; the factor pins the golden form). The last two
-    rows enforce h_l(1) = 0 and h_l(-1) = 1.
+    The p interior rows are sum_i iota_i * _weight_block(p, i) over the
+    nonzero weights; the last two rows enforce h_l(1) = 0 and h_l(-1) = 1.
     """
     p = params.p
-    iota = params.iota_fractions
-    size = p + 2
-    mat: list[list[Fraction]] = []
-    for m in range(1, p + 1):
-        row = []
-        for n in range(size):
-            acc = Fraction(0)
-            for i in range(p + 1):
-                if iota[i] == 0:
-                    continue
-                acc += iota[i] * integral_dm_dm1(i, n, m)
-                if i >= 1:
-                    acc -= iota[i] * _boundary_product(i, n, m)
-            row.append(-acc / 2)
-        mat.append(row)
-    mat.append([Fraction(1)] * size)
-    mat.append([Fraction(-1) ** n for n in range(size)])
+    terms = [(w, _weight_block(p, i)) for i, w in enumerate(params.iota_fractions) if w != 0]
+    mat = [[sum(w * block[r][n] for w, block in terms) for n in range(p + 2)] for r in range(p)]
+    mat.append([Fraction(1)] * (p + 2))
+    mat.append([Fraction(-1) ** n for n in range(p + 2)])
     return mat
 
 
@@ -362,35 +361,18 @@ def esfr3_gradient(kappa0: float, kappa1: float) -> LegendreSeries:
 def esfr3_weights(g_l: LegendreSeries):
     """Recover (kappa0, kappa1) for a p=3 gradient, or None if not a member.
 
-    kappa1 comes from the psi_2 coefficient and kappa0 from the psi_1
-    coefficient; membership additionally requires the psi_3-coefficient
-    consistency relation and a full regenerate-and-compare within
-    MEMBERSHIP_TOL.
+    kappa1 comes from the psi_2 coefficient and kappa0 from the psi_3
+    coefficient; membership requires the regenerated gradient to match
+    every coefficient within MEMBERSHIP_TOL.
     """
     g = np.asarray(g_l.coeffs, dtype=float)
     if len(g) != 4:
         raise ValueError(f"g_l must have order 3, got order {len(g) - 1}")
-    if abs(g[2]) < 1e-14:
-        raise DegenerateCoefficientError("psi_2 coefficient of g_l vanishes")
-    kappa1 = -(1.0 / g[2] + 0.4)
-    denom1 = 42.0 * g[1] - 63.0
-    numer1 = 175.0 * kappa1**2 * g[1] + 105.0 * kappa1 - 12.0 * g[1] + 18.0
-    if abs(denom1) > 1e-12:
-        kappa0 = numer1 / denom1
-        if abs(g[3]) < 1e-14:
-            raise DegenerateCoefficientError("psi_3 coefficient of g_l vanishes")
-        lhs = (175.0 * kappa1**2 * g[3] + 105.0 * kappa1 + 42.0 - 12.0 * g[3]) / (42.0 * g[3])
-        if abs(lhs - kappa0) > MEMBERSHIP_TOL:
-            return None
-    else:
-        # The psi_1 equation degenerates to a pure consistency constraint
-        # (its kappa_0 factor vanishes, e.g. at nodal DG); kappa_0 then
-        # comes from the psi_3 equation instead.
-        if abs(numer1) > MEMBERSHIP_TOL:
-            return None
-        if abs(g[3]) < 1e-14:
-            raise DegenerateCoefficientError("psi_3 coefficient of g_l vanishes")
-        kappa0 = (175.0 * kappa1**2 * g[3] + 105.0 * kappa1 + 42.0 - 12.0 * g[3]) / (42.0 * g[3])
+    for j in (2, 3):
+        if abs(g[j]) < 1e-14:
+            raise DegenerateCoefficientError(f"psi_{j} coefficient of g_l vanishes")
+    kappa1 = -1.0 / g[2] - 0.4
+    kappa0 = (175.0 * kappa1**2 * g[3] + 105.0 * kappa1 + 42.0 - 12.0 * g[3]) / (42.0 * g[3])
     try:
         rebuilt = esfr3_gradient(kappa0, kappa1)
     except SingularDenominatorError:
@@ -400,28 +382,26 @@ def esfr3_weights(g_l: LegendreSeries):
     return kappa0, kappa1
 
 
-def recover_weights_p3(h_l: LegendreSeries) -> np.ndarray:
-    """Invert a p=3 left correction function back to [1, iota_1..iota_3].
+def recover_weights(h_l: LegendreSeries) -> np.ndarray:
+    """Invert a left correction function of order p+1 back to [1, iota_1..iota_p].
 
-    Solves the lower-triangular system obtained by making the weights the
-    unknowns of the correction equations (normalized to iota_0 = 1).
-    Raises DegenerateCoefficientError when a pivot vanishes, which happens
-    exactly when h_l admits several lower-order constructions.
+    With iota_0 = 1, the interior rows of the correction system with the
+    weights as unknowns are the exact p x p system
+    sum_{i>=1} iota_i (B_i h) = -(B_0 h), B_i = _weight_block(p, i), h the
+    coefficients of h_l as exact fractions. A singular system (h_l admits
+    several weight vectors) raises DegenerateCoefficientError.
     """
-    h = np.asarray(h_l.coeffs, dtype=float)
-    if len(h) != 5:
-        raise ValueError(f"h_l must have order 4, got order {len(h) - 1}")
-    piv1 = 3.0 * h[2] + 10.0 * h[4]
-    piv2 = 45.0 * h[3]
-    piv3 = 1575.0 * h[4]
-    if min(abs(piv1), abs(piv2), abs(piv3)) < PIVOT_TOL or abs(h[3]) < PIVOT_TOL or abs(h[4]) < PIVOT_TOL:
-        raise DegenerateCoefficientError(
-            "weight recovery is degenerate (a psi_3/psi_4 pivot vanishes)"
-        )
-    i1 = h[0] / piv1
-    i2 = (h[1] - 15.0 * h[3] * i1) / piv2
-    i3 = (h[0] + h[2] - (3.0 * h[2] + 45.0 * h[4]) * i1 - 525.0 * h[4] * i2) / piv3
-    return np.array([1.0, i1, i2, i3])
+    h = [_to_fraction(c) for c in h_l.coeffs]
+    p = len(h) - 2
+    if not 2 <= p <= 5:
+        raise UnsupportedOrderError(f"h_l of order {p + 1} is outside the supported orders 3..6")
+    applied = [[sum(b * c for b, c in zip(row, h)) for row in _weight_block(p, i)] for i in range(p + 1)]
+    mat = [[applied[i][r] for i in range(1, p + 1)] for r in range(p)]
+    try:
+        weights = _solve_rational(mat, [-v for v in applied[0]])
+    except SingularSystemError as exc:
+        raise DegenerateCoefficientError(f"weight recovery is degenerate: {exc}") from None
+    return np.array([1.0] + [float(w) for w in weights])
 
 
 def pair_to_json(params: CorrectionParams, pair: CorrectionPair) -> str:
@@ -436,7 +416,11 @@ def pair_to_json(params: CorrectionParams, pair: CorrectionPair) -> str:
 
 
 def pair_from_json(text: str) -> tuple[CorrectionParams, CorrectionPair]:
-    """Read what pair_to_json wrote; a missing or ill-typed field is a ValueError naming it."""
+    """Read what pair_to_json wrote; a missing, ill-typed or inconsistent field is a ValueError naming it.
+
+    h_l and h_r must each hold p+2 finite coefficients and h_r must be
+    the parity reflection h_l(-xi).
+    """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"correction file holds a JSON {type(doc).__name__}, not an object")
@@ -444,6 +428,11 @@ def pair_from_json(text: str) -> tuple[CorrectionParams, CorrectionPair]:
         if not isinstance(doc.get(name), kind):
             raise ValueError(f"correction file field {name!r} is missing or not of type {kind.__name__}")
     params = CorrectionParams(doc["p"], doc["iota"])
-    hl = LegendreSeries(np.array(doc["h_l"], dtype=float))
-    hr = LegendreSeries(np.array(doc["h_r"], dtype=float))
+    h_l, h_r = (np.array(doc[name], dtype=float) for name in ("h_l", "h_r"))
+    for name, coeffs in (("h_l", h_l), ("h_r", h_r)):
+        if coeffs.shape != (params.p + 2,) or not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"correction file field {name!r} must hold p+2 = {params.p + 2} finite coefficients")
+    if not np.array_equal(h_r, h_l * (-1.0) ** np.arange(params.p + 2)):
+        raise ValueError("correction file field 'h_r' is not the reflection h_l(-xi) of its 'h_l'")
+    hl, hr = LegendreSeries(h_l), LegendreSeries(h_r)
     return params, CorrectionPair(h_l=hl, h_r=hr, g_l=hl.derivative(), g_r=hr.derivative())

@@ -151,6 +151,8 @@ def build_reference_element(
     """Assemble nodes, derivative matrix, and correction-gradient samples."""
     if p < 1:
         raise ValueError("need p >= 1")
+    if p != correction.p:
+        raise ValueError(f"element order p={p} differs from the correction pair's p={correction.p}")
     if node_kind not in NODE_KINDS:
         raise ValueError(f"unknown node kind {node_kind!r}")
     nodes, weights = NODE_KINDS[node_kind](p)

@@ -16,7 +16,7 @@ from gsfr.correction import (
     esfr3_weights,
     osfr_correction,
     osfr_iota,
-    recover_weights_p3,
+    recover_weights,
     sobolev_norm_squared,
     solve_correction,
     sufficient_bounds,
@@ -110,7 +110,7 @@ def test_criterion_03_uniqueness():
     pair = solve_correction(params)
     not_osfr = osfr_iota(3, pair.h_l) is None
     not_esfr = esfr3_weights(pair.g_l) is None
-    recovered = recover_weights_p3(pair.h_l)
+    recovered = recover_weights(pair.h_l)
     rebuilt = solve_correction(CorrectionParams(3, recovered))
     round_trip = float(np.max(np.abs(rebuilt.h_l.coeffs - pair.h_l.coeffs)))
     ok = not_osfr and not_esfr and np.allclose(recovered, [1, 0.01, 0.01, 0.1], atol=1e-9) and round_trip < 1e-9

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import pkgutil
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -58,14 +59,28 @@ def test_corr_identify_from_file(tmp_path, capsys):
     assert "osfr=0.0099" in out or "osfr=0.01" in out
 
 
+def test_corr_identify_dg_has_no_negative_zero(tmp_path, capsys):
+    out_file = tmp_path / "id.json"
+    code, out, _ = run(["corr", "identify", "--p", "3", "--iota", "1,0,0,0", "--out", str(out_file)], capsys)
+    assert code == 0 and out == "identify: osfr=0.0, esfr=[0.0, 0.0], iota=[1.0, 0.0, 0.0, 0.0]\n"
+    assert not re.search(r"-0\.0(?![0-9])", out_file.read_text())
+
+
+def test_corr_identify_names_only_the_maps_that_ran(capsys):
+    code, out, _ = run(["corr", "identify", "--p", "4", "--iota", "1,0,0,0,0.001"], capsys)
+    assert code == 0 and out.startswith("identify: osfr=0.001, iota=[1.0, 0.0, 0.0, 0.0, 0.00") and "esfr" not in out
+
+
 @pytest.mark.parametrize(
     "content,p,message",
     [
         ('{"p": 3}', "3", "field 'iota' is missing"),
         ("[1, 2]", "3", "JSON list"),
         (None, "4", "--p 4 differs from p = 2"),
+        ('{"p": 2, "iota": [1, 0, 0], "h_l": [NaN, 0, 0.5, -0.5], "h_r": [NaN, 0, 0.5, 0.5]}', "2", "finite"),
+        ('{"p": 2, "iota": [1, 0, 0], "h_l": [0, 0, 0.5, -0.5], "h_r": [0, 0, 0.5, -0.5]}', "2", "reflection"),
     ],
-    ids=["missing-field", "not-an-object", "other-p"],
+    ids=["missing-field", "not-an-object", "other-p", "nan", "contradicting-h_r"],
 )
 def test_corr_identify_rejects_a_bad_file(content, p, message, tmp_path, capsys):
     path = tmp_path / "c.json"

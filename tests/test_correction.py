@@ -12,6 +12,7 @@ from gsfr.correction import (
     SingularEtaError,
     SingularSystemError,
     UnsupportedOrderError,
+    _boundary_product,
     correction_matrix,
     esfr3_gradient,
     esfr3_weights,
@@ -19,12 +20,12 @@ from gsfr.correction import (
     osfr_iota,
     pair_from_json,
     pair_to_json,
-    recover_weights_p3,
+    recover_weights,
     sobolev_norm_squared,
     solve_correction,
     sufficient_bounds,
 )
-from gsfr.legendre import LegendreSeries, series_derivative
+from gsfr.legendre import LegendreSeries, integral_dm_dm1, series_derivative
 
 
 def coefficient_matrices(p):
@@ -107,6 +108,37 @@ def test_golden_matrix_p4_known_deviations():
         else:
             assert pos == (3, 5)
             assert assembled == [F(0), F(105), F(3255), F(33075), F(99225)]
+
+
+def triple_loop_matrix(params):
+    """The correction system summed entry by entry, weight by weight: the oracle for the per-weight blocks."""
+    p = params.p
+    iota = params.iota_fractions
+    mat = []
+    for m in range(1, p + 1):
+        row = []
+        for n in range(p + 2):
+            acc = F(0)
+            for i in range(p + 1):
+                if iota[i] == 0:
+                    continue
+                acc += iota[i] * integral_dm_dm1(i, n, m)
+                if i >= 1:
+                    acc -= iota[i] * _boundary_product(i, n, m)
+            row.append(-acc / 2)
+        mat.append(row)
+    mat.append([F(1)] * (p + 2))
+    mat.append([F(-1) ** n for n in range(p + 2)])
+    return mat
+
+
+def test_block_assembly_matches_triple_loop():
+    rng = np.random.default_rng(5)
+    for p in (2, 3, 4, 5):
+        for _ in range(25):
+            weights = [1.0] + list(rng.uniform(-1e-2, 1e-1, p) * (rng.random(p) < 0.7))
+            params = CorrectionParams(p, weights)
+            assert correction_matrix(params) == triple_loop_matrix(params)
 
 
 def test_boundary_condition_rows():
@@ -234,22 +266,33 @@ def test_esfr_members_embed_exactly():
         coeffs = npleg.legint(grad.coeffs)
         coeffs[0] += 1.0 - npleg.legval(-1.0, coeffs)
         h_l = LegendreSeries(coeffs)
-        weights = recover_weights_p3(h_l)
+        weights = recover_weights(h_l)
         pair = solve_correction(CorrectionParams(3, weights))
         assert np.max(np.abs(pair.h_l.coeffs - h_l.coeffs)) < 1e-12
 
 
 def test_recover_weights_osfr_embedding():
     for iota in (1e-3, 1e-2, 1e-1):
-        weights = recover_weights_p3(osfr_correction(3, iota).h_l)
+        weights = recover_weights(osfr_correction(3, iota).h_l)
         assert np.allclose(weights, [1, 0, 0, iota], atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_recover_weights_round_trip_every_order(p):
+    rng = np.random.default_rng(p)
+    for _ in range(20):
+        weights = [1.0] + list(10.0 ** rng.uniform(-5, -1, p))
+        recovered = recover_weights(solve_correction(CorrectionParams(p, weights)).h_l)
+        assert np.max(np.abs(recovered - weights) / np.array(weights)) < 1e-10
+    dg = recover_weights(solve_correction(CorrectionParams(p, [1] + [0] * p)).h_l)
+    assert dg.tolist() == [1.0] + [0.0] * p and not np.signbit(dg).any()
 
 
 def test_recover_weights_degenerate_pivot():
     # vanishing top coefficient kills the last pivot
     bad = LegendreSeries(np.array([0.1, -0.2, 0.3, -0.7, 0.0]))
     with pytest.raises(DegenerateCoefficientError):
-        recover_weights_p3(bad)
+        recover_weights(bad)
 
 
 def test_norm_trivial_values():

@@ -96,13 +96,15 @@ def test_operator_invariants(element):
     assert np.max(np.abs(total @ np.ones(4))) < 1e-11
 
 
-def test_builder_validation(element):
+def test_builder_validation(element, dg3):
     with pytest.raises(ValueError):
         build_scheme_operators(element, 0.2)
     with pytest.raises(ValueError):
         build_scheme_operators(element, 1.0, jacobian=-1.0)
     with pytest.raises(ValueError):
         build_reference_element(0, None)
+    with pytest.raises(ValueError, match="p=2 differs from the correction pair's p=3"):
+        build_reference_element(2, dg3)
 
 
 def test_constant_field_is_steady(element):
