@@ -273,9 +273,9 @@ def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> Me
     sixth-power term relative to the spectral update matrix).
 
     This stage form defines every time step in the package and is the
-    oracle for the fast path: the studies build the step's block-banded
-    matrix once with `gsfr.experiments.step_map`, which probes this
-    function, and apply that matrix instead; tests hold the two together.
+    oracle for the fast paths, which probe it: advection steps per Bloch
+    wave, as a power of the wave's (p+1)x(p+1) block, and the hetero study
+    with the block-banded matrix of `gsfr.experiments.step_map`.
     """
     if tau < 0.0:
         raise ValueError("tau must be non-negative")

@@ -79,8 +79,10 @@ def test_corr_identify_names_only_the_maps_that_ran(capsys):
         (None, "4", "--p 4 differs from p = 2"),
         ('{"p": 2, "iota": [1, 0, 0], "h_l": [NaN, 0, 0.5, -0.5], "h_r": [NaN, 0, 0.5, 0.5]}', "2", "finite"),
         ('{"p": 2, "iota": [1, 0, 0], "h_l": [0, 0, 0.5, -0.5], "h_r": [0, 0, 0.5, -0.5]}', "2", "reflection"),
+        # twice nodal DG: reflected and finite, but h_l(-1) = 2
+        ('{"p": 3, "iota": [1, 0, 0, 0], "h_l": [0, 0, 0, -1, 1], "h_r": [0, 0, 0, 1, 1]}', "3", "h_l(-1) = 2"),
     ],
-    ids=["missing-field", "not-an-object", "other-p", "nan", "contradicting-h_r"],
+    ids=["missing-field", "not-an-object", "other-p", "nan", "contradicting-h_r", "twice-dg"],
 )
 def test_corr_identify_rejects_a_bad_file(content, p, message, tmp_path, capsys):
     path = tmp_path / "c.json"

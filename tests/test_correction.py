@@ -391,6 +391,18 @@ def test_json_round_trip():
     assert np.allclose(pair2.g_r.coeffs, pair.g_r.coeffs, atol=1e-15)
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_json_round_trip_passes_the_boundary_check(p):
+    # pair_from_json asks h_l(-1) = 1 and h_l(1) = 0; every solved pair, down to extreme weights, has them
+    rng = np.random.default_rng(p)
+    signed = rng.choice([-1.0, 1.0], (40, p)) * 10 ** rng.uniform(-8, 6, (40, p))
+    for iota in [[1.0] + [0.0] * p] + [[1.0] + list(row) for row in signed]:
+        params = CorrectionParams(p, iota)
+        pair = solve_correction(params)
+        _, pair2 = pair_from_json(pair_to_json(params, pair))
+        assert np.array_equal(pair2.h_l.coeffs, pair.h_l.coeffs)
+
+
 def test_pair_dataclass_order():
     pair = solve_correction(CorrectionParams(3, [1, 0, 0, 0]))
     assert isinstance(pair, CorrectionPair)

@@ -12,8 +12,11 @@ from gsfr.experiments import (
     DEFAULT_ELEMENT_COUNTS,
     HETERO_PERIOD,
     SAFETY,
+    WAVENUMBER,
     EmptyFeasibleSetError,
     UnstableRunError,
+    _advect_cosine,
+    _advection_setup,
     _reference_tau,
     advect_snapshot,
     cfl_search,
@@ -36,7 +39,7 @@ from gsfr.operators import (
     solution_energy,
     uniform_mesh,
 )
-from gsfr.spectral import cfl_limit, update_matrix
+from gsfr.spectral import PUBLISHED_STEP_LIMITS, bloch_matrix, cfl_limit, update_matrix
 
 DG3 = CorrectionParams(3, [1, 0, 0, 0])
 
@@ -173,6 +176,71 @@ def test_advect_snapshot_matches_stage_form(rk):
     ref = float(np.mean(np.abs(state.u - np.cos(mesh_nodes(ops, state) - t_end))))
     assert eps == pytest.approx(ref, rel=1e-6)
     assert np.max(np.abs(u - state.u.ravel())) < 1e-12
+
+
+def step_map_advect(element, alpha, n_elements, t_end, rk, tau_ref):
+    """(u, eps_2) of _advect_cosine by the step-map loop it ran before the Bloch route; kept as its oracle."""
+    ops = build_scheme_operators(element, alpha, jacobian=pi / n_elements)
+    state = uniform_mesh(ops, n_elements, 0.0, 2.0 * pi, init=lambda x: np.cos(WAVENUMBER * x))
+    steps = max(1, ceil(t_end / (SAFETY * tau_ref * ops.jacobian)))
+    step = step_map(lambda s: linear_advection_rhs(ops, s), state, t_end / steps, rk)
+    u = state.u
+    for _ in range(steps):
+        u = step(u)
+    return u.ravel(), float(np.mean(np.abs(u - np.cos(WAVENUMBER * (mesh_nodes(ops, state) - t_end)))))
+
+
+@pytest.mark.parametrize(
+    "iota, rk", [((1, 0, 0, 0), "rk33"), (PUBLISHED_STEP_LIMITS[1][2], "rk44")], ids=["dg-rk33", "published-rk44"]
+)
+def test_advect_cosine_matches_step_map_loop(iota, rk):
+    # the Bloch power and the step-map loop round differently over thousands of steps; eps_2 is a
+    # mean of errors near 1e-10, so it keeps fewer digits of agreement than u
+    element, tau_ref = _advection_setup(CorrectionParams(3, list(iota)), 1.0, rk, "gauss", (160, 256), pi)
+    for n in (160, 256):
+        _, u, eps, _, _ = _advect_cosine(element, 1.0, n, pi, rk, tau_ref)
+        ref_u, ref_eps = step_map_advect(element, 1.0, n, pi, rk, tau_ref)
+        assert np.max(np.abs(u - ref_u)) <= 1e-12, n
+        assert eps == pytest.approx(ref_eps, rel=1e-5), n
+
+
+@pytest.mark.parametrize("rk", RK_SCHEMES)
+@pytest.mark.parametrize("alpha", [1.0, 0.75])
+@pytest.mark.parametrize("node_kind", ["gauss", "lobatto"])
+def test_advection_block_is_the_spectral_update_matrix(rk, alpha, node_kind, monkeypatch):
+    # the probes' element-0 responses, in call order, are the columns of the wave's one-step block
+    responses = []
+
+    def recording(*args, **kwargs):
+        stepped = rk_advance(*args, **kwargs)
+        responses.append(stepped.u[0])
+        return stepped
+
+    monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
+    pair = solve_correction(DG3)
+    element = build_reference_element(3, pair, node_kind)
+    tau_ref = _reference_tau(pair, alpha, rk)
+    for n in (1, 2, 7, 160):
+        responses.clear()
+        tau = _advect_cosine(element, alpha, n, pi, rk, tau_ref)[4]
+        spectral = update_matrix(bloch_matrix(build_scheme_operators(element, alpha, pi / n), WAVENUMBER), tau, rk)
+        assert len(responses) == 4
+        gap = np.max(np.abs(np.stack(responses, axis=1) - spectral))
+        assert gap <= 1e-14, (n, gap)
+
+
+def test_ooa_study_has_no_time_loop(monkeypatch):
+    # p+1 = 4 probe steps per mesh, whatever the number of time steps (hundreds per mesh here)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rk_advance(*args, **kwargs)
+
+    monkeypatch.setattr(gsfr.experiments, "rk_advance", counting)
+    report = ooa_study(DG3, rk="rk33")
+    assert min(report.steps) > 100
+    assert len(calls) == 4 * len(DEFAULT_ELEMENT_COUNTS)
 
 
 def test_hetero_upwind_survives_fifteen_periods():
