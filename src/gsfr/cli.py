@@ -195,7 +195,8 @@ def _cmd_run_hetero(args):
     if report.blew_up:
         raise xp.UnstableRunError(f"energy blow-up at t = {report.blowup_time:.6g}")
     print(
-        f"hetero: survived {args.periods} periods, |E(nT)-1| final = {FMT % report.error_at_periods[-1]}"
+        f"hetero: survived {args.periods} periods, |E(nT)-1| final = {FMT % report.error_at_periods[-1]}, "
+        f"peak energy = {FMT % report.peak_energy}"
     )
     return 0
 

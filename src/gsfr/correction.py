@@ -419,7 +419,8 @@ def pair_from_json(text: str) -> tuple[CorrectionParams, CorrectionPair]:
     """Read what pair_to_json wrote; a missing, ill-typed or inconsistent field is a ValueError naming it.
 
     h_l and h_r must each hold p+2 finite coefficients, h_r must be the
-    parity reflection h_l(-xi), and h_l(-1) = 1, h_l(1) = 0 within MEMBERSHIP_TOL.
+    parity reflection h_l(-xi), h_l(-1) = 1, h_l(1) = 0, and h_l must equal
+    the solve of iota, each within MEMBERSHIP_TOL.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -437,4 +438,9 @@ def pair_from_json(text: str) -> tuple[CorrectionParams, CorrectionPair]:
     hl, hr = LegendreSeries(h_l), LegendreSeries(h_r)
     if abs(hl(-1.0) - 1.0) > MEMBERSHIP_TOL or abs(hl(1.0)) > MEMBERSHIP_TOL:
         raise ValueError(f"correction file field 'h_l' has h_l(-1) = {hl(-1.0):g}, h_l(1) = {hl(1.0):g}; need 1 and 0")
+    gap = np.max(np.abs(solve_correction(params).h_l.coeffs - h_l))
+    if gap > MEMBERSHIP_TOL:
+        raise ValueError(
+            f"correction file field 'h_l' is {gap:.3g} off the solve of its 'iota' (tolerance {MEMBERSHIP_TOL:g})"
+        )
     return params, CorrectionPair(h_l=hl, h_r=hr, g_l=hl.derivative(), g_r=hr.derivative())

@@ -50,6 +50,10 @@ __all__ = [
 HETERO_PERIOD = 2.0 / sqrt(3.0)
 
 BLOWUP_ENERGY = 1e3
+# steps of the hetero study per energy reduction; its buffer holds this many solutions
+_ENERGY_CHUNK = 128
+# largest probe stack, in unknowns, that step_map steps in one call; bounds its memory
+_PROBE_UNKNOWNS = 1 << 16
 
 # advection studies: wave cos(WAVENUMBER x), step SAFETY times the limit at REFERENCE_RHO_TOL
 WAVENUMBER = 1.0
@@ -86,6 +90,7 @@ class EnergyReport:
     error_at_periods: np.ndarray
     blew_up: bool
     blowup_time: float | None
+    peak_energy: float  # largest energy from t = 0 to the end or the blow-up step
     steps_per_period: int
     tau: float
 
@@ -107,16 +112,15 @@ class StepMap:
     RK_STAGE_ORDER[rk]), which couples only adjacent elements, so it
     couples each element to its s neighbours on either side: element j
     of the stepped solution is blocks[j] applied to the values of the
-    2s+1 elements neighbours[j] = (j-s, ..., j+s) mod n, stacked in
-    that order.
+    2s+1 elements (j-s, ..., j+s) mod n, stacked in that order, which
+    sit at the flat positions index[j] of u.
     """
 
     blocks: np.ndarray  # (n, p+1, (2s+1)(p+1))
-    neighbours: np.ndarray  # (n, 2s+1)
+    index: np.ndarray  # (n, (2s+1)(p+1))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        n = u.shape[0]
-        return np.matmul(self.blocks, u[self.neighbours].reshape(n, -1, 1))[..., 0]
+        return np.matmul(self.blocks, u.ravel().take(self.index)[..., None])[..., 0]
 
 
 def step_map(rhs_fn, state, tau: float, rk: str) -> StepMap:
@@ -124,29 +128,34 @@ def step_map(rhs_fn, state, tau: float, rk: str) -> StepMap:
 
     Elements are coloured j mod c, with c the smallest divisor of n that is
     at least min(2s+1, n). Each probe is a unit value at one local node of
-    every element of one colour, stepped by rk_advance; a row element then
-    meets at most one probed element within its band, so the probe's
-    response fills exactly one of its blocks. That takes c(p+1) steps
-    instead of n(p+1). When n < 2s+1, every element is probed alone and
-    its coupling lands in the first slot that names it; the other slots
-    naming the same element stay zero.
+    every element of one colour; a row element then meets at most one
+    probed element within its band, so the probe's response fills exactly
+    one of its blocks. That takes c(p+1) probes instead of n(p+1), stepped
+    as stacks by rk_advance: all of them in one call unless the stack
+    would exceed _PROBE_UNKNOWNS, as it does when n has no small divisor
+    (a prime n has c = n). When n < 2s+1, every element is probed alone
+    and its coupling lands in the first slot that names it; the other
+    slots naming the same element stay zero.
     """
     n, width = state.u.shape
     s = stage_order(rk)
     colours = next(c for c in range(min(2 * s + 1, n), n + 1) if n % c == 0)
     rows = np.arange(n)
-    blocks = np.zeros((n, width, (2 * s + 1) * width))
-    for colour in range(colours):
-        # offset from row j to the element of this colour in its band, if any
-        offset = (colour - rows + s) % colours - s
-        near = offset <= s
-        for i in range(width):
-            probe = np.zeros_like(state.u)
-            probe[colour::colours, i] = 1.0
-            response = rk_advance(rhs_fn, replace(state, u=probe), tau, rk).u
-            blocks[rows[near], :, (offset[near] + s) * width + i] = response[near]
+    blocks = np.zeros((n, width, 2 * s + 1, width))
+    per_call = max(1, _PROBE_UNKNOWNS // (n * width * width))
+    for group in np.array_split(np.arange(colours), -(-colours // per_call)):
+        probed = rows[np.isin(rows % colours, group)]
+        probes = np.zeros((len(group), width, n, width))
+        probes[probed % colours - group[0], :, probed, :] = np.eye(width)
+        stacked = replace(state, u=probes.reshape(-1, n, width))
+        responses = rk_advance(rhs_fn, stacked, tau, rk).u.reshape(probes.shape)
+        # offset from row j to the element of colour group[k] in its band, if any
+        offset = (group[:, None] - rows + s) % colours - s
+        k, j = np.nonzero(offset <= s)
+        blocks[j, :, offset[k, j] + s, :] = responses[k, :, j, :].transpose(0, 2, 1)
     neighbours = (rows[:, None] + np.arange(-s, s + 1)) % n
-    return StepMap(blocks, neighbours)
+    index = (neighbours[..., None] * width + np.arange(width)).reshape(n, -1)
+    return StepMap(blocks.reshape(n, width, -1), index)
 
 
 def reference_operators(pair, alpha: float):
@@ -222,8 +231,8 @@ def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str
     # element j holds Re(phase[j] v), v = e^{i WAVENUMBER x} on element 0; column i
     # of the block is element 0's response to the probe phase e_i
     phase = np.exp(1j * WAVENUMBER * (x[:, :1] - x[0, 0]))
-    probes = [replace(state, u=phase * unit) for unit in np.eye(x.shape[1])]
-    block = np.stack([rk_advance(lambda s: linear_advection_rhs(ops, s), q, tau, rk).u[0] for q in probes], axis=1)
+    probes = replace(state, u=phase * np.eye(x.shape[1])[:, None, :])
+    block = rk_advance(lambda s: linear_advection_rhs(ops, s), probes, tau, rk).u[:, 0].T
     # divergence overflows on its way to inf; the finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         u = (phase * (np.linalg.matrix_power(block, steps) @ np.exp(1j * WAVENUMBER * x[0]))).real
@@ -308,35 +317,37 @@ def hetero_energy_study(
     record_stride = max(1, steps_per_period // 32)
 
     step = step_map(make_heterogeneous_rhs(ops, state), state, tau, rk)
-    # solution_energy's expression on the bare array, so the energies are the same doubles
+    # solution_energy's expression over a chunk of steps, so the energies are the same doubles
     u, jac, w = state.u, state.jacobian, ops.element.weights[None, :]
-    times = [0.0]
-    energy = [solution_energy(ops, state)]
-    period_errors = []
-    blew_up = False
-    blowup_time = None
-    t = 0.0
+    total = n_periods * steps_per_period
+    buf = np.empty((_ENERGY_CHUNK,) + u.shape)
+    times, energy, period_errors = [np.zeros(1)], [np.array([solution_energy(ops, state)])], []
+    peak = energy[0][0]
     # blow-up overflows on its way to inf; the energy check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_periods * steps_per_period + 1):
-            u = step(u)
-            t = n * tau
-            e = float(jac * np.sum(w * u**2))
-            if n % record_stride == 0 or n % steps_per_period == 0:
-                times.append(t)
-                energy.append(e)
-            if not np.isfinite(e) or e > BLOWUP_ENERGY:
-                blew_up = True
-                blowup_time = t
+        for start in range(0, total, _ENERGY_CHUNK):
+            count = min(_ENERGY_CHUNK, total - start)
+            for k in range(count):
+                buf[k] = u = step(u)
+            e = jac * np.sum(w * buf[:count] ** 2, axis=(1, 2))
+            bad = ~np.isfinite(e) | (e > BLOWUP_ENERGY)
+            blew_up = bool(bad.any())
+            stop = np.argmax(bad) + 1 if blew_up else count
+            e, bad, n = e[:stop], bad[:stop], np.arange(start + 1, start + stop + 1)
+            recorded = (n % record_stride == 0) | (n % steps_per_period == 0)
+            times.append(n[recorded] * tau)
+            energy.append(e[recorded])
+            period_errors.append(np.abs(e[(n % steps_per_period == 0) & ~bad] - 1.0))
+            peak = np.max(e, initial=peak)
+            if blew_up:
                 break
-            if n % steps_per_period == 0:
-                period_errors.append(abs(e - 1.0))
     return EnergyReport(
-        times=np.array(times),
-        energy=np.array(energy),
-        error_at_periods=np.array(period_errors),
+        times=np.concatenate(times),
+        energy=np.concatenate(energy),
+        error_at_periods=np.concatenate(period_errors),
         blew_up=blew_up,
-        blowup_time=blowup_time,
+        blowup_time=float(n[-1] * tau) if blew_up else None,
+        peak_energy=float(peak),
         steps_per_period=steps_per_period,
         tau=tau,
     )

@@ -212,12 +212,12 @@ def mesh_nodes(ops: SchemeOperators, state: MeshState) -> np.ndarray:
 
 
 def linear_advection_rhs(ops: SchemeOperators, state: MeshState) -> np.ndarray:
-    """du/dt for unit-speed linear advection on the periodic mesh."""
+    """du/dt for unit-speed linear advection on the periodic mesh, for u of shape (..., n, p+1)."""
     u = state.u
     jac = state.jacobian
     out = u @ ops.C_zero.T
-    out += np.roll(u, -1, axis=0) @ ops.C_plus.T
-    out += np.roll(u, 1, axis=0) @ ops.C_minus.T
+    out += np.roll(u, -1, axis=-2) @ ops.C_plus.T
+    out += np.roll(u, 1, axis=-2) @ ops.C_minus.T
     return -out / jac
 
 
@@ -233,7 +233,7 @@ def make_heterogeneous_rhs(ops: SchemeOperators, state: MeshState):
     (the product is under-resolved by the nodal basis, which is the
     aliasing mechanism of interest). The node and interface speeds depend
     only on the mesh geometry, so build this once per mesh and call the
-    returned rhs(state) per stage.
+    returned rhs(state) per stage; state.u may be a stack (..., n, p+1).
     """
     el = ops.element
     jac = state.jacobian
@@ -249,14 +249,14 @@ def make_heterogeneous_rhs(ops: SchemeOperators, state: MeshState):
         # common flux is the local speed times the alpha-blend of the two
         # traces, and the speed is strictly positive so the upwind side
         # is always the left
-        u_minus = np.roll(u @ el.l_right, 1)
+        u_minus = np.roll(u @ el.l_right, 1, axis=-1)
         u_plus = u @ el.l_left
         f_common = a_face * (ops.alpha * u_minus + (1.0 - ops.alpha) * u_plus)
         jump_left = f_common - f @ el.l_left
-        jump_right = np.roll(f_common, -1) - f @ el.l_right
+        jump_right = np.roll(f_common, -1, axis=-1) - f @ el.l_right
         out = f @ el.D.T
-        out += jump_left[:, None] * el.g_left[None, :]
-        out += jump_right[:, None] * el.g_right[None, :]
+        out += jump_left[..., None] * el.g_left
+        out += jump_right[..., None] * el.g_right
         return -out / jac
 
     return rhs
@@ -275,7 +275,9 @@ def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> Me
     This stage form defines every time step in the package and is the
     oracle for the fast paths, which probe it: advection steps per Bloch
     wave, as a power of the wave's (p+1)x(p+1) block, and the hetero study
-    with the block-banded matrix of `gsfr.experiments.step_map`.
+    with the block-banded matrix of `gsfr.experiments.step_map`. Each
+    probes in one call: state.u may be a stack (..., n, p+1), and every
+    state of it is stepped as if alone.
     """
     if tau < 0.0:
         raise ValueError("tau must be non-negative")

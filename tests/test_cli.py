@@ -81,8 +81,10 @@ def test_corr_identify_names_only_the_maps_that_ran(capsys):
         ('{"p": 2, "iota": [1, 0, 0], "h_l": [0, 0, 0.5, -0.5], "h_r": [0, 0, 0.5, -0.5]}', "2", "reflection"),
         # twice nodal DG: reflected and finite, but h_l(-1) = 2
         ('{"p": 3, "iota": [1, 0, 0, 0], "h_l": [0, 0, 0, -1, 1], "h_r": [0, 0, 0, 1, 1]}', "3", "h_l(-1) = 2"),
+        # nodal DG's h_l under the weights [1, 0, 0, 10]: a member, but not the one its iota solves to
+        ('{"p": 3, "iota": [1, 0, 0, 10], "h_l": [0, 0, 0, -0.5, 0.5], "h_r": [0, 0, 0, 0.5, 0.5]}', "3", "of its 'iota'"),
     ],
-    ids=["missing-field", "not-an-object", "other-p", "nan", "contradicting-h_r", "twice-dg"],
+    ids=["missing-field", "not-an-object", "other-p", "nan", "contradicting-h_r", "twice-dg", "other-iota"],
 )
 def test_corr_identify_rejects_a_bad_file(content, p, message, tmp_path, capsys):
     path = tmp_path / "c.json"
@@ -184,6 +186,14 @@ def test_run_hetero_blowup_exit_code(capsys):
     )
     assert code == 2
     assert "blow-up" in err
+
+
+def test_run_hetero_prints_its_peak_energy(capsys):
+    code, out, _ = run(["run", "hetero", "--p", "3", "--iota", "1,0,0,0", "--periods", "2", "--n-elements", "16"], capsys)
+    report = gsfr.experiments.hetero_energy_study(gsfr.CorrectionParams(3, [1, 0, 0, 0]), n_elements=16, n_periods=2)
+    assert code == 0 and report.peak_energy > np.max(report.energy[1:])
+    final, peak = (gsfr.cli.FMT % v for v in (report.error_at_periods[-1], report.peak_energy))
+    assert out == f"hetero: survived 2 periods, |E(nT)-1| final = {final}, peak energy = {peak}\n"
 
 
 def test_run_ooa_json(tmp_path, capsys):

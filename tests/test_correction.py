@@ -393,7 +393,8 @@ def test_json_round_trip():
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_json_round_trip_passes_the_boundary_check(p):
-    # pair_from_json asks h_l(-1) = 1 and h_l(1) = 0; every solved pair, down to extreme weights, has them
+    # pair_from_json asks h_l(-1) = 1, h_l(1) = 0 and h_l = the solve of iota; every solved pair, down to
+    # extreme weights, passes
     rng = np.random.default_rng(p)
     signed = rng.choice([-1.0, 1.0], (40, p)) * 10 ** rng.uniform(-8, 6, (40, p))
     for iota in [[1.0] + [0.0] * p] + [[1.0] + list(row) for row in signed]:

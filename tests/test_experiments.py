@@ -15,6 +15,8 @@ from gsfr.experiments import (
     WAVENUMBER,
     EmptyFeasibleSetError,
     UnstableRunError,
+    _ENERGY_CHUNK,
+    _PROBE_UNKNOWNS,
     _advect_cosine,
     _advection_setup,
     _reference_tau,
@@ -126,18 +128,157 @@ def test_step_map_matches_stage_form(rk, rhs_kind):
 
 
 def test_step_map_probes_one_colour_at_a_time(monkeypatch):
-    # N=32 rk44: 16 colours (the smallest divisor of 32 that is >= 9) x 4 nodes, not 32 x 4
-    calls = []
+    # N=32 rk44: 16 colours (the smallest divisor of 32 that is >= 9) x 4 nodes, not 32 x 4, in one stacked step
+    shapes = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return rk_advance(*args, **kwargs)
+    def recording(rhs_fn, state, *args, **kwargs):
+        shapes.append(state.u.shape)
+        return rk_advance(rhs_fn, state, *args, **kwargs)
 
-    monkeypatch.setattr(gsfr.experiments, "rk_advance", counting)
+    monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
     ops = build_scheme_operators(build_reference_element(3, solve_correction(DG3)), 1.0, jacobian=1.0 / 32)
     state = uniform_mesh(ops, 32, -1.0, 1.0)
     step_map(make_heterogeneous_rhs(ops, state), state, 1e-3, "rk44")
-    assert len(calls) == 64
+    assert shapes == [(64, 32, 4)]
+
+
+def step_map_per_probe(rhs_fn, state, tau, rk):
+    """(blocks, neighbours) of step_map by one rk_advance call per probe, as before the stacked probe; its oracle."""
+    n, width = state.u.shape
+    s = RK_STAGE_ORDER[rk]
+    colours = next(c for c in range(min(2 * s + 1, n), n + 1) if n % c == 0)
+    rows = np.arange(n)
+    blocks = np.zeros((n, width, (2 * s + 1) * width))
+    for colour in range(colours):
+        offset = (colour - rows + s) % colours - s
+        near = offset <= s
+        for i in range(width):
+            probe = np.zeros_like(state.u)
+            probe[colour::colours, i] = 1.0
+            response = rk_advance(rhs_fn, replace(state, u=probe), tau, rk).u
+            blocks[rows[near], :, (offset[near] + s) * width + i] = response[near]
+    return blocks, (rows[:, None] + np.arange(-s, s + 1)) % n
+
+
+@pytest.mark.parametrize("rk", RK_SCHEMES)
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_step_map_matches_per_probe_loop(p, rk):
+    # bit for bit: the stacked probe fills the same blocks, and the flat gather applies them as the old
+    # neighbour gather did; n = 1, 2, 5 lie below some bands, 7 and 9 colour element by element
+    rng = np.random.default_rng(p)
+    pair = solve_correction(CorrectionParams(p, [1.0] + [0.0] * p))
+    for node_kind in ("gauss", "lobatto"):
+        element = build_reference_element(p, pair, node_kind)
+        for alpha in (1.0, 0.75):
+            for n in (1, 2, 5, 7, 9, 32, 64):
+                ops = build_scheme_operators(element, alpha, jacobian=1.0 / n)
+                state = uniform_mesh(ops, n, -1.0, 1.0)
+                tau = 0.05 * state.element_width / (p + 1)
+                for rhs in (lambda s: linear_advection_rhs(ops, s), make_heterogeneous_rhs(ops, state)):
+                    step = step_map(rhs, state, tau, rk)
+                    blocks, neighbours = step_map_per_probe(rhs, state, tau, rk)
+                    assert np.array_equal(step.blocks, blocks), (node_kind, alpha, n)
+                    u = rng.standard_normal(state.u.shape)
+                    gathered = np.matmul(blocks, u[neighbours].reshape(n, -1, 1))[..., 0]
+                    assert np.array_equal(step(u), gathered), (node_kind, alpha, n)
+
+
+def test_step_map_steps_many_colours_in_bounded_stacks(monkeypatch):
+    # a prime n = 127 is its own colour count: 127 x 4 probes, stepped 32 colours (65,024 unknowns) at a time
+    shapes = []
+
+    def recording(rhs_fn, state, *args, **kwargs):
+        shapes.append(state.u.shape)
+        return rk_advance(rhs_fn, state, *args, **kwargs)
+
+    ops = build_scheme_operators(build_reference_element(3, solve_correction(DG3)), 0.75, jacobian=1.0 / 127)
+    state = uniform_mesh(ops, 127, -1.0, 1.0)
+    rhs = make_heterogeneous_rhs(ops, state)
+    blocks, _ = step_map_per_probe(rhs, state, 1e-3, "rk44")
+    monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
+    step = step_map(rhs, state, 1e-3, "rk44")
+    assert shapes == [(128, 127, 4)] * 3 + [(124, 127, 4)]
+    assert max(np.prod(shape) for shape in shapes) <= _PROBE_UNKNOWNS
+    assert np.array_equal(step.blocks, blocks)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("rhs_kind", ["advection", "heterogeneous"])
+def test_rhs_takes_a_stack_of_states(rhs_kind, dtype):
+    # a (3, 2, n, p+1) stack gives, bit for bit, the right-hand sides of its six states
+    element = build_reference_element(3, solve_correction(DG3))
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 32):
+        ops = build_scheme_operators(element, 0.75, jacobian=1.0 / n)
+        state = uniform_mesh(ops, n, -1.0, 1.0)
+        if rhs_kind == "advection":
+            rhs = lambda s: linear_advection_rhs(ops, s)
+        else:
+            rhs = make_heterogeneous_rhs(ops, state)
+        stack = rng.standard_normal((3, 2, n, 4)).astype(dtype)
+        if dtype is complex:
+            stack += 1j * rng.standard_normal(stack.shape)
+        per_state = np.array([[rhs(replace(state, u=u)) for u in row] for row in stack])
+        assert np.array_equal(rhs(replace(state, u=stack)), per_state), n
+
+
+def step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk="rk44", node_kind="gauss"):
+    """(times, energy, error_at_periods, blowup_time, peak energy) of hetero_energy_study by the per-step
+    energy loop it ran before the chunked reduction; kept as its oracle."""
+    pair = solve_correction(params)
+    ops = build_scheme_operators(build_reference_element(params.p, pair, node_kind), alpha, jacobian=1.0 / n_elements)
+    state = uniform_mesh(ops, n_elements, -1.0, 1.0, init=lambda x: np.sin(4.0 * np.pi * x))
+    steps_per_period = max(1, ceil(HETERO_PERIOD / (cfl * state.element_width / (params.p + 1) / 3.0)))
+    tau = HETERO_PERIOD / steps_per_period
+    record_stride = max(1, steps_per_period // 32)
+    step = step_map(make_heterogeneous_rhs(ops, state), state, tau, rk)
+    u, jac, w = state.u, state.jacobian, ops.element.weights[None, :]
+    times, energy, every = [0.0], [solution_energy(ops, state)], [solution_energy(ops, state)]
+    period_errors, blowup_time = [], None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_periods * steps_per_period + 1):
+            u = step(u)
+            t = n * tau
+            e = float(jac * np.sum(w * u**2))
+            every.append(e)
+            if n % record_stride == 0 or n % steps_per_period == 0:
+                times.append(t)
+                energy.append(e)
+            if not np.isfinite(e) or e > BLOWUP_ENERGY:
+                blowup_time = t
+                break
+            if n % steps_per_period == 0:
+                period_errors.append(abs(e - 1.0))
+    return np.array(times), np.array(energy), np.array(period_errors), blowup_time, float(np.max(every))
+
+
+@pytest.mark.parametrize(
+    "p, alpha, n_elements, n_periods, cfl",
+    [(3, 1.0, 32, 15, 0.06), (3, 0.5, 16, 15, 0.06), (2, 1.0, 5, 2, 0.2), (2, 0.75, 6, 4, 0.13), (3, 1.0, 8, 3, 100.0)],
+    ids=["default", "blowup-mid-chunk", "partial-last-chunk", "period-off-stride", "blowup-on-a-period"],
+)
+def test_hetero_study_matches_per_step_loop(p, alpha, n_elements, n_periods, cfl, request):
+    params = CorrectionParams(p, [1.0] + [0.0] * p)
+    report = hetero_energy_study(params, alpha, n_elements, n_periods, cfl)
+    times, energy, period_errors, blowup_time, peak = step_map_hetero(params, alpha, n_elements, n_periods, cfl)
+    steps = n_periods * report.steps_per_period
+    case = request.node.callspec.id
+    # each case stands for what its id names
+    stop = round(report.blowup_time / report.tau) if report.blew_up else None
+    if case == "blowup-mid-chunk":
+        assert _ENERGY_CHUNK < stop < steps and stop % _ENERGY_CHUNK != 0
+    if case == "blowup-on-a-period":
+        assert stop % report.steps_per_period == 0  # a step past the limit: blows up on a period step
+    if case == "partial-last-chunk":
+        assert steps > _ENERGY_CHUNK and steps % _ENERGY_CHUNK != 0
+    if case == "period-off-stride":
+        assert report.steps_per_period % max(1, report.steps_per_period // 32) != 0
+    assert report.blew_up == (blowup_time is not None) == case.startswith("blowup")
+    assert np.array_equal(report.times, times)
+    assert np.array_equal(report.energy, energy)
+    assert np.array_equal(report.error_at_periods, period_errors)
+    assert report.blowup_time == blowup_time
+    assert report.peak_energy == peak
 
 
 @pytest.mark.parametrize("alpha, cfl", [(1.0, 0.06), (0.5, 0.06), (1.0, 1.5)])
@@ -208,12 +349,13 @@ def test_advect_cosine_matches_step_map_loop(iota, rk):
 @pytest.mark.parametrize("alpha", [1.0, 0.75])
 @pytest.mark.parametrize("node_kind", ["gauss", "lobatto"])
 def test_advection_block_is_the_spectral_update_matrix(rk, alpha, node_kind, monkeypatch):
-    # the probes' element-0 responses, in call order, are the columns of the wave's one-step block
+    # one stacked probe step per mesh; its element-0 responses, probe by probe, are the columns of the
+    # wave's one-step block
     responses = []
 
     def recording(*args, **kwargs):
         stepped = rk_advance(*args, **kwargs)
-        responses.append(stepped.u[0])
+        responses.append(stepped.u[:, 0])
         return stepped
 
     monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
@@ -224,23 +366,23 @@ def test_advection_block_is_the_spectral_update_matrix(rk, alpha, node_kind, mon
         responses.clear()
         tau = _advect_cosine(element, alpha, n, pi, rk, tau_ref)[4]
         spectral = update_matrix(bloch_matrix(build_scheme_operators(element, alpha, pi / n), WAVENUMBER), tau, rk)
-        assert len(responses) == 4
-        gap = np.max(np.abs(np.stack(responses, axis=1) - spectral))
+        assert len(responses) == 1 and responses[0].shape == (4, 4)
+        gap = np.max(np.abs(responses[0].T - spectral))
         assert gap <= 1e-14, (n, gap)
 
 
 def test_ooa_study_has_no_time_loop(monkeypatch):
-    # p+1 = 4 probe steps per mesh, whatever the number of time steps (hundreds per mesh here)
-    calls = []
+    # one step of the p+1 = 4 stacked probes per mesh, whatever the number of time steps (hundreds per mesh here)
+    shapes = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return rk_advance(*args, **kwargs)
+    def recording(rhs_fn, state, *args, **kwargs):
+        shapes.append(state.u.shape)
+        return rk_advance(rhs_fn, state, *args, **kwargs)
 
-    monkeypatch.setattr(gsfr.experiments, "rk_advance", counting)
+    monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
     report = ooa_study(DG3, rk="rk33")
     assert min(report.steps) > 100
-    assert len(calls) == 4 * len(DEFAULT_ELEMENT_COUNTS)
+    assert shapes == [(4, n, 4) for n in DEFAULT_ELEMENT_COUNTS]
 
 
 def test_hetero_upwind_survives_fifteen_periods():
