@@ -101,7 +101,7 @@ class SearchReport:
     best_tau: float
     ooa_at_best: float
     grid_spec: str
-    evaluated: int
+    evaluated: int  # candidates whose order study ran, unstable runs included
 
 
 @dataclass(frozen=True)
@@ -387,7 +387,7 @@ def cfl_search(
             f"no stable grid point among {len(grid)} ({skipped} outside the bounds)"
         )
     candidates.sort(key=lambda item: -item[0])
-    for tau, params in candidates:
+    for evaluated, (tau, params) in enumerate(candidates, start=1):
         try:
             report = ooa_study(params, alpha, element_counts=element_counts, rk=rk)
         except UnstableRunError:
@@ -398,7 +398,7 @@ def cfl_search(
                 best_tau=tau,
                 ooa_at_best=report.fitted_order,
                 grid_spec=f"{len(grid)} points, {len(candidates)} stable, threshold {ooa_threshold}",
-                evaluated=len(candidates),
+                evaluated=evaluated,
             )
     raise EmptyFeasibleSetError(
         f"no grid point reached order {ooa_threshold} among {len(candidates)} stable candidates"

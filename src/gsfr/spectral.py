@@ -128,7 +128,11 @@ def cfl_limit(
     the eigenvalues of the Q(k) stack are solved once and each probe
     evaluates max |R(tau lambda)| over them. The update-matrix route
     (update_matrix + spectral_radius) runs once, at the first unstable
-    bracket end, to pick worst_k_hat; it also serves the tests as the oracle.
+    bracket end, to pick worst_k_hat, and only on the wavenumbers whose
+    eigen-route growth there is within 1e-12 of the largest: Q(k) depends
+    on k_hat only through exp(i(p+1)k_hat), so aliased wavenumbers tie to
+    round-off and the matrix route picks the first of them. It also
+    serves the tests as the oracle.
     tau is expressed for the operators as given; with jacobian 1
     (element width 2) it is the reference-domain time step for unit
     advection speed.
@@ -147,14 +151,17 @@ def cfl_limit(
     lam = _eigvals(q_mats).ravel()
     probes = 0
 
+    def growth(tau: float) -> np.ndarray:
+        z = tau * lam
+        r = np.ones_like(z)
+        for n in range(order, 0, -1):  # Horner form of sum_{n<=order} z^n / n!
+            r = 1.0 + r * z / n
+        return np.abs(r)
+
     def stable(tau: float) -> bool:
         nonlocal probes
         probes += 1
-        z = tau * lam
-        growth = np.ones_like(z)
-        for n in range(order, 0, -1):  # Horner form of sum_{n<=order} z^n / n!
-            growth = 1.0 + growth * z / n
-        return np.abs(growth).max() <= 1.0 + rho_tol
+        return growth(tau).max() <= 1.0 + rho_tol
 
     def result(tau_max: float, worst_k_hat: float) -> StabilityResult:
         return StabilityResult(
@@ -180,7 +187,12 @@ def cfl_limit(
         if hi < 1e-9:  # unstable for arbitrarily small steps
             lo = 0.0
             break
-    return result(lo, k_hats[int(np.argmax(spectral_radius(update_matrix(q_mats, hi, rk))))])
+    # per wavenumber the two routes' growths differ by at most 3.1e-14
+    # relative on the published rows and the p=2..4 weight grids, so 1e-12
+    # keeps the matrix route's maximum inside `near`
+    per_k = growth(hi).reshape(k_samples, -1).max(axis=1)
+    near = np.flatnonzero(per_k >= per_k.max() * (1.0 - 1e-12))
+    return result(lo, k_hats[near[np.argmax(spectral_radius(update_matrix(q_mats[near], hi, rk)))]])
 
 
 def dispersion_sweep(ops: SchemeOperators, k_samples: int = 256):

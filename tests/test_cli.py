@@ -246,6 +246,16 @@ def test_search_cfl_small_grid(tmp_path, capsys):
     assert doc["result"]["best_iota"] == [1.0, 0.0, 0.0]
 
 
+def test_search_cfl_counts_the_order_studies_that_ran(tmp_path, capsys):
+    # all 9 points are stable, but the first candidate already reaches the order threshold
+    out_file = tmp_path / "search.json"
+    argv = ["search", "cfl", "--p", "2", "--rk", "rk44", "--magnitudes", "0,1e-3", "--out", str(out_file)]
+    assert run(argv, capsys)[0] == 0
+    result = json.loads(out_file.read_text())["result"]
+    assert result["grid_spec"].startswith("9 points, 9 stable")
+    assert result["evaluated"] == 1
+
+
 def test_validation_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["corr", "solve", "--p", "3"])  # missing --iota

@@ -452,6 +452,30 @@ def test_cfl_search_prefers_faster_member():
     assert report.ooa_at_best >= 3.8
 
 
+def test_cfl_search_counts_unstable_runs_as_evaluated(monkeypatch):
+    # three stable candidates: the fastest one's order study fails, the plain-L2 member
+    # is the second one evaluated and reaches the order, the slowest one is never studied
+    studied = []
+
+    def first_run_unstable(params, *args, **kwargs):
+        studied.append(params.iota_array)
+        if len(studied) == 1:
+            raise UnstableRunError("divergence")
+        return ooa_study(params, *args, **kwargs)
+
+    monkeypatch.setattr(gsfr.experiments, "ooa_study", first_run_unstable)
+    grid = [
+        np.array([1.0, 0.0, 0.0, 0.0]),
+        np.array([1.0, 2.069e-4, 2.336e-3, 2.336e-3]),
+        np.array([1.0, 0.0, 0.0, -1e-4]),
+    ]
+    report = cfl_search(3, "rk44", grid=grid, element_counts=(40, 50, 60, 70))
+    assert report.grid_spec.startswith("3 points, 3 stable")
+    assert len(studied) == 2 and np.array_equal(studied[0], grid[1])
+    assert np.array_equal(report.best_iota, grid[0])
+    assert report.evaluated == 2
+
+
 def test_cfl_search_empty_feasible_set():
     with pytest.raises(EmptyFeasibleSetError):
         cfl_search(3, "rk44", grid=[np.array([1.0, -0.5, 0.0, 0.0])])

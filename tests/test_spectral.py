@@ -3,6 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+import gsfr.spectral
 from gsfr.correction import CorrectionParams, solve_correction, sufficient_bounds
 from gsfr.experiments import default_search_grid
 from gsfr.operators import RK_STAGE_ORDER, build_reference_element, build_scheme_operators
@@ -253,7 +254,14 @@ def _route_cases():
     grid = default_search_grid(3, magnitudes=[0.0, 1e-3])
     inside = [[float(v) for v in iota] for iota in grid if sufficient_bounds(CorrectionParams(3, iota)).satisfied]
     assert len(inside) == 12
-    return cases + [(3, "rk44", iota, 1e-10, 64) for iota in inside]
+    cases += [(3, "rk44", iota, 1e-10, 64) for iota in inside]
+    # strict p=4 point with tau_max ~6.6e-9: every growth is 1 to round-off, so the
+    # matrix route sees the whole stack; p=2 has no exact aliases at 128 samples
+    strict = [1.0, 0.0, 1e-2, -1e-3, 1e-3]
+    assert sufficient_bounds(CorrectionParams(4, strict)).satisfied
+    cases += [(4, rk, strict, 1e-10, 128) for rk in ("rk33", "rk44")]
+    assert any(np.array_equal(iota, [1.0, 1e-3, 1e-3]) for iota in default_search_grid(2, [0.0, 1e-3]))
+    return cases + [(2, "rk33", [1.0, 1e-3, 1e-3], 1e-10, 128)]
 
 
 # the one case whose bisection takes a different turn: both routes put
@@ -274,6 +282,31 @@ def test_cfl_limit_matches_matrix_route():
         assert res.tau_max.hex() == tau.hex(), case
         assert res.worst_k_hat.hex() == worst_k_hat.hex(), case
         assert res.probes == probes, case
+
+
+def test_cfl_limit_solves_the_full_stack_once(monkeypatch):
+    # one eigen-solve of the whole Bloch stack per limit; the matrix route that
+    # picks worst_k_hat sees only the near-worst wavenumbers (one alias group here)
+    _, rk, weights, _ = next(row for row in PUBLISHED_STEP_LIMITS if row[:2] == (3, "rk44"))
+    ops = make_ops(weights, 1.0)
+    shapes = {"_eigvals": [], "update_matrix": [], "spectral_radius": []}
+
+    def recording(name):
+        kernel = getattr(gsfr.spectral, name)
+
+        def wrapped(mat, *args):
+            shapes[name].append(np.shape(mat))
+            return kernel(mat, *args)
+
+        return wrapped
+
+    for name in shapes:
+        monkeypatch.setattr(gsfr.spectral, name, recording(name))
+    cfl_limit(ops, rk, k_samples=256, rho_tol=1e-4)
+    (near,) = shapes["update_matrix"]
+    assert near[0] < 256 and near[1:] == (4, 4)
+    assert shapes["spectral_radius"] == [near]
+    assert shapes["_eigvals"] == [(256, 4, 4), near]
 
 
 def _first_loss_of_stability(ops, rk, rho_tol, k_samples=256):
