@@ -12,7 +12,6 @@ import numpy as np
 from gsfr import (
     CorrectionParams,
     esfr3_weights,
-    osfr_correction,
     osfr_iota,
     pair_to_json,
     recover_weights,
@@ -35,8 +34,7 @@ dg = describe("nodal DG (plain L2 weights)", CorrectionParams(3, [1, 0, 0, 0]))
 print(f"  one-parameter equivalent: iota = {osfr_iota(3, dg.h_l)}")
 
 osfr = describe("one-parameter member, iota = 1e-2", CorrectionParams(3, [1, 0, 0, 1e-2]))
-print(f"  identical to the closed form: "
-      f"{np.allclose(osfr.h_l.coeffs, osfr_correction(3, 1e-2).h_l.coeffs, atol=1e-13)}")
+print(f"  one-parameter weight recovered: iota = {osfr_iota(3, osfr.h_l)}")
 
 unique = describe("a new member", CorrectionParams(3, [1, 0.01, 0.01, 0.1]))
 print(f"  one-parameter family: {osfr_iota(3, unique.h_l)} (None = not a member)")

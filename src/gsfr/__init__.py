@@ -16,7 +16,6 @@ from .correction import (
     correction_matrix,
     esfr3_gradient,
     esfr3_weights,
-    osfr_correction,
     osfr_iota,
     pair_from_json,
     pair_to_json,
@@ -35,7 +34,6 @@ from .experiments import (
 )
 from .legendre import (
     LegendreSeries,
-    endpoint_derivative,
     integral_dm_dm1,
     legendre_b,
     series_derivative,

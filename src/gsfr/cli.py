@@ -46,6 +46,13 @@ def _iota_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad weight list {text!r}: {exc}") from exc
 
 
+def _element_counts(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad element counts {text!r}: {exc}") from exc
+
+
 def _params(args) -> corr.CorrectionParams:
     # ValueError / GsfrError propagate to main's handler -> exit code 1
     return corr.CorrectionParams(args.p, args.iota)
@@ -277,7 +284,7 @@ def _build_parser() -> _Parser:
     s.add_argument(
         "--element-counts",
         dest="element_counts",
-        type=lambda t: tuple(int(v) for v in t.split(",")),
+        type=_element_counts,
         default=xp.DEFAULT_ELEMENT_COUNTS,
     )
 

@@ -11,10 +11,12 @@ interior rows, written once (``_weight_block``). The assembly, the solve
 and the weight recovery ``recover_weights`` (the same blocks with the
 weights as unknowns) are exact: floats are embedded into Fraction
 (binary-exact) and the tiny systems are solved by rational Gaussian
-elimination, so identical inputs give bit-identical outputs. The maps to
-the classical one-parameter (OSFR) and kappa-matrix (ESFR) families are
-closed forms evaluated in floating point; their membership tests
-regenerate the function and compare within MEMBERSHIP_TOL.
+elimination, so identical inputs give bit-identical outputs. The
+one-parameter (OSFR) family is the weights [1, 0, ..., 0, iota], so its
+map is weight recovery with the intermediate weights held at zero; the
+kappa-matrix (ESFR) map is a closed form evaluated in floating point.
+Both membership tests regenerate the function and compare within
+MEMBERSHIP_TOL.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .legendre import LegendreSeries, endpoint_derivative, integral_dm_dm1, mass_diagonal, series_derivative
+from .legendre import LegendreSeries, integral_dm_dm1, mass_diagonal, series_derivative
 
 __all__ = [
     "CorrectionParams",
@@ -38,14 +40,12 @@ __all__ = [
     "NumericalFailure",
     "SingularSystemError",
     "UnsupportedOrderError",
-    "SingularEtaError",
     "SingularDenominatorError",
     "DegenerateCoefficientError",
     "correction_matrix",
     "solve_correction",
     "sobolev_norm_squared",
     "sufficient_bounds",
-    "osfr_correction",
     "osfr_iota",
     "esfr3_gradient",
     "esfr3_weights",
@@ -72,10 +72,6 @@ class SingularSystemError(NumericalFailure):
 
 
 class UnsupportedOrderError(GsfrError):
-    pass
-
-
-class SingularEtaError(NumericalFailure):
     pass
 
 
@@ -147,26 +143,18 @@ class StabilityBounds:
     margins: np.ndarray
 
 
-def _boundary_product(i: int, n: int, m: int) -> Fraction:
-    """[d^i psi_n * d^i psi_m] evaluated at +1 minus at -1, exact."""
-    if i > n or i > m:
-        return Fraction(0)
-    right = endpoint_derivative(i, n, "right") * endpoint_derivative(i, m, "right")
-    left = endpoint_derivative(i, n, "left") * endpoint_derivative(i, m, "left")
-    return right - left
-
-
 @cache
 def _weight_block(p: int, i: int) -> tuple:
     """Interior rows (test orders m = 1..p) that a unit weight iota_i adds, exact.
 
-    Entry (m-1, n) is -1/2 times the derivative-product integral of psi_n
-    against psi_m minus its endpoint term: the raw combination is exactly
-    -2x the conventional normalization (row scaling does not change the
-    solution; the factor pins the golden form).
+    The raw entry (m-1, n) is the integral of d^i psi_n times d^(i+1) psi_m
+    minus, for i >= 1, its endpoint term; integration by parts makes that
+    exactly minus the integral of d^i psi_m times d^(i+1) psi_n. The raw
+    form is -2x the conventional normalization (row scaling does not
+    change the solution; the factor pins the golden form).
     """
     return tuple(
-        tuple(-(integral_dm_dm1(i, n, m) - (_boundary_product(i, n, m) if i else 0)) / 2 for n in range(p + 2))
+        tuple((integral_dm_dm1(i, m, n) if i else -integral_dm_dm1(0, n, m)) / 2 for n in range(p + 2))
         for m in range(1, p + 1)
     )
 
@@ -299,42 +287,36 @@ def sufficient_bounds(params: CorrectionParams) -> StabilityBounds:
     return StabilityBounds(lower=lower, satisfied=bool(ok), margins=margins)
 
 
-def osfr_correction(p: int, iota) -> CorrectionPair:
-    """One-parameter stable correction pair (classical single-iota family)."""
-    iota = _to_fraction(iota)
-    a_p = Fraction(factorial(2 * p), 2**p * factorial(p) ** 2)
-    eta = iota * (2 * p + 1) * (a_p * factorial(p)) ** 2
-    if 1 + eta == 0:
-        raise SingularEtaError(f"1 + eta_p vanishes for p={p}, iota={float(iota)}")
-    sign = Fraction((-1) ** p, 2)
-    h_l = [Fraction(0)] * (p + 2)
-    h_l[p] = sign
-    h_l[p - 1] = -sign * eta / (1 + eta)
-    h_l[p + 1] = -sign / (1 + eta)
-    return _reflected_pair(h_l)
+def _applied_blocks(h_l: LegendreSeries) -> list[list[Fraction]]:
+    """B_i h for i = 0..p: each _weight_block(p, i) applied to the coefficients h of h_l as exact fractions."""
+    h = [_to_fraction(c) for c in h_l.coeffs]
+    p = len(h) - 2
+    if not 2 <= p <= 5:
+        raise UnsupportedOrderError(f"h_l of order {p + 1} is outside the supported orders 3..6")
+    return [[sum(b * c for b, c in zip(row, h)) for row in _weight_block(p, i)] for i in range(p + 1)]
 
 
 def osfr_iota(p: int, h_l: LegendreSeries):
     """Recover the single-parameter iota reproducing h_l, or None.
 
-    The candidate comes from the top Legendre coefficient; membership
-    requires the regenerated pair to match every coefficient within
-    MEMBERSHIP_TOL. Returns None outside the one-parameter family.
+    This is recover_weights with iota_1..iota_{p-1} held at zero: iota_p
+    enters only the last interior row (B_p h is zero above it), so that
+    row alone gives the candidate. Membership requires the solve of
+    [1, 0, ..., 0, iota] to match every coefficient of h_l within
+    MEMBERSHIP_TOL (a singular solve is not a member). Returns None
+    outside the one-parameter family.
     """
-    coeffs = np.asarray(h_l.coeffs, dtype=float)
-    if len(coeffs) != p + 2:
-        raise ValueError(f"h_l must have order p+1={p + 1}, got order {len(coeffs) - 1}")
-    top = coeffs[p + 1]
-    if top == 0.0:
+    if len(h_l.coeffs) != p + 2:
+        raise ValueError(f"h_l must have order p+1={p + 1}, got order {h_l.order}")
+    applied = _applied_blocks(h_l)
+    if applied[p][-1] == 0:
         raise DegenerateCoefficientError("top Legendre coefficient of h_l vanishes")
-    a_p = factorial(2 * p) / (2**p * factorial(p) ** 2)
-    scale = (2 * p + 1) * (a_p * factorial(p)) ** 2
-    iota = ((-1) ** (p + 1) / (2.0 * top) - 1.0) / scale
+    iota = float(-applied[0][-1] / applied[p][-1])
     try:
-        rebuilt = osfr_correction(p, iota)
-    except SingularEtaError:
+        rebuilt = solve_correction(CorrectionParams(p, [1.0] + [0.0] * (p - 1) + [iota]))
+    except SingularSystemError:
         return None
-    if np.max(np.abs(rebuilt.h_l.coeffs - coeffs)) > MEMBERSHIP_TOL:
+    if np.max(np.abs(rebuilt.h_l.coeffs - h_l.coeffs)) > MEMBERSHIP_TOL:
         return None
     return iota
 
@@ -391,11 +373,8 @@ def recover_weights(h_l: LegendreSeries) -> np.ndarray:
     coefficients of h_l as exact fractions. A singular system (h_l admits
     several weight vectors) raises DegenerateCoefficientError.
     """
-    h = [_to_fraction(c) for c in h_l.coeffs]
-    p = len(h) - 2
-    if not 2 <= p <= 5:
-        raise UnsupportedOrderError(f"h_l of order {p + 1} is outside the supported orders 3..6")
-    applied = [[sum(b * c for b, c in zip(row, h)) for row in _weight_block(p, i)] for i in range(p + 1)]
+    applied = _applied_blocks(h_l)
+    p = len(applied) - 1
     mat = [[applied[i][r] for i in range(1, p + 1)] for r in range(p)]
     try:
         weights = _solve_rational(mat, [-v for v in applied[0]])
@@ -426,8 +405,11 @@ def pair_from_json(text: str) -> tuple[CorrectionParams, CorrectionPair]:
     if not isinstance(doc, dict):
         raise ValueError(f"correction file holds a JSON {type(doc).__name__}, not an object")
     for name, kind in (("p", int), ("iota", list), ("h_l", list), ("h_r", list)):
-        if not isinstance(doc.get(name), kind):
+        if not isinstance(doc.get(name), kind) or isinstance(doc[name], bool):
             raise ValueError(f"correction file field {name!r} is missing or not of type {kind.__name__}")
+    for name in ("iota", "h_l", "h_r"):
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc[name]):
+            raise ValueError(f"correction file field {name!r} must hold JSON numbers only")
     params = CorrectionParams(doc["p"], doc["iota"])
     h_l, h_r = (np.array(doc[name], dtype=float) for name in ("h_l", "h_r"))
     for name, coeffs in (("h_l", h_l), ("h_r", h_r)):

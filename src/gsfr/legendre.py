@@ -1,11 +1,10 @@
 """Legendre polynomial algebra on [-1, 1].
 
-Everything combinatorial (derivative-product integrals, endpoint
-derivatives, the mass diagonal) is computed in exact rational
-arithmetic with :class:`fractions.Fraction`; factorials up to roughly
-(2p+2)! appear and would overflow fixed-width integers. Floating point
-enters only when a series is evaluated or handed to the linear algebra
-layer.
+Everything combinatorial (derivative-product integrals, the mass
+diagonal) is computed in exact rational arithmetic with
+:class:`fractions.Fraction`; factorials up to roughly (2p+2)! appear
+and would overflow fixed-width integers. Floating point enters only
+when a series is evaluated or handed to the linear algebra layer.
 """
 
 from __future__ import annotations
@@ -19,30 +18,11 @@ import numpy.polynomial.legendre as npleg
 
 __all__ = [
     "LegendreSeries",
-    "endpoint_derivative",
     "legendre_b",
     "integral_dm_dm1",
     "mass_diagonal",
     "series_derivative",
 ]
-
-
-def endpoint_derivative(n: int, j: int, side: str) -> Fraction:
-    """Exact n-th derivative of the degree-j Legendre polynomial at an endpoint.
-
-    ``side`` is "left" (xi = -1) or "right" (xi = +1). For j < n the
-    derivative vanishes and 0 is returned.
-    """
-    if n < 0 or j < 0:
-        raise ValueError("orders must be non-negative")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if j < n:
-        return Fraction(0)
-    value = Fraction(factorial(j + n), 2**n * factorial(n) * factorial(j - n))
-    if side == "left" and (j - n) % 2 == 1:
-        value = -value
-    return value
 
 
 def legendre_b(i: int, m: int, n: int) -> Fraction:

@@ -14,7 +14,6 @@ from gsfr.correction import (
     CorrectionPair,
     CorrectionParams,
     esfr3_weights,
-    osfr_correction,
     osfr_iota,
     recover_weights,
     sobolev_norm_squared,
@@ -38,6 +37,7 @@ from gsfr.spectral import (
     k_from_k_hat,
 )
 
+from closed_forms import osfr_correction
 from test_correction import (
     GOLDEN_P2,
     GOLDEN_P3,

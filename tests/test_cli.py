@@ -66,9 +66,14 @@ def test_corr_identify_dg_has_no_negative_zero(tmp_path, capsys):
     assert not re.search(r"-0\.0(?![0-9])", out_file.read_text())
 
 
-def test_corr_identify_names_only_the_maps_that_ran(capsys):
-    code, out, _ = run(["corr", "identify", "--p", "4", "--iota", "1,0,0,0,0.001"], capsys)
-    assert code == 0 and out.startswith("identify: osfr=0.001, iota=[1.0, 0.0, 0.0, 0.0, 0.00") and "esfr" not in out
+def test_corr_identify_names_only_the_maps_that_ran(tmp_path, capsys):
+    # the OSFR weight is the exact system's: the same double as the last recovered weight
+    for p, iota, osfr in (("4", "1,0,0,0,0.001", "0.0010000000000000002"), ("2", "1,0,1e-9", "1e-09")):
+        out_file = tmp_path / "id.json"
+        code, out, _ = run(["corr", "identify", "--p", p, "--iota", iota, "--out", str(out_file)], capsys)
+        assert code == 0 and out.startswith(f"identify: osfr={osfr}, iota=[1.0, 0.0, ") and "esfr" not in out
+        result = json.loads(out_file.read_text())["result"]
+        assert result["osfr_iota"] == result["recovered_iota"][-1]
 
 
 @pytest.mark.parametrize(
@@ -83,8 +88,16 @@ def test_corr_identify_names_only_the_maps_that_ran(capsys):
         ('{"p": 3, "iota": [1, 0, 0, 0], "h_l": [0, 0, 0, -1, 1], "h_r": [0, 0, 0, 1, 1]}', "3", "h_l(-1) = 2"),
         # nodal DG's h_l under the weights [1, 0, 0, 10]: a member, but not the one its iota solves to
         ('{"p": 3, "iota": [1, 0, 0, 10], "h_l": [0, 0, 0, -0.5, 0.5], "h_r": [0, 0, 0, 0.5, 0.5]}', "3", "of its 'iota'"),
+        # weights and orders must be JSON numbers, not strings or booleans
+        ('{"p": 2, "iota": [1, 0, "0.01"], "h_l": [0, 0, 0.5, -0.5], "h_r": [0, 0, 0.5, 0.5]}', "2", "field 'iota'"),
+        ('{"p": 2, "iota": [1, 0, true], "h_l": [0, 0, 0.5, -0.5], "h_r": [0, 0, 0.5, 0.5]}', "2", "field 'iota'"),
+        ('{"p": true, "iota": [1, 0], "h_l": [0, 0.5, -0.5], "h_r": [0, 0.5, 0.5]}', "1", "field 'p'"),
+        ('{"p": 2, "iota": [1, 0, 0], "h_l": [0, 0, "0.5", -0.5], "h_r": [0, 0, 0.5, 0.5]}', "2", "field 'h_l'"),
     ],
-    ids=["missing-field", "not-an-object", "other-p", "nan", "contradicting-h_r", "twice-dg", "other-iota"],
+    ids=[
+        "missing-field", "not-an-object", "other-p", "nan", "contradicting-h_r", "twice-dg", "other-iota",
+        "string-weight", "bool-weight", "bool-p", "string-coefficient",
+    ],
 )
 def test_corr_identify_rejects_a_bad_file(content, p, message, tmp_path, capsys):
     path = tmp_path / "c.json"
@@ -361,6 +374,14 @@ def test_removed_options_are_rejected(cmd, option, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_bad_element_counts_name_the_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main("run ooa --p 2 --iota 1,0,0 --element-counts 50,a,60,70".split())
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert "argument --element-counts: bad element counts '50,a,60,70'" in err and "<lambda>" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -379,6 +400,9 @@ def test_removed_options_are_rejected(cmd, option, capsys):
         ["vn", "cfl", "--p", "3", "--iota", "1,0,0,0", "--rho-tol", "nan"],
         ["vn", "sweep", "--p", "2", "--magnitudes", "0", "--rho-tol", "-1"],
         ["vn", "sweep", "--p", "2", "--magnitudes", "0", "--rho-tol", "nan"],
+        # more steps than int64 counts: a step that small, or that many periods
+        ["run", "hetero", "--p", "3", "--iota", "1,0,0,0", "--periods", "1", "--cfl", "1e-300"],
+        ["run", "hetero", "--p", "3", "--iota", "1,0,0,0", "--periods", "100000000000000000000000"],
     ],
 )
 def test_invalid_input_exits_one_with_one_line(argv, capsys):
@@ -422,7 +446,7 @@ def test_every_package_error_has_one_exit_code(monkeypatch, capsys):
     ]
     numerical = {cls.__name__ for cls in errors if issubclass(cls, NumericalFailure)}
     assert numerical == {
-        "NumericalFailure", "SingularSystemError", "SingularEtaError", "SingularDenominatorError",
+        "NumericalFailure", "SingularSystemError", "SingularDenominatorError",
         "ConvergenceFailureError", "UnstableRunError", "EmptyFeasibleSetError",
     }
     for error in errors:

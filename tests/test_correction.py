@@ -9,14 +9,11 @@ from gsfr.correction import (
     CorrectionPair,
     CorrectionParams,
     DegenerateCoefficientError,
-    SingularEtaError,
     SingularSystemError,
     UnsupportedOrderError,
-    _boundary_product,
     correction_matrix,
     esfr3_gradient,
     esfr3_weights,
-    osfr_correction,
     osfr_iota,
     pair_from_json,
     pair_to_json,
@@ -26,6 +23,8 @@ from gsfr.correction import (
     sufficient_bounds,
 )
 from gsfr.legendre import LegendreSeries, integral_dm_dm1, series_derivative
+
+from closed_forms import SingularEtaError, boundary_product, osfr_correction
 
 
 def coefficient_matrices(p):
@@ -111,7 +110,7 @@ def test_golden_matrix_p4_known_deviations():
 
 
 def triple_loop_matrix(params):
-    """The correction system summed entry by entry, weight by weight: the oracle for the per-weight blocks."""
+    """The correction system summed entry by entry, weight by weight, in the raw endpoint form: the oracle for the per-weight blocks."""
     p = params.p
     iota = params.iota_fractions
     mat = []
@@ -124,7 +123,7 @@ def triple_loop_matrix(params):
                     continue
                 acc += iota[i] * integral_dm_dm1(i, n, m)
                 if i >= 1:
-                    acc -= iota[i] * _boundary_product(i, n, m)
+                    acc -= iota[i] * boundary_product(i, n, m)
             row.append(-acc / 2)
         mat.append(row)
     mat.append([F(1)] * (p + 2))
@@ -227,6 +226,13 @@ def test_osfr_singular_eta():
 def test_osfr_iota_round_trip():
     assert osfr_iota(3, osfr_correction(3, 0.01).h_l) == pytest.approx(0.01, abs=1e-10)
     assert osfr_iota(3, osfr_correction(3, 0).h_l) == pytest.approx(0.0, abs=1e-12)
+    # the typed weight comes back within one rounding, down to 1e-15, and it is the weight recover_weights finds
+    for p in (2, 3, 4, 5):
+        for iota in (1e-15, 1e-12, 1e-9, 1e-6, 1e-2, 1e6):
+            h_l = solve_correction(CorrectionParams(p, [1.0] + [0.0] * (p - 1) + [iota])).h_l
+            recovered = osfr_iota(p, h_l)
+            assert abs(recovered - iota) <= 2.2e-16 * iota, (p, iota)
+            assert recovered == recover_weights(h_l)[p]
 
 
 def test_osfr_iota_degenerate_top_coefficient():

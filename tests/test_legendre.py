@@ -6,12 +6,13 @@ import pytest
 
 from gsfr.legendre import (
     LegendreSeries,
-    endpoint_derivative,
     integral_dm_dm1,
     legendre_b,
     mass_diagonal,
     series_derivative,
 )
+
+from closed_forms import endpoint_derivative
 
 
 def _dpsi(order, n, xs):
