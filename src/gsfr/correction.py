@@ -304,7 +304,8 @@ def osfr_iota(p: int, h_l: LegendreSeries):
     row alone gives the candidate. Membership requires the solve of
     [1, 0, ..., 0, iota] to match every coefficient of h_l within
     MEMBERSHIP_TOL (a singular solve is not a member). Returns None
-    outside the one-parameter family.
+    outside the one-parameter family. Like recover_weights it takes
+    p in 2..5 only; other orders raise UnsupportedOrderError.
     """
     if len(h_l.coeffs) != p + 2:
         raise ValueError(f"h_l must have order p+1={p + 1}, got order {h_l.order}")

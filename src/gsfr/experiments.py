@@ -312,11 +312,15 @@ def hetero_energy_study(
     state = uniform_mesh(ops, n_elements, -1.0, 1.0, init=lambda x: np.sin(4.0 * np.pi * x))
     node_spacing = state.element_width / (params.p + 1)
     tau_target = cfl * node_spacing / 3.0
-    # steps are counted in int64: refuse a run longer than that (tau_target may even underflow to 0)
+    # steps are counted in int64: refuse a run longer than that, checked before dividing by a
+    # tau_target that may underflow to 0, and again after ceil's rounding
     max_steps = int(np.iinfo(np.int64).max)
-    steps_per_period = max(1, ceil(HETERO_PERIOD / tau_target)) if tau_target > HETERO_PERIOD / max_steps else inf
+    too_long = ValueError(f"{n_periods} periods at cfl {cfl:g} take more than {max_steps} steps")
+    if n_periods > max_steps or n_periods * HETERO_PERIOD > tau_target * max_steps:
+        raise too_long
+    steps_per_period = max(1, ceil(HETERO_PERIOD / tau_target))
     if n_periods * steps_per_period > max_steps:
-        raise ValueError(f"{n_periods} periods at cfl {cfl:g} take more than {max_steps} steps")
+        raise too_long
     tau = HETERO_PERIOD / steps_per_period
     record_stride = max(1, steps_per_period // 32)
 

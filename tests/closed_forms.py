@@ -12,11 +12,7 @@
 from fractions import Fraction
 from math import factorial
 
-from gsfr.correction import CorrectionPair, NumericalFailure, _reflected_pair, _to_fraction
-
-
-class SingularEtaError(NumericalFailure):
-    pass
+from gsfr.correction import CorrectionPair, _reflected_pair, _to_fraction
 
 
 def endpoint_derivative(n: int, j: int, side: str) -> Fraction:
@@ -47,12 +43,13 @@ def boundary_product(i: int, n: int, m: int) -> Fraction:
 
 
 def osfr_correction(p: int, iota) -> CorrectionPair:
-    """One-parameter stable correction pair (classical single-iota family)."""
+    """One-parameter stable correction pair (classical single-iota family).
+
+    Raises ZeroDivisionError where 1 + eta_p vanishes.
+    """
     iota = _to_fraction(iota)
     a_p = Fraction(factorial(2 * p), 2**p * factorial(p) ** 2)
     eta = iota * (2 * p + 1) * (a_p * factorial(p)) ** 2
-    if 1 + eta == 0:
-        raise SingularEtaError(f"1 + eta_p vanishes for p={p}, iota={float(iota)}")
     sign = Fraction((-1) ** p, 2)
     h_l = [Fraction(0)] * (p + 2)
     h_l[p] = sign

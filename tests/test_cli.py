@@ -68,10 +68,13 @@ def test_corr_identify_dg_has_no_negative_zero(tmp_path, capsys):
 
 def test_corr_identify_names_only_the_maps_that_ran(tmp_path, capsys):
     # the OSFR weight is the exact system's: the same double as the last recovered weight
-    for p, iota, osfr in (("4", "1,0,0,0,0.001", "0.0010000000000000002"), ("2", "1,0,1e-9", "1e-09")):
+    for p, iota, expected in (
+        ("4", "1,0,0,0,0.001", "identify: osfr=0.0010000000000000002, iota=[1.0, 0.0, 0.0, 0.0, 0.0010000000000000002]\n"),
+        ("2", "1,0,1e-9", "identify: osfr=1e-09, iota=[1.0, 0.0, 1e-09]\n"),
+    ):
         out_file = tmp_path / "id.json"
         code, out, _ = run(["corr", "identify", "--p", p, "--iota", iota, "--out", str(out_file)], capsys)
-        assert code == 0 and out.startswith(f"identify: osfr={osfr}, iota=[1.0, 0.0, ") and "esfr" not in out
+        assert code == 0 and out == expected
         result = json.loads(out_file.read_text())["result"]
         assert result["osfr_iota"] == result["recovered_iota"][-1]
 

@@ -24,7 +24,7 @@ from gsfr.correction import (
 )
 from gsfr.legendre import LegendreSeries, integral_dm_dm1, series_derivative
 
-from closed_forms import SingularEtaError, boundary_product, osfr_correction
+from closed_forms import boundary_product, osfr_correction
 
 
 def coefficient_matrices(p):
@@ -218,9 +218,9 @@ def test_osfr_huynh_g2_value():
 
 
 def test_osfr_singular_eta():
-    # eta_3 = 1575 iota, so iota = -1/1575 degenerates
-    with pytest.raises(SingularEtaError):
-        osfr_correction(3, F(-1, 1575))
+    # eta_3 = 1575 iota, so iota = -1/1575 degenerates: the exact system is singular there
+    with pytest.raises(SingularSystemError):
+        solve_correction(CorrectionParams(3, [1, 0, 0, F(-1, 1575)]))
 
 
 def test_osfr_iota_round_trip():
@@ -238,6 +238,12 @@ def test_osfr_iota_round_trip():
 def test_osfr_iota_degenerate_top_coefficient():
     with pytest.raises(DegenerateCoefficientError):
         osfr_iota(3, LegendreSeries(np.array([0.0, 0.0, 0.25, -0.5, 0.0])))
+
+
+def test_osfr_iota_unsupported_order():
+    # p = 1 nodal DG: osfr_iota reads the exact blocks, which exist for p in 2..5 only
+    with pytest.raises(UnsupportedOrderError):
+        osfr_iota(1, LegendreSeries(np.array([0.0, 0.5, -0.5])))
 
 
 def test_esfr3_gradient_nodal_dg():
