@@ -35,7 +35,6 @@ ABSCISSA_TOL = 1e-12
 class _Parser(argparse.ArgumentParser):
     # validation problems are exit code 1, not argparse's default 2
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
@@ -303,7 +302,7 @@ def main(argv=None) -> int:
     except corr.NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (corr.GsfrError, ValueError, OSError) as exc:
+    except (corr.GsfrError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -52,8 +52,6 @@ HETERO_PERIOD = 2.0 / sqrt(3.0)
 BLOWUP_ENERGY = 1e3
 # steps of the hetero study per energy reduction; its buffer holds this many solutions
 _ENERGY_CHUNK = 128
-# largest probe stack, in unknowns, that step_map steps in one call; bounds its memory
-_PROBE_UNKNOWNS = 1 << 16
 
 # advection studies: wave cos(WAVENUMBER x), step SAFETY times the limit at REFERENCE_RHO_TOL
 WAVENUMBER = 1.0
@@ -126,34 +124,31 @@ class StepMap:
 def step_map(rhs_fn, state, tau: float, rk: str) -> StepMap:
     """Assemble the one-step map of rk_advance(rhs_fn, ., tau, rk) by coloured probing.
 
-    Elements are coloured j mod c, with c the smallest divisor of n that is
-    at least min(2s+1, n). Each probe is a unit value at one local node of
-    every element of one colour; a row element then meets at most one
-    probed element within its band, so the probe's response fills exactly
-    one of its blocks. That takes c(p+1) probes instead of n(p+1), stepped
-    as stacks by rk_advance: all of them in one call unless the stack
-    would exceed _PROBE_UNKNOWNS, as it does when n has no small divisor
-    (a prime n has c = n). When n < 2s+1, every element is probed alone
-    and its coupling lands in the first slot that names it; the other
-    slots naming the same element stay zero.
+    Elements are coloured in runs: each whole run of 2s+1 elements takes
+    colours 0..2s in order, and the n mod (2s+1) elements left over take
+    one new colour each, so elements of one colour are at least 2s+1 apart,
+    also across the periodic wrap. Each probe is a unit value at one local
+    node of every element of one colour; a row element then meets at most
+    one probed element within its band, so the probe's response fills
+    exactly one of its blocks. That takes at most (4s+1)(p+1) probes
+    instead of n(p+1), whatever n is, stepped as one stack by rk_advance.
+    When n < 2s+1, every element is probed alone and its coupling lands in
+    the first slot that names it; the other slots naming the same element
+    stay zero.
     """
     n, width = state.u.shape
     s = stage_order(rk)
-    colours = next(c for c in range(min(2 * s + 1, n), n + 1) if n % c == 0)
-    rows = np.arange(n)
-    blocks = np.zeros((n, width, 2 * s + 1, width))
-    per_call = max(1, _PROBE_UNKNOWNS // (n * width * width))
-    for group in np.array_split(np.arange(colours), -(-colours // per_call)):
-        probed = rows[np.isin(rows % colours, group)]
-        probes = np.zeros((len(group), width, n, width))
-        probes[probed % colours - group[0], :, probed, :] = np.eye(width)
-        stacked = replace(state, u=probes.reshape(-1, n, width))
-        responses = rk_advance(rhs_fn, stacked, tau, rk).u.reshape(probes.shape)
-        # offset from row j to the element of colour group[k] in its band, if any
-        offset = (group[:, None] - rows + s) % colours - s
-        k, j = np.nonzero(offset <= s)
-        blocks[j, :, offset[k, j] + s, :] = responses[k, :, j, :].transpose(0, 2, 1)
+    band = 2 * s + 1
+    runs, rows = n // band, np.arange(n)
+    colour = np.where(rows < runs * band, rows % band, rows - max(runs - 1, 0) * band)
+    probes = np.zeros((colour.max() + 1, width, n, width))
+    probes[colour, :, rows, :] = np.eye(width)
+    responses = rk_advance(rhs_fn, replace(state, u=probes.reshape(-1, n, width)), tau, rk).u.reshape(probes.shape)
     neighbours = (rows[:, None] + np.arange(-s, s + 1)) % n
+    # blocks[j, :, o, :] is row j's response to the probe of its o-th band element; the copy keeps
+    # the blocks C-contiguous, since np.matmul rounds a transposed view differently in StepMap
+    blocks = responses[colour[neighbours], :, rows[:, None], :].transpose(0, 3, 1, 2).copy()
+    blocks[:, :, n:, :] = 0.0  # slots past n repeat an element an earlier slot names
     index = (neighbours[..., None] * width + np.arange(width)).reshape(n, -1)
     return StepMap(blocks.reshape(n, width, -1), index)
 
@@ -304,8 +299,8 @@ def hetero_energy_study(
     exactly on period boundaries. Blow-up (energy above 1e3) stops the
     run and is flagged with its time rather than raised.
     """
-    if n_elements < 1 or n_periods < 1 or not cfl > 0.0:
-        raise ValueError(f"need n_elements >= 1, n_periods >= 1, cfl > 0; got {n_elements}, {n_periods}, {cfl}")
+    if n_elements < 1 or n_periods < 1 or not 0.0 < cfl < inf:
+        raise ValueError(f"need n_elements >= 1, n_periods >= 1, a finite cfl > 0; got {n_elements}, {n_periods}, {cfl}")
     pair = solve_correction(params)
     element = build_reference_element(params.p, pair, node_kind)
     ops = build_scheme_operators(element, alpha, jacobian=1.0 / n_elements)

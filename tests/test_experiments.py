@@ -16,7 +16,6 @@ from gsfr.experiments import (
     EmptyFeasibleSetError,
     UnstableRunError,
     _ENERGY_CHUNK,
-    _PROBE_UNKNOWNS,
     _advect_cosine,
     _advection_setup,
     _reference_tau,
@@ -107,8 +106,8 @@ def test_hetero_energy_initial_value_and_window():
 @pytest.mark.parametrize("rk", RK_SCHEMES)
 @pytest.mark.parametrize("rhs_kind", ["advection", "heterogeneous"])
 def test_step_map_matches_stage_form(rk, rhs_kind):
-    # n = 1, 2, 5 lie below the band 2s+1 of every scheme; the larger n colour by a proper divisor (32)
-    # or element by element (7, 8, 9, 11 for some schemes); alpha below 1 puts mass on both sides of the band
+    # n = 1, 2, 5 lie below the band 2s+1 of every scheme; 7, 8, 9 and 11 are one run plus leftovers or
+    # below the band for some schemes, and 32 is several runs; alpha below 1 puts mass on both sides of the band
     element = build_reference_element(3, solve_correction(DG3))
     rng = np.random.default_rng(7)
     for n in (1, 2, 5, 7, 8, 9, 11, 32):
@@ -128,7 +127,7 @@ def test_step_map_matches_stage_form(rk, rhs_kind):
 
 
 def test_step_map_probes_one_colour_at_a_time(monkeypatch):
-    # N=32 rk44: 16 colours (the smallest divisor of 32 that is >= 9) x 4 nodes, not 32 x 4, in one stacked step
+    # N=32 rk44: 14 colours (three runs of 9, then 5 leftover elements) x 4 nodes, not 32 x 4, in one stacked step
     shapes = []
 
     def recording(rhs_fn, state, *args, **kwargs):
@@ -139,7 +138,7 @@ def test_step_map_probes_one_colour_at_a_time(monkeypatch):
     ops = build_scheme_operators(build_reference_element(3, solve_correction(DG3)), 1.0, jacobian=1.0 / 32)
     state = uniform_mesh(ops, 32, -1.0, 1.0)
     step_map(make_heterogeneous_rhs(ops, state), state, 1e-3, "rk44")
-    assert shapes == [(64, 32, 4)]
+    assert shapes == [(56, 32, 4)]
 
 
 def step_map_per_probe(rhs_fn, state, tau, rk):
@@ -164,13 +163,14 @@ def step_map_per_probe(rhs_fn, state, tau, rk):
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_step_map_matches_per_probe_loop(p, rk):
     # bit for bit: the stacked probe fills the same blocks, and the flat gather applies them as the old
-    # neighbour gather did; n = 1, 2, 5 lie below some bands, 7 and 9 colour element by element
+    # neighbour gather did; n = 1, 2, 5 lie below some bands, 7 and 9 colour element by element, and the
+    # prime 23 leaves leftover colours for every scheme (the oracle's divisor rule gives it 23 colours)
     rng = np.random.default_rng(p)
     pair = solve_correction(CorrectionParams(p, [1.0] + [0.0] * p))
     for node_kind in ("gauss", "lobatto"):
         element = build_reference_element(p, pair, node_kind)
         for alpha in (1.0, 0.75):
-            for n in (1, 2, 5, 7, 9, 32, 64):
+            for n in (1, 2, 5, 7, 9, 23, 32, 64):
                 ops = build_scheme_operators(element, alpha, jacobian=1.0 / n)
                 state = uniform_mesh(ops, n, -1.0, 1.0)
                 tau = 0.05 * state.element_width / (p + 1)
@@ -183,23 +183,31 @@ def test_step_map_matches_per_probe_loop(p, rk):
                     assert np.array_equal(step(u), gathered), (node_kind, alpha, n)
 
 
-def test_step_map_steps_many_colours_in_bounded_stacks(monkeypatch):
-    # a prime n = 127 is its own colour count: 127 x 4 probes, stepped 32 colours (65,024 unknowns) at a time
+def test_step_map_steps_any_mesh_in_one_bounded_stack(monkeypatch):
+    # a prime n = 127 rk44 takes 9 + 127 mod 9 = 10 colours x 4 nodes in one call (the oracle's divisor
+    # rule gives 127 colours); on every n up to 64 each scheme probes at most (4s+1)(p+1) states at once
     shapes = []
 
     def recording(rhs_fn, state, *args, **kwargs):
         shapes.append(state.u.shape)
         return rk_advance(rhs_fn, state, *args, **kwargs)
 
-    ops = build_scheme_operators(build_reference_element(3, solve_correction(DG3)), 0.75, jacobian=1.0 / 127)
+    element = build_reference_element(3, solve_correction(DG3))
+    ops = build_scheme_operators(element, 0.75, jacobian=1.0 / 127)
     state = uniform_mesh(ops, 127, -1.0, 1.0)
     rhs = make_heterogeneous_rhs(ops, state)
     blocks, _ = step_map_per_probe(rhs, state, 1e-3, "rk44")
     monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
     step = step_map(rhs, state, 1e-3, "rk44")
-    assert shapes == [(128, 127, 4)] * 3 + [(124, 127, 4)]
-    assert max(np.prod(shape) for shape in shapes) <= _PROBE_UNKNOWNS
-    assert np.array_equal(step.blocks, blocks)
+    assert shapes == [(40, 127, 4)]
+    assert step.blocks.shape == blocks.shape and step.blocks.tobytes() == blocks.tobytes()  # sign bits too
+    for rk in RK_SCHEMES:
+        for n in range(1, 65):
+            ops = build_scheme_operators(element, 1.0, jacobian=1.0 / n)
+            state = uniform_mesh(ops, n, -1.0, 1.0)
+            shapes.clear()
+            step_map(lambda s: linear_advection_rhs(ops, s), state, 1e-3, rk)
+            assert len(shapes) == 1 and shapes[0][0] <= (4 * RK_STAGE_ORDER[rk] + 1) * 4, (rk, n, shapes)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
