@@ -100,6 +100,12 @@ class SearchReport:
     ooa_at_best: float
     grid_spec: str
     evaluated: int  # candidates whose order study ran, unstable runs included
+    # the fate of every other grid point and of every evaluated candidate but the best
+    outside_bounds: int  # outside the sufficient bounds, so never given a limit
+    no_limit: int  # inside the bounds, but a singular system or a failed bisection
+    zero_tau: int  # a limit of 0: unstable for every step
+    unstable_runs: int  # order studies refused or diverged (UnstableRunError)
+    below_order: int  # order studies that fitted below the threshold
 
 
 @dataclass(frozen=True)
@@ -383,17 +389,19 @@ def cfl_search(
     ooa_threshold = p + ORDER_MARGIN
     points = [CorrectionParams(p, list(iota)) for iota in grid]
     taus = [step_limit(params, alpha, rk) for params in points]
+    outside = sum(not sufficient_bounds(params).satisfied for params in points)
     candidates = [(tau, params) for tau, params in zip(taus, points) if tau > 0.0]
     if not candidates:
-        skipped = sum(not sufficient_bounds(params).satisfied for params in points)
         raise EmptyFeasibleSetError(
-            f"no stable grid point among {len(grid)} ({skipped} outside the bounds)"
+            f"no stable grid point among {len(grid)} ({outside} outside the bounds)"
         )
     candidates.sort(key=lambda item: -item[0])
+    unstable_runs = 0
     for evaluated, (tau, params) in enumerate(candidates, start=1):
         try:
             report = ooa_study(params, alpha, element_counts=element_counts, rk=rk)
         except UnstableRunError:
+            unstable_runs += 1
             continue
         if report.fitted_order >= ooa_threshold:
             return SearchReport(
@@ -402,6 +410,11 @@ def cfl_search(
                 ooa_at_best=report.fitted_order,
                 grid_spec=f"{len(grid)} points, {len(candidates)} stable, threshold {ooa_threshold}",
                 evaluated=evaluated,
+                outside_bounds=outside,
+                no_limit=int(np.isnan(taus).sum()) - outside,
+                zero_tau=taus.count(0.0),
+                unstable_runs=unstable_runs,
+                below_order=evaluated - 1 - unstable_runs,
             )
     raise EmptyFeasibleSetError(
         f"no grid point reached order {ooa_threshold} among {len(candidates)} stable candidates"

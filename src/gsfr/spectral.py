@@ -18,7 +18,7 @@ i.e. normalised so the grid Nyquist limit sits at pi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, inf
+from math import factorial, gcd, inf
 
 import numpy as np
 
@@ -113,6 +113,22 @@ def _k_hat_grid(k_samples: int) -> np.ndarray:
     return np.pi * np.arange(1, k_samples + 1) / k_samples
 
 
+def _phase_classes(p: int, k_samples: int) -> np.ndarray:
+    """First grid index of each Bloch phase class up to conjugation, in grid order.
+
+    The j-th wavenumber (j = 1..K, k_hat = pi*j/K) has phase
+    (p+1)*k_hat = pi*m_j/K with m_j = (p+1)*j mod 2K, which repeats with
+    period P = 2K / gcd(p+1, 2K); inside a period m_(P-j) = -m_j, so Q at
+    j and at P-j are conjugates. The first of each class is thus
+    j = 1..P/2 and j = P (phase 0), or every j when P = 2K (even p).
+    Integers, so no rounding decides an alias.
+    """
+    period = 2 * k_samples // gcd(p + 1, 2 * k_samples)
+    if period > k_samples:
+        return np.arange(k_samples)
+    return np.array([*range(period // 2), period - 1])
+
+
 def cfl_limit(
     ops: SchemeOperators,
     rk: str = "rk44",
@@ -125,13 +141,17 @@ def cfl_limit(
     max_k rho(R(tau Q(k))) <= 1 + rho_tol, where R is the exponential
     truncated at the scheme order. By spectral mapping,
     eig(R(tau Q)) = R(tau eig(Q)) (Vermeire & Vincent, CMAME 2017), so
-    the eigenvalues of the Q(k) stack are solved once and each probe
-    evaluates max |R(tau lambda)| over them. The update-matrix route
-    (update_matrix + spectral_radius) runs once, at the first unstable
-    bracket end, to pick worst_k_hat, and only on the wavenumbers whose
-    eigen-route growth there is within 1e-12 of the largest: Q(k) depends
-    on k_hat only through exp(i(p+1)k_hat), so aliased wavenumbers tie to
-    round-off and the matrix route picks the first of them. It also
+    the eigenvalues are solved once and each probe evaluates
+    max |R(tau lambda)| over them. Q(k) depends on k_hat only through
+    the phase exp(i(p+1)k_hat), and conjugate phases give conjugate
+    matrices with the same |R(tau lambda)|, so only the first grid
+    wavenumber of each phase class up to conjugation is solved. For K a
+    power of two (at least 4) the grid holds K/4 + 1 classes at p=3 and
+    K/2 + 1 at p=5; at even p every wavenumber is its own class. The
+    update-matrix route (update_matrix + spectral_radius) runs once, at
+    the first unstable bracket end, to pick the worst class among those
+    whose eigen-route growth there is within 1e-12 of the largest;
+    worst_k_hat is the first grid k_hat of that class. The route also
     serves the tests as the oracle.
     tau is expressed for the operators as given; with jacobian 1
     (element width 2) it is the reference-domain time step for unit
@@ -147,7 +167,8 @@ def cfl_limit(
     if not 0.0 <= rho_tol < inf:
         raise ValueError(f"rho_tol must be finite and non-negative, got {rho_tol!r}")
     k_hats = _k_hat_grid(k_samples)
-    q_mats = bloch_matrix(ops, k_from_k_hat(ops, k_hats))
+    reps = _phase_classes(ops.element.p, k_samples)
+    q_mats = bloch_matrix(ops, k_from_k_hat(ops, k_hats[reps]))
     lam = _eigvals(q_mats).ravel()
     probes = 0
 
@@ -187,12 +208,13 @@ def cfl_limit(
         if hi < 1e-9:  # unstable for arbitrarily small steps
             lo = 0.0
             break
-    # per wavenumber the two routes' growths differ by at most 3.1e-14
+    # per phase class the two routes' growths differ by at most 3.1e-14
     # relative on the published rows and the p=2..4 weight grids, so 1e-12
     # keeps the matrix route's maximum inside `near`
-    per_k = growth(hi).reshape(k_samples, -1).max(axis=1)
-    near = np.flatnonzero(per_k >= per_k.max() * (1.0 - 1e-12))
-    return result(lo, k_hats[near[np.argmax(spectral_radius(update_matrix(q_mats[near], hi, rk)))]])
+    per_class = growth(hi).reshape(len(reps), -1).max(axis=1)
+    near = np.flatnonzero(per_class >= per_class.max() * (1.0 - 1e-12))
+    worst = near[np.argmax(spectral_radius(update_matrix(q_mats[near], hi, rk)))]
+    return result(lo, k_hats[reps[worst]])
 
 
 def dispersion_sweep(ops: SchemeOperators, k_samples: int = 256):

@@ -151,6 +151,17 @@ def test_vn_cfl_explains_its_limit(iota, growing, tmp_path, capsys):
     assert ("--rho-tol" in lines[-1]) == growing
 
 
+def test_vn_cfl_reports_the_first_alias_of_the_worst_phase(tmp_path, capsys):
+    # k_hat 0.4541 (j = 37 of 256) and 1.1167 (j = 91) share the phase 4*pi*37/256
+    # up to conjugation; the first of them on the grid is reported
+    out_file = tmp_path / "cfl.json"
+    argv = ["vn", "cfl", "--p", "3", "--iota", "1,1.274e-3,1.438e-2,7.848e-3", "--rk", "rk33", "--rho-tol", "1e-4"]
+    code, out, _ = run(argv + ["--out", str(out_file)], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "tau_max = 0.76967773437500009 (rk33, worst k_hat 0.4541)"
+    assert json.loads(out_file.read_text())["result"]["worst_k_hat"] == np.pi * 37 / 256
+
+
 def test_vn_dispersion_csv(tmp_path, capsys):
     out_file = tmp_path / "disp.csv"
     code, out, _ = run(
@@ -270,6 +281,18 @@ def test_search_cfl_counts_the_order_studies_that_ran(tmp_path, capsys):
     result = json.loads(out_file.read_text())["result"]
     assert result["grid_spec"].startswith("9 points, 9 stable")
     assert result["evaluated"] == 1
+
+
+def test_search_cfl_reports_each_candidate_fate(tmp_path, capsys):
+    # every point of the p=2 grid is inside the bounds with a positive limit, and
+    # the first order study reaches the threshold, so no point meets another fate
+    out_file = tmp_path / "search.json"
+    argv = ["search", "cfl", "--p", "2", "--rk", "rk44", "--magnitudes", "0,1e-3", "--out", str(out_file)]
+    assert run(argv, capsys)[0] == 0
+    result = json.loads(out_file.read_text())["result"]
+    fates = ("outside_bounds", "no_limit", "zero_tau", "unstable_runs", "below_order")
+    assert {key: result[key] for key in fates} == dict.fromkeys(fates, 0)
+    assert set(result) == {"best_iota", "best_tau", "ooa_at_best", "grid_spec", "evaluated", *fates}
 
 
 def test_validation_errors_exit_one(capsys):

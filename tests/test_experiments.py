@@ -1,12 +1,13 @@
 import re
 from dataclasses import replace
 from math import ceil, pi
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gsfr.experiments
-from gsfr.correction import CorrectionParams, SingularSystemError, solve_correction
+from gsfr.correction import CorrectionParams, SingularSystemError, solve_correction, sufficient_bounds
 from gsfr.experiments import (
     BLOWUP_ENERGY,
     DEFAULT_ELEMENT_COUNTS,
@@ -482,6 +483,30 @@ def test_cfl_search_counts_unstable_runs_as_evaluated(monkeypatch):
     assert len(studied) == 2 and np.array_equal(studied[0], grid[1])
     assert np.array_equal(report.best_iota, grid[0])
     assert report.evaluated == 2
+    assert (report.unstable_runs, report.below_order) == (1, 0)
+
+
+def test_cfl_search_reports_every_candidate_fate(monkeypatch):
+    # one point outside the bounds, one without a limit, one with a zero limit; the
+    # order studies run fastest first: unstable, below the order, then the best
+    points = default_search_grid(3, [0.0, 1e-3])
+    inside = [iota for iota in points if sufficient_bounds(CorrectionParams(3, iota)).satisfied]
+    grid = [np.array([1.0, -0.5, 0.0, 0.0])] + inside[:5]
+    taus = dict(zip(map(tuple, grid), [np.nan, np.nan, 0.0, 0.3, 0.2, 0.1]))
+    orders = {tuple(grid[4]): 3.0, tuple(grid[5]): 4.0}
+
+    def scripted_study(params, *args, **kwargs):
+        if tuple(params.iota_array) not in orders:
+            raise UnstableRunError("divergence")
+        return SimpleNamespace(fitted_order=orders[tuple(params.iota_array)])
+
+    monkeypatch.setattr(gsfr.experiments, "step_limit", lambda params, *args: taus[tuple(params.iota_array)])
+    monkeypatch.setattr(gsfr.experiments, "ooa_study", scripted_study)
+    report = cfl_search(3, "rk44", grid=grid)
+    assert np.array_equal(report.best_iota, grid[5]) and report.best_tau == 0.1
+    assert report.grid_spec.startswith("6 points, 3 stable")
+    fates = (report.outside_bounds, report.no_limit, report.zero_tau, report.unstable_runs, report.below_order)
+    assert fates == (1, 1, 1, 1, 1) and report.evaluated == 3
 
 
 def test_cfl_search_empty_feasible_set():

@@ -11,6 +11,7 @@ from gsfr.spectral import (
     BISECTION_REL_TOL,
     PUBLISHED_STEP_LIMITS,
     StabilityResult,
+    _phase_classes,
     bloch_matrix,
     cfl_limit,
     dispersion_sweep,
@@ -280,15 +281,49 @@ def test_cfl_limit_matches_matrix_route():
             assert abs(res.tau_max - tau) <= 1e-4 * tau, case
             continue
         assert res.tau_max.hex() == tau.hex(), case
-        assert res.worst_k_hat.hex() == worst_k_hat.hex(), case
+        assert res.worst_k_hat.hex() == _first_alias(ops, k_samples, worst_k_hat).hex(), case
         assert res.probes == probes, case
 
 
-def test_cfl_limit_solves_the_full_stack_once(monkeypatch):
-    # one eigen-solve of the whole Bloch stack per limit; the matrix route that
-    # picks worst_k_hat sees only the near-worst wavenumbers (one alias group here)
-    _, rk, weights, _ = next(row for row in PUBLISHED_STEP_LIMITS if row[:2] == (3, "rk44"))
-    ops = make_ops(weights, 1.0)
+def _first_alias(ops, k_samples, k_hat):
+    """First grid k_hat whose Q(k) is Q at k_hat or its conjugate, to round-off."""
+    k_hats = np.pi * np.arange(1, k_samples + 1) / k_samples
+    q_mats = bloch_matrix(ops, k_from_k_hat(ops, k_hats))
+    q = bloch_matrix(ops, k_from_k_hat(ops, k_hat))
+    gap = np.minimum(np.abs(q_mats - q).max(axis=(1, 2)), np.abs(q_mats - q.conj()).max(axis=(1, 2)))
+    return float(k_hats[np.argmax(gap <= 1e-14 * np.abs(q_mats).max())])
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_phase_classes_cover_the_grid_once(p):
+    # Q(k) depends on k_hat only through the phase (p+1)*k_hat, and conjugate
+    # phases give conjugate matrices: odd p repeats phases on the grid, even p does not
+    ops = make_ops([1] + [0] * p, 1.0, p=p)
+    for k_samples in (64, 128, 256):
+        reps = _phase_classes(p, k_samples)
+        assert len(reps) == {2: k_samples, 3: k_samples // 4 + 1, 4: k_samples, 5: k_samples // 2 + 1}[p]
+        assert reps[0] == 0 and np.all(np.diff(reps) > 0)
+        q_mats = bloch_matrix(ops, k_from_k_hat(ops, np.pi * np.arange(1, k_samples + 1) / k_samples))
+        rep_mats = q_mats[reps]
+        gap = np.minimum(
+            np.abs(q_mats[:, None] - rep_mats).max(axis=(2, 3)),
+            np.abs(q_mats[:, None] - rep_mats.conj()).max(axis=(2, 3)),
+        )
+        # every grid matrix is its representative's or that one's conjugate, and
+        # the representative is the first grid wavenumber of its class
+        assert gap.min(axis=1).max() <= 1e-14 * np.abs(q_mats).max(), (p, k_samples)
+        assert np.all(reps[gap.argmin(axis=1)] <= np.arange(k_samples)), (p, k_samples)
+    # on any grid, the first index of each class of the folded integer phase min(m, 2K - m)
+    for k_samples in range(1, 300):
+        m = (p + 1) * np.arange(1, k_samples + 1) % (2 * k_samples)
+        _, first = np.unique(np.minimum(m, 2 * k_samples - m), return_index=True)
+        assert np.array_equal(_phase_classes(p, k_samples), np.sort(first)), k_samples
+
+
+def test_cfl_limit_solves_each_phase_once(monkeypatch):
+    # one eigen-solve per phase class up to conjugation (65 of the 256 wavenumbers
+    # at p=3, all 256 at p=4); the matrix route that picks worst_k_hat sees only
+    # the near-worst classes
     shapes = {"_eigvals": [], "update_matrix": [], "spectral_radius": []}
 
     def recording(name):
@@ -302,11 +337,15 @@ def test_cfl_limit_solves_the_full_stack_once(monkeypatch):
 
     for name in shapes:
         monkeypatch.setattr(gsfr.spectral, name, recording(name))
-    cfl_limit(ops, rk, k_samples=256, rho_tol=1e-4)
+    _, rk, weights, _ = next(row for row in PUBLISHED_STEP_LIMITS if row[:2] == (3, "rk44"))
+    cfl_limit(make_ops(weights, 1.0), rk, k_samples=256, rho_tol=1e-4)
     (near,) = shapes["update_matrix"]
-    assert near[0] < 256 and near[1:] == (4, 4)
+    assert near[0] < 65 and near[1:] == (4, 4)
     assert shapes["spectral_radius"] == [near]
-    assert shapes["_eigvals"] == [(256, 4, 4), near]
+    assert shapes["_eigvals"] == [(65, 4, 4), near]
+    _, rk, weights, _ = next(row for row in PUBLISHED_STEP_LIMITS if row[:2] == (4, "rk44"))
+    cfl_limit(make_ops(weights, 1.0, p=4), rk, k_samples=256, rho_tol=1e-4)
+    assert shapes["_eigvals"][2] == (256, 5, 5)
 
 
 def _first_loss_of_stability(ops, rk, rho_tol, k_samples=256):
