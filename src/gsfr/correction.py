@@ -9,9 +9,10 @@ function in the Legendre basis; the right function follows by parity.
 The system is linear in the weights: iota_i contributes one block of
 interior rows, written once (``_weight_block``). The assembly, the solve
 and the weight recovery ``recover_weights`` (the same blocks with the
-weights as unknowns) are exact: floats are embedded into Fraction
-(binary-exact) and the tiny systems are solved by rational Gaussian
-elimination, so identical inputs give bit-identical outputs. The
+weights as unknowns) are exact: every float is an integer ratio
+(binary-exact), each system is scaled row by row to integers, and the
+tiny integer systems are solved by fraction-free (Bareiss) elimination,
+so identical inputs give bit-identical outputs. The
 one-parameter (OSFR) family is the weights [1, 0, ..., 0, iota], so its
 map is weight recovery with the intermediate weights held at zero; the
 kappa-matrix (ESFR) map is a closed form evaluated in floating point.
@@ -25,7 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, isfinite
+from math import factorial, isfinite, lcm
 from numbers import Rational
 
 import numpy as np
@@ -151,51 +152,84 @@ def _weight_block(p: int, i: int) -> tuple:
     minus, for i >= 1, its endpoint term; integration by parts makes that
     exactly minus the integral of d^i psi_m times d^(i+1) psi_n. The raw
     form is -2x the conventional normalization (row scaling does not
-    change the solution; the factor pins the golden form).
+    change the solution; the factor pins the golden form). The entries
+    are integers: in each integral the factor with the higher derivative
+    has Legendre coefficients (2k+1) times an integer and the other
+    integer ones, so the mass 2/(2k+1) leaves an even integer.
     """
     return tuple(
-        tuple((integral_dm_dm1(i, m, n) if i else -integral_dm_dm1(0, n, m)) / 2 for n in range(p + 2))
+        tuple(int((integral_dm_dm1(i, m, n) if i else -integral_dm_dm1(0, n, m)) / 2) for n in range(p + 2))
         for m in range(1, p + 1)
     )
 
 
+def _integer_system(params: CorrectionParams) -> tuple[list[list[int]], list[int]]:
+    """The correction system as integer rows and row scales: row r of the exact matrix is rows[r] / scales[r].
+
+    The p interior rows are sum_i iota_i * _weight_block(p, i) over the
+    nonzero weights, each weight entering as its integer ratio, over
+    their common denominator; the last two rows enforce h_l(1) = 0 and
+    h_l(-1) = 1.
+    """
+    p = params.p
+    terms = [(w.as_integer_ratio(), _weight_block(p, i)) for i, w in enumerate(params.iota_fractions) if w]
+    scale = lcm(*(den for (_, den), _ in terms))
+    coeffs = [(num * (scale // den), block) for (num, den), block in terms]
+    rows = [[sum(c * block[r][n] for c, block in coeffs) for n in range(p + 2)] for r in range(p)]
+    rows.append([1] * (p + 2))
+    rows.append([(-1) ** n for n in range(p + 2)])
+    return rows, [scale] * p + [1, 1]
+
+
+def _fraction_view(rows: list[list[int]], scales: list[int]) -> list[list[Fraction]]:
+    return [[Fraction(v, s) for v in row] for row, s in zip(rows, scales)]
+
+
 def correction_matrix(params: CorrectionParams) -> list[list[Fraction]]:
-    """Assemble the exact (p+2)x(p+2) correction-function system matrix.
+    """The exact (p+2)x(p+2) correction-function system matrix, as fractions.
 
     The p interior rows are sum_i iota_i * _weight_block(p, i) over the
     nonzero weights; the last two rows enforce h_l(1) = 0 and h_l(-1) = 1.
     """
-    p = params.p
-    terms = [(w, _weight_block(p, i)) for i, w in enumerate(params.iota_fractions) if w != 0]
-    mat = [[sum(w * block[r][n] for w, block in terms) for n in range(p + 2)] for r in range(p)]
-    mat.append([Fraction(1)] * (p + 2))
-    mat.append([Fraction(-1) ** n for n in range(p + 2)])
-    return mat
+    return _fraction_view(*_integer_system(params))
 
 
-def _solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination with partial (first-nonzero) pivoting."""
-    n = len(mat)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
+def _solve_rational(rows: list[list[int]], scales: list[int], rhs: list[int]) -> list[Fraction]:
+    """Exact solution of the integer system rows . x = rhs, by fraction-free elimination.
+
+    Bareiss elimination with partial (first-nonzero) pivoting: every
+    update (a_rc a_kk - a_rk a_kc) divides exactly by the previous pivot,
+    so all entries stay integers, and the last pivot is the determinant
+    up to sign, so back substitution runs on det * x in integers too. A
+    column without a nonzero pivot raises SingularSystemError carrying
+    the float condition estimate of the exact system rows[r] / scales[r].
+    """
+    n = len(rows)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    prev = 1
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot_row is None:
-            cond = _condition_estimate(mat)
+            cond = _condition_estimate(_fraction_view(rows, scales))
             raise SingularSystemError(
                 f"correction system is singular (float condition estimate {cond:.3e})"
             )
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
+        top = aug[col]
+        pivot = top[col]
         for r in range(col + 1, n):
-            factor = aug[r][col] / pivot
-            if factor:
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    sol = [Fraction(0)] * n
+            row = aug[r]
+            lead = row[col]
+            row[col + 1 :] = [(a * pivot - lead * b) // prev for a, b in zip(row[col + 1 :], top[col + 1 :])]
+        prev = pivot
+    det = prev
+    scaled = [0] * n  # det * x
     for r in range(n - 1, -1, -1):
-        acc = aug[r][n] - sum(aug[r][c] * sol[c] for c in range(r + 1, n))
-        sol[r] = acc / aug[r][r]
-    return sol
+        row = aug[r]
+        acc = det * row[n] - sum(row[c] * scaled[c] for c in range(r + 1, n))
+        scaled[r] = acc // row[r]
+    return [Fraction(v, det) for v in scaled]
 
 
 def _condition_estimate(mat) -> float:
@@ -212,9 +246,8 @@ def solve_correction(params: CorrectionParams) -> CorrectionPair:
     boundary-condition right-hand side [0, ..., 0, 1]; the right
     function is the parity reflection h_r(xi) = h_l(-xi).
     """
-    mat = correction_matrix(params)
-    rhs = [Fraction(0)] * (params.p + 1) + [Fraction(1)]
-    return _reflected_pair(_solve_rational(mat, rhs))
+    rows, scales = _integer_system(params)
+    return _reflected_pair(_solve_rational(rows, scales, [0] * (params.p + 1) + [1]))
 
 
 def _reflected_pair(h_l: list[Fraction]) -> CorrectionPair:
@@ -287,13 +320,18 @@ def sufficient_bounds(params: CorrectionParams) -> StabilityBounds:
     return StabilityBounds(lower=lower, satisfied=bool(ok), margins=margins)
 
 
-def _applied_blocks(h_l: LegendreSeries) -> list[list[Fraction]]:
-    """B_i h for i = 0..p: each _weight_block(p, i) applied to the coefficients h of h_l as exact fractions."""
-    h = [_to_fraction(c) for c in h_l.coeffs]
-    p = len(h) - 2
+def _applied_blocks(h_l: LegendreSeries) -> tuple[int, list[list[int]]]:
+    """B_i h for i = 0..p, each _weight_block(p, i) applied to the coefficients h of h_l, exact.
+
+    Returned as (scale, integer rows): B_i h is rows[i] / scale for every i.
+    """
+    ratios = [_to_fraction(c).as_integer_ratio() for c in h_l.coeffs]
+    p = len(ratios) - 2
     if not 2 <= p <= 5:
         raise UnsupportedOrderError(f"h_l of order {p + 1} is outside the supported orders 3..6")
-    return [[sum(b * c for b, c in zip(row, h)) for row in _weight_block(p, i)] for i in range(p + 1)]
+    scale = lcm(*(den for _, den in ratios))
+    h = [num * (scale // den) for num, den in ratios]
+    return scale, [[sum(b * c for b, c in zip(row, h)) for row in _weight_block(p, i)] for i in range(p + 1)]
 
 
 def osfr_iota(p: int, h_l: LegendreSeries):
@@ -309,10 +347,10 @@ def osfr_iota(p: int, h_l: LegendreSeries):
     """
     if len(h_l.coeffs) != p + 2:
         raise ValueError(f"h_l must have order p+1={p + 1}, got order {h_l.order}")
-    applied = _applied_blocks(h_l)
+    _, applied = _applied_blocks(h_l)
     if applied[p][-1] == 0:
         raise DegenerateCoefficientError("top Legendre coefficient of h_l vanishes")
-    iota = float(-applied[0][-1] / applied[p][-1])
+    iota = float(Fraction(-applied[0][-1], applied[p][-1]))
     try:
         rebuilt = solve_correction(CorrectionParams(p, [1.0] + [0.0] * (p - 1) + [iota]))
     except SingularSystemError:
@@ -374,11 +412,11 @@ def recover_weights(h_l: LegendreSeries) -> np.ndarray:
     coefficients of h_l as exact fractions. A singular system (h_l admits
     several weight vectors) raises DegenerateCoefficientError.
     """
-    applied = _applied_blocks(h_l)
+    scale, applied = _applied_blocks(h_l)
     p = len(applied) - 1
-    mat = [[applied[i][r] for i in range(1, p + 1)] for r in range(p)]
+    rows = [[applied[i][r] for i in range(1, p + 1)] for r in range(p)]
     try:
-        weights = _solve_rational(mat, [-v for v in applied[0]])
+        weights = _solve_rational(rows, [scale] * p, [-v for v in applied[0]])
     except SingularSystemError as exc:
         raise DegenerateCoefficientError(f"weight recovery is degenerate: {exc}") from None
     return np.array([1.0] + [float(w) for w in weights])

@@ -16,6 +16,7 @@ central). All right-hand sides are linear in the solution values.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
@@ -148,24 +149,41 @@ class MeshState:
 def build_reference_element(
     p: int, correction: CorrectionPair, node_kind: str = "gauss"
 ) -> ReferenceElement:
-    """Assemble nodes, derivative matrix, and correction-gradient samples."""
+    """Assemble nodes, derivative matrix, and correction-gradient samples.
+
+    Only the correction-gradient samples g_left and g_right are evaluated
+    per call. The nodes, quadrature weights, D, l_left and l_right depend
+    on (p, node_kind) alone: every element of that order and kind shares
+    one read-only copy of them.
+    """
     if p < 1:
         raise ValueError("need p >= 1")
     if p != correction.p:
         raise ValueError(f"element order p={p} differs from the correction pair's p={correction.p}")
     if node_kind not in NODE_KINDS:
         raise ValueError(f"unknown node kind {node_kind!r}")
-    nodes, weights = NODE_KINDS[node_kind](p)
+    nodes, weights, D, l_left, l_right = _element_base(p, node_kind)
     return ReferenceElement(
         p=p,
         nodes=nodes,
         weights=weights,
-        D=_derivative_matrix(nodes),
-        l_left=_interpolation_vector(nodes, -1.0),
-        l_right=_interpolation_vector(nodes, 1.0),
+        D=D,
+        l_left=l_left,
+        l_right=l_right,
         g_left=correction.g_l(nodes),
         g_right=correction.g_r(nodes),
     )
+
+
+@cache
+def _element_base(p: int, node_kind: str) -> tuple:
+    """Read-only nodes, weights, D, l_left and l_right of one order and node kind."""
+    nodes, weights = NODE_KINDS[node_kind](p)
+    D = _derivative_matrix(nodes)
+    base = (nodes, weights, D, _interpolation_vector(nodes, -1.0), _interpolation_vector(nodes, 1.0))
+    for array in base:
+        array.flags.writeable = False
+    return base
 
 
 def build_scheme_operators(

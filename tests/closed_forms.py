@@ -7,12 +7,20 @@
 - ``osfr_correction``: the one-parameter (OSFR) family's a_p/eta closed
   form (Vincent, Castonguay & Jameson, J. Sci. Comput. 2011), which the
   exact solve of [1, 0, ..., 0, iota] reproduces.
+- ``fraction_solve``: Gaussian elimination in Fraction arithmetic, which
+  the fraction-free integer elimination of ``solve_correction`` replaces.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from gsfr.correction import CorrectionPair, _reflected_pair, _to_fraction
+from gsfr.correction import (
+    CorrectionPair,
+    SingularSystemError,
+    _condition_estimate,
+    _reflected_pair,
+    _to_fraction,
+)
 
 
 def endpoint_derivative(n: int, j: int, side: str) -> Fraction:
@@ -56,3 +64,28 @@ def osfr_correction(p: int, iota) -> CorrectionPair:
     h_l[p - 1] = -sign * eta / (1 + eta)
     h_l[p + 1] = -sign / (1 + eta)
     return _reflected_pair(h_l)
+
+
+def fraction_solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Exact Gaussian elimination with partial (first-nonzero) pivoting, in Fraction arithmetic."""
+    n = len(mat)
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot_row is None:
+            cond = _condition_estimate(mat)
+            raise SingularSystemError(
+                f"correction system is singular (float condition estimate {cond:.3e})"
+            )
+        if pivot_row != col:
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = aug[col][col]
+        for r in range(col + 1, n):
+            factor = aug[r][col] / pivot
+            if factor:
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    sol = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = aug[r][n] - sum(aug[r][c] * sol[c] for c in range(r + 1, n))
+        sol[r] = acc / aug[r][r]
+    return sol

@@ -1,11 +1,14 @@
 import re
 from fractions import Fraction as F
+from math import factorial
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
 from gsfr.correction import (
+    _integer_system,
+    _solve_rational,
     CorrectionPair,
     CorrectionParams,
     DegenerateCoefficientError,
@@ -24,7 +27,7 @@ from gsfr.correction import (
 )
 from gsfr.legendre import LegendreSeries, integral_dm_dm1, series_derivative
 
-from closed_forms import boundary_product, osfr_correction
+from closed_forms import boundary_product, fraction_solve, osfr_correction
 
 
 def coefficient_matrices(p):
@@ -177,6 +180,61 @@ def test_singular_system_reports_condition_estimate(params):
     assert 1e15 < cond < np.inf  # the float copy of the exact system is ill-conditioned, not exactly singular
     with pytest.raises(SingularSystemError, match=re.escape(f"(float condition estimate {cond:.3e})")):
         solve_correction(params)
+
+
+def _osfr_singular_iota(p):
+    """The weight iota_p at which 1 + eta_p of the one-parameter family vanishes."""
+    return F(-1, (2 * p + 1) * (factorial(2 * p) // (2**p * factorial(p))) ** 2)
+
+
+def _oracle_vectors():
+    """Seeded weight vectors for p = 2..5: zero, negative and 1e-5..10 weights, iota_0 != 1, singular points."""
+    rng = np.random.default_rng(17)
+    for p in (2, 3, 4, 5):
+        singular = _osfr_singular_iota(p)
+        for scale in (1, 3, F(1, 7)):
+            yield CorrectionParams(p, [scale] + [0] * (p - 1) + [scale * singular])
+        yield CorrectionParams(p, [1.0] + [0.0] * (p - 1) + [float(singular)])
+        for _ in range(500):
+            iota_0 = 1.0 if rng.random() < 0.5 else float(10.0 ** rng.uniform(-5, 1))
+            kind = rng.integers(0, 3, p)  # zero, positive, negative
+            weights = np.where(kind == 2, -1.0, 1.0) * (kind > 0) * 10.0 ** rng.uniform(-5, 1, p)
+            yield CorrectionParams(p, [iota_0] + weights.tolist())
+
+
+def test_integer_elimination_matches_fraction_oracle():
+    singular = recovered = 0
+    blocks_by_order = {p: coefficient_matrices(p) for p in (2, 3, 4, 5)}
+    for params in _oracle_vectors():
+        p = params.p
+        try:
+            expected = fraction_solve(correction_matrix(params), [F(0)] * (p + 1) + [F(1)])
+        except SingularSystemError as exc:
+            singular += 1
+            with pytest.raises(SingularSystemError) as caught:
+                solve_correction(params)
+            assert str(caught.value) == str(exc), params
+            continue
+        rows, scales = _integer_system(params)
+        assert _solve_rational(rows, scales, [0] * (p + 1) + [1]) == expected, params
+        h_l = solve_correction(params).h_l
+        assert h_l.coeffs.tolist() == [float(v) for v in expected], params
+        if recovered % 10 == 0:
+            # weight recovery: the same blocks, applied to the float coefficients, with the weights as unknowns
+            blocks = blocks_by_order[p]
+            h = [F(c) for c in h_l.coeffs]
+            applied = [[sum(b * c for b, c in zip(block[r], h)) for r in range(p)] for block in blocks]
+            mat = [[applied[i][r] for i in range(1, p + 1)] for r in range(p)]
+            try:
+                weights = fraction_solve(mat, [-v for v in applied[0]])
+            except SingularSystemError as exc:
+                with pytest.raises(DegenerateCoefficientError) as caught:
+                    recover_weights(h_l)
+                assert str(caught.value) == f"weight recovery is degenerate: {exc}", params
+            else:
+                assert recover_weights(h_l).tolist() == [1.0] + [float(w) for w in weights], params
+        recovered += 1
+    assert singular >= 12
 
 
 def test_solve_dg_p2():

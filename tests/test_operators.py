@@ -6,6 +6,7 @@ import pytest
 
 from gsfr.correction import CorrectionParams, solve_correction
 from gsfr.operators import (
+    _element_base,
     MeshState,
     build_reference_element,
     build_scheme_operators,
@@ -105,6 +106,32 @@ def test_builder_validation(element, dg3):
         build_reference_element(0, None)
     with pytest.raises(ValueError, match="p=2 differs from the correction pair's p=3"):
         build_reference_element(2, dg3)
+
+
+def test_reference_elements_share_one_read_only_base(dg3):
+    _element_base.cache_clear()
+    other = solve_correction(CorrectionParams(3, [1, 1e-3, 0, 2e-3]))
+    first, second = build_reference_element(3, dg3), build_reference_element(3, other)
+    for name in ("nodes", "weights", "D", "l_left", "l_right"):
+        assert getattr(first, name) is getattr(second, name)
+        assert not getattr(first, name).flags.writeable
+    assert np.array_equal(first.nodes, gauss_nodes(3)[0]) and np.array_equal(first.weights, gauss_nodes(3)[1])
+    assert not np.array_equal(first.g_left, second.g_left) and first.g_left.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first.nodes[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        first.D[0, 0] = 0.0
+    lobatto = build_reference_element(3, dg3, "lobatto")
+    assert lobatto.nodes is not first.nodes and np.array_equal(lobatto.nodes, lobatto_nodes(3)[0])
+    assert _element_base.cache_info().currsize == 2
+    # invalid requests raise before the base is built
+    with pytest.raises(ValueError, match="need p >= 1"):
+        build_reference_element(0, None)
+    with pytest.raises(ValueError, match="differs from the correction pair's"):
+        build_reference_element(4, dg3)
+    with pytest.raises(ValueError, match="unknown node kind"):
+        build_reference_element(3, dg3, "chebyshev")
+    assert _element_base.cache_info().currsize == 2
 
 
 def test_constant_field_is_steady(element):
