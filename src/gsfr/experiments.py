@@ -110,21 +110,25 @@ class SearchReport:
 
 @dataclass(frozen=True)
 class StepMap:
-    """One explicit RK step of a linear right-hand side as a periodic block-banded matrix.
+    """One explicit RK step of a linear right-hand side as a periodic block-tridiagonal matrix.
 
     The step is a degree-s polynomial in the right-hand side (s =
-    RK_STAGE_ORDER[rk]), which couples only adjacent elements, so it
-    couples each element to its s neighbours on either side: element j
-    of the stepped solution is blocks[j] applied to the values of the
-    2s+1 elements (j-s, ..., j+s) mod n, stacked in that order, which
-    sit at the flat positions index[j] of u.
+    stage_order(rk)), which couples only adjacent elements, so it couples
+    each element to its s neighbours on either side. A group of s
+    consecutive elements then couples only to itself and the groups on
+    either side: group g of the stepped solution, elements g*s .. g*s+s-1,
+    is rows[g] applied to the values of the 3s elements (g*s-s, ...,
+    g*s+2s-1) mod n, which sit at the flat positions cols[g] of u. When s
+    does not divide n, the last group runs past element n-1 and repeats
+    elements 0, 1, ...; those surplus rows are dropped.
     """
 
-    blocks: np.ndarray  # (n, p+1, (2s+1)(p+1))
-    index: np.ndarray  # (n, (2s+1)(p+1))
+    rows: np.ndarray  # (ceil(n/s), s(p+1), 3s(p+1))
+    cols: np.ndarray  # (ceil(n/s), 3s(p+1))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        return np.matmul(self.blocks, u.ravel().take(self.index)[..., None])[..., 0]
+        n, width = u.shape
+        return np.matmul(self.rows, u.ravel().take(self.cols)[..., None]).reshape(-1, width)[:n]
 
 
 def step_map(rhs_fn, state, tau: float, rk: str) -> StepMap:
@@ -136,11 +140,16 @@ def step_map(rhs_fn, state, tau: float, rk: str) -> StepMap:
     also across the periodic wrap. Each probe is a unit value at one local
     node of every element of one colour; a row element then meets at most
     one probed element within its band, so the probe's response fills
-    exactly one of its blocks. That takes at most (4s+1)(p+1) probes
+    exactly one of its per-element blocks (p+1 rows by the (2s+1)(p+1)
+    values of elements j-s .. j+s). That takes at most (4s+1)(p+1) probes
     instead of n(p+1), whatever n is, stepped as one stack by rk_advance.
     When n < 2s+1, every element is probed alone and its coupling lands in
     the first slot that names it; the other slots naming the same element
     stay zero.
+
+    The blocks are then packed into ceil(n/s) group rows: element g*s+r
+    (mod n) is row block r of group g, at the columns of window slots
+    r .. r+2s, and the rest of the row is zero.
     """
     n, width = state.u.shape
     s = stage_order(rk)
@@ -151,12 +160,17 @@ def step_map(rhs_fn, state, tau: float, rk: str) -> StepMap:
     probes[colour, :, rows, :] = np.eye(width)
     responses = rk_advance(rhs_fn, replace(state, u=probes.reshape(-1, n, width)), tau, rk).u.reshape(probes.shape)
     neighbours = (rows[:, None] + np.arange(-s, s + 1)) % n
-    # blocks[j, :, o, :] is row j's response to the probe of its o-th band element; the copy keeps
-    # the blocks C-contiguous, since np.matmul rounds a transposed view differently in StepMap
-    blocks = responses[colour[neighbours], :, rows[:, None], :].transpose(0, 3, 1, 2).copy()
+    # blocks[j, :, o, :] is element j's response to the probe of its o-th band element
+    blocks = responses[colour[neighbours], :, rows[:, None], :].transpose(0, 3, 1, 2)
     blocks[:, :, n:, :] = 0.0  # slots past n repeat an element an earlier slot names
-    index = (neighbours[..., None] * width + np.arange(width)).reshape(n, -1)
-    return StepMap(blocks.reshape(n, width, -1), index)
+    groups = ceil(n / s)
+    packed = np.zeros((groups, s, width, 3 * s, width))
+    elements = np.arange(groups * s).reshape(groups, s) % n
+    for r in range(s):
+        packed[:, r, :, r : r + band, :] = blocks[elements[:, r]]
+    window = (elements[:, :1] + np.arange(-s, 2 * s)) % n
+    cols = (window[..., None] * width + np.arange(width)).reshape(groups, -1)
+    return StepMap(packed.reshape(groups, s * width, -1), cols)
 
 
 def reference_operators(pair, alpha: float):

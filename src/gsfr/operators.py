@@ -293,7 +293,8 @@ def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> Me
     This stage form defines every time step in the package and is the
     oracle for the fast paths, which probe it: advection steps per Bloch
     wave, as a power of the wave's (p+1)x(p+1) block, and the hetero study
-    with the block-banded matrix of `gsfr.experiments.step_map`. Each
+    with the periodic block-tridiagonal matrix (blocks of s elements) of
+    `gsfr.experiments.step_map`. Each
     probes in one call: state.u may be a stack (..., n, p+1), and every
     state of it is stepped as if alone.
     """

@@ -120,7 +120,8 @@ def test_step_map_matches_stage_form(rk, rhs_kind):
             rhs = make_heterogeneous_rhs(ops, state)
         tau = 0.05 * state.element_width / 4
         step = step_map(rhs, state, tau, rk)
-        assert step.blocks.shape == (n, 4, (2 * RK_STAGE_ORDER[rk] + 1) * 4)
+        s = RK_STAGE_ORDER[rk]
+        assert step.rows.shape == (ceil(n / s), 4 * s, 12 * s) and step.cols.shape == (ceil(n / s), 12 * s)
         for _ in range(3):
             u = rng.standard_normal(state.u.shape)
             gap = np.max(np.abs(step(u) - rk_advance(rhs, replace(state, u=u), tau, rk).u))
@@ -140,6 +141,30 @@ def test_step_map_probes_one_colour_at_a_time(monkeypatch):
     state = uniform_mesh(ops, 32, -1.0, 1.0)
     step_map(make_heterogeneous_rhs(ops, state), state, 1e-3, "rk44")
     assert shapes == [(56, 32, 4)]
+
+
+def element_blocks(step, n, s):
+    """The per-element blocks (n, p+1, (2s+1)(p+1)) that step_map packs into its group rows, as a
+    C-contiguous copy; asserts that the rows hold nothing else: zeros off every element's band, and
+    the surplus rows of a wrapped last group repeat elements 0, 1, ..."""
+    groups, height, _ = step.rows.shape
+    width = height // s
+    rows = step.rows.reshape(groups, s, width, 3 * s, width)
+    band = np.zeros(rows.shape, dtype=bool)
+    for r in range(s):
+        band[:, r, :, r : r + 2 * s + 1] = True
+    assert not rows[~band].any()
+    blocks = np.stack([rows[:, r, :, r : r + 2 * s + 1] for r in range(s)], axis=1).reshape(groups * s, width, -1)
+    assert blocks.tobytes() == blocks[np.arange(groups * s) % n].tobytes()
+    return blocks[:n]
+
+
+def per_element_apply(step, n, s):
+    """The step applied element by element, blocks[j] times the gathered band of element j, as StepMap
+    applied it before the grouped product; kept as its oracle."""
+    blocks = element_blocks(step, n, s)
+    neighbours = (np.arange(n)[:, None] + np.arange(-s, s + 1)) % n
+    return lambda u: np.matmul(blocks, u[neighbours].reshape(n, -1, 1))[..., 0]
 
 
 def step_map_per_probe(rhs_fn, state, tau, rk):
@@ -163,9 +188,13 @@ def step_map_per_probe(rhs_fn, state, tau, rk):
 @pytest.mark.parametrize("rk", RK_SCHEMES)
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_step_map_matches_per_probe_loop(p, rk):
-    # bit for bit: the stacked probe fills the same blocks, and the flat gather applies them as the old
-    # neighbour gather did; n = 1, 2, 5 lie below some bands, 7 and 9 colour element by element, and the
-    # prime 23 leaves leftover colours for every scheme (the oracle's divisor rule gives it 23 colours)
+    # bit for bit: the stacked probe fills the same blocks; n = 1, 2, 5 lie below some bands, 7 and 9
+    # colour element by element, and the prime 23 leaves leftover colours for every scheme (the oracle's
+    # divisor rule gives it 23 colours). The grouped product applies them as the per-element one did, bit
+    # for bit at p = 3; at other p the node width is not a multiple of 4, so BLAS sums the shifted rows
+    # of a group in other lanes, and each entry may move by a dot product's rounding bound
+    s = RK_STAGE_ORDER[rk]
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(p)
     pair = solve_correction(CorrectionParams(p, [1.0] + [0.0] * p))
     for node_kind in ("gauss", "lobatto"):
@@ -178,10 +207,33 @@ def test_step_map_matches_per_probe_loop(p, rk):
                 for rhs in (lambda s: linear_advection_rhs(ops, s), make_heterogeneous_rhs(ops, state)):
                     step = step_map(rhs, state, tau, rk)
                     blocks, neighbours = step_map_per_probe(rhs, state, tau, rk)
-                    assert np.array_equal(step.blocks, blocks), (node_kind, alpha, n)
+                    assert np.array_equal(element_blocks(step, n, s), blocks), (node_kind, alpha, n)
                     u = rng.standard_normal(state.u.shape)
                     gathered = np.matmul(blocks, u[neighbours].reshape(n, -1, 1))[..., 0]
-                    assert np.array_equal(step(u), gathered), (node_kind, alpha, n)
+                    if p == 3:
+                        assert np.array_equal(step(u), gathered), (node_kind, alpha, n)
+                    else:
+                        scale = np.matmul(np.abs(blocks), np.abs(u[neighbours]).reshape(n, -1, 1))[..., 0]
+                        bound = (2 * s + 1) * (p + 1) * eps * scale
+                        assert np.all(np.abs(step(u) - gathered) <= bound), (node_kind, alpha, n)
+
+
+@pytest.mark.parametrize("rk", RK_SCHEMES)
+@pytest.mark.parametrize("node_kind", ["gauss", "lobatto"])
+def test_grouped_apply_matches_per_element_product(rk, node_kind):
+    # bit for bit at p = 3, over every group remainder: n < s, a wrapped last group (s does not divide n),
+    # the band wrapping onto itself (n < 3s), and the mesh sizes the studies use
+    s = RK_STAGE_ORDER[rk]
+    rng = np.random.default_rng(5)
+    element = build_reference_element(3, solve_correction(DG3), node_kind)
+    for n in [*range(1, 41), 64, 127]:
+        ops = build_scheme_operators(element, 0.75, jacobian=1.0 / n)
+        state = uniform_mesh(ops, n, -1.0, 1.0)
+        step = step_map(make_heterogeneous_rhs(ops, state), state, 0.05 * state.element_width / 4, rk)
+        per_element = per_element_apply(step, n, s)
+        for _ in range(3):
+            u = rng.standard_normal(state.u.shape)
+            assert np.array_equal(step(u), per_element(u)), n
 
 
 def test_step_map_steps_any_mesh_in_one_bounded_stack(monkeypatch):
@@ -201,7 +253,8 @@ def test_step_map_steps_any_mesh_in_one_bounded_stack(monkeypatch):
     monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
     step = step_map(rhs, state, 1e-3, "rk44")
     assert shapes == [(40, 127, 4)]
-    assert step.blocks.shape == blocks.shape and step.blocks.tobytes() == blocks.tobytes()  # sign bits too
+    packed = element_blocks(step, 127, RK_STAGE_ORDER["rk44"])
+    assert packed.shape == blocks.shape and packed.tobytes() == blocks.tobytes()  # sign bits too
     for rk in RK_SCHEMES:
         for n in range(1, 65):
             ops = build_scheme_operators(element, 1.0, jacobian=1.0 / n)
@@ -231,9 +284,10 @@ def test_rhs_takes_a_stack_of_states(rhs_kind, dtype):
         assert np.array_equal(rhs(replace(state, u=stack)), per_state), n
 
 
-def step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk="rk44", node_kind="gauss"):
+def step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk="rk44", node_kind="gauss", per_element=False):
     """(times, energy, error_at_periods, blowup_time, peak energy) of hetero_energy_study by the per-step
-    energy loop it ran before the chunked reduction; kept as its oracle."""
+    energy loop it ran before the chunked reduction; kept as its oracle. With per_element, each step is
+    the per-element product the study applied before the grouped one."""
     pair = solve_correction(params)
     ops = build_scheme_operators(build_reference_element(params.p, pair, node_kind), alpha, jacobian=1.0 / n_elements)
     state = uniform_mesh(ops, n_elements, -1.0, 1.0, init=lambda x: np.sin(4.0 * np.pi * x))
@@ -241,6 +295,8 @@ def step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk="rk44", node_k
     tau = HETERO_PERIOD / steps_per_period
     record_stride = max(1, steps_per_period // 32)
     step = step_map(make_heterogeneous_rhs(ops, state), state, tau, rk)
+    if per_element:
+        step = per_element_apply(step, n_elements, RK_STAGE_ORDER[rk])
     u, jac, w = state.u, state.jacobian, ops.element.weights[None, :]
     times, energy, every = [0.0], [solution_energy(ops, state)], [solution_energy(ops, state)]
     period_errors, blowup_time = [], None
@@ -283,6 +339,20 @@ def test_hetero_study_matches_per_step_loop(p, alpha, n_elements, n_periods, cfl
     if case == "period-off-stride":
         assert report.steps_per_period % max(1, report.steps_per_period // 32) != 0
     assert report.blew_up == (blowup_time is not None) == case.startswith("blowup")
+    assert np.array_equal(report.times, times)
+    assert np.array_equal(report.energy, energy)
+    assert np.array_equal(report.error_at_periods, period_errors)
+    assert report.blowup_time == blowup_time
+    assert report.peak_energy == peak
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5], ids=["default", "central-blowup"])
+def test_hetero_study_matches_per_element_apply(alpha):
+    # the default run of `run hetero` at p = 3 (32 elements, 15 periods, cfl 0.06), and its central-flux
+    # blow-up, bit for bit against the per-element product
+    report = hetero_energy_study(DG3, alpha)
+    times, energy, period_errors, blowup_time, peak = step_map_hetero(DG3, alpha, 32, 15, 0.06, per_element=True)
+    assert report.blew_up == (blowup_time is not None) == (alpha == 0.5)
     assert np.array_equal(report.times, times)
     assert np.array_equal(report.energy, energy)
     assert np.array_equal(report.error_at_periods, period_errors)
