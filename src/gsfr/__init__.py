@@ -35,7 +35,6 @@ from .experiments import (
 from .legendre import (
     LegendreSeries,
     integral_dm_dm1,
-    legendre_b,
     series_derivative,
 )
 from .operators import (

@@ -26,12 +26,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, isfinite, lcm
+from math import isfinite, lcm
 from numbers import Rational
 
 import numpy as np
 
-from .legendre import LegendreSeries, integral_dm_dm1, mass_diagonal, series_derivative
+from .legendre import LegendreSeries, _derivative_coeffs, integral_dm_dm1, mass_diagonal, series_derivative
 
 __all__ = [
     "CorrectionParams",
@@ -279,11 +279,11 @@ def sobolev_norm_squared(params: CorrectionParams, u_tilde) -> float:
     return float(total)
 
 
-# Constant 2*((2i)!/(2^i i!))^2 multiplying iota_i in the u_i^2 entry of
-# the expanded norm: 18 for i=2, 450 for i=3, 22050 for i=4.
+@cache
 def _top_weight(i: int) -> Fraction:
-    c = Fraction(factorial(2 * i), 2**i * factorial(i))
-    return 2 * c * c
+    """integral (d^i psi_i)^2, the factor of iota_i in the u_i^2 entry of the norm: 18, 450, 22050 for i = 2, 3, 4."""
+    top = _derivative_coeffs(i, i)
+    return sum(w * c * c for w, c in zip(mass_diagonal(len(top) - 1), top))
 
 
 # Row i holds the coefficients of iota_0..iota_{i-1} in the bound on iota_i,
@@ -299,24 +299,27 @@ def sufficient_bounds(params: CorrectionParams) -> StabilityBounds:
     positive, while the weights entering squared cross terms (iota_1 for
     p=3; iota_1, iota_2 for p=4) only need to be non-negative. Exceeding
     every bound is sufficient for positivity; violating one proves
-    nothing (the condition is one-sided).
+    nothing (the condition is one-sided). A bound that overflows to a
+    non-finite value is not met.
     """
     p = params.p
     if p not in _BOUND_ROWS:
         raise UnsupportedOrderError(f"sufficient bounds are only tabulated for p in 2..4, got p={p}")
     values = params.iota_array
     lower = np.zeros(p + 1)
+    # Python floats: a row that overflows becomes a non-finite bound without a warning, and fails below
+    weights = values.tolist()
     for i in (p - 1, p):
         row = _BOUND_ROWS[i]
         # summed left to right as first written, so each bound stays the same double
-        acc = row[0] * values[0]
-        for coeff, value in zip(row[1:], values[1:]):
+        acc = row[0] * weights[0]
+        for coeff, value in zip(row[1:], weights[1:]):
             acc += coeff * value
         lower[i] = -float(1 / _top_weight(i)) * acc
     margins = values - lower
     ok = values[0] > 0.0
     for i in range(1, p + 1):
-        ok = ok and (values[i] >= 0.0 if i <= p - 2 else values[i] > lower[i])
+        ok = ok and (values[i] >= 0.0 if i <= p - 2 else isfinite(lower[i]) and values[i] > lower[i])
     return StabilityBounds(lower=lower, satisfied=bool(ok), margins=margins)
 
 

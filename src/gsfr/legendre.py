@@ -1,61 +1,49 @@
 """Legendre polynomial algebra on [-1, 1].
 
-Everything combinatorial (derivative-product integrals, the mass
-diagonal) is computed in exact rational arithmetic with
-:class:`fractions.Fraction`; factorials up to roughly (2p+2)! appear
-and would overflow fixed-width integers. Floating point enters only
-when a series is evaluated or handed to the linear algebra layer.
+One rule carries all of the calculus: d psi_j/dxi = sum_{i = j-1, j-3,
+...} (2i+1) psi_i (``series_derivative``) together with orthogonality,
+integral psi_i psi_j = 2/(2j+1) if i = j and 0 otherwise
+(``mass_diagonal``). Exact integrals of derivative products are
+mass-weighted inner products of integer coefficient tuples, returned
+as :class:`fractions.Fraction`. Floating point enters only when a series
+is evaluated or handed to the linear algebra layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cache
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
 
 __all__ = [
     "LegendreSeries",
-    "legendre_b",
     "integral_dm_dm1",
     "mass_diagonal",
     "series_derivative",
 ]
 
 
-def legendre_b(i: int, m: int, n: int) -> Fraction:
-    """Coefficient b_i(m, n) of the derivative-product integral expansion.
-
-    b_i(m, n) = (-1)^i (2(n-i))! / (2^n (n-m-2i)! (n-i)! i!), defined only
-    for n - m - 2i >= 0.
-    """
-    if n - m - 2 * i < 0:
-        raise ValueError(f"b_{i}({m}, {n}) undefined: n - m - 2i = {n - m - 2 * i} < 0")
-    value = Fraction(
-        factorial(2 * (n - i)),
-        2**n * factorial(n - m - 2 * i) * factorial(n - i) * factorial(i),
-    )
-    return -value if i % 2 else value
+@cache
+def _derivative_coeffs(m: int, n: int) -> tuple[int, ...]:
+    """Integer Legendre coefficients of d^m psi_n/dxi^m; (0,) once m > n."""
+    coeffs = [0] * n + [1]
+    for _ in range(m):
+        coeffs = series_derivative(coeffs)
+    return tuple(coeffs)
 
 
 def integral_dm_dm1(m: int, n: int, k: int) -> Fraction:
     """Exact integral over [-1, 1] of (d^m psi_n/dxi^m)(d^{m+1} psi_k/dxi^{m+1}).
 
-    Closed-form double sum over b_i coefficients; sums with a negative
-    upper limit are empty, so out-of-range derivative orders give 0.
+    The mass-weighted inner product of the two derivatives' Legendre
+    coefficients; out-of-range derivative orders give 0.
     """
-    total = Fraction(0)
-    for i in range((n - m) // 2 + 1) if n - m >= 0 else ():
-        b_i = legendre_b(i, m, n)
-        for j in range((k - m - 1) // 2 + 1) if k - m - 1 >= 0 else ():
-            s = n + k - 2 * (m + i + j)
-            parity = 1 - (-1) ** s
-            if parity == 0:
-                continue
-            total += Fraction(b_i * legendre_b(j, m + 1, k) * parity, s)
-    return total
+    a, b = _derivative_coeffs(m, n), _derivative_coeffs(m + 1, k)
+    # by parity every product vanishes when n + k is even; skipping zeros saves most of the Fraction work
+    return sum((w * (x * y) for w, x, y in zip(mass_diagonal(len(a) - 1), a, b) if x and y), Fraction(0))
 
 
 def mass_diagonal(p: int) -> list[Fraction]:

@@ -9,10 +9,18 @@
   exact solve of [1, 0, ..., 0, iota] reproduces.
 - ``fraction_solve``: Gaussian elimination in Fraction arithmetic, which
   the fraction-free integer elimination of ``solve_correction`` replaces.
+- ``legendre_b`` and ``b_sum_integral``: the factorial double sum for the
+  derivative-product integral, which ``integral_dm_dm1`` replaces with
+  the series rule and orthogonality.
+
+``_dpsi`` evaluates a derivative of psi_n at points, for the quadrature
+oracles of test_legendre.py and the acceptance suite.
 """
 
 from fractions import Fraction
 from math import factorial
+
+import numpy.polynomial.legendre as npleg
 
 from gsfr.correction import (
     CorrectionPair,
@@ -21,6 +29,48 @@ from gsfr.correction import (
     _reflected_pair,
     _to_fraction,
 )
+from gsfr.legendre import series_derivative
+
+
+def _dpsi(order, n, xs):
+    """d^order psi_n at the points xs, in floats, for quadrature against the exact integrals."""
+    c = [0.0] * n + [1.0]
+    for _ in range(order):
+        c = series_derivative(c) if len(c) > 1 else [0.0]
+    return npleg.legval(xs, c)
+
+
+def legendre_b(i: int, m: int, n: int) -> Fraction:
+    """Coefficient b_i(m, n) of the derivative-product integral expansion.
+
+    b_i(m, n) = (-1)^i (2(n-i))! / (2^n (n-m-2i)! (n-i)! i!), defined only
+    for n - m - 2i >= 0.
+    """
+    if n - m - 2 * i < 0:
+        raise ValueError(f"b_{i}({m}, {n}) undefined: n - m - 2i = {n - m - 2 * i} < 0")
+    value = Fraction(
+        factorial(2 * (n - i)),
+        2**n * factorial(n - m - 2 * i) * factorial(n - i) * factorial(i),
+    )
+    return -value if i % 2 else value
+
+
+def b_sum_integral(m: int, n: int, k: int) -> Fraction:
+    """Integral over [-1, 1] of (d^m psi_n)(d^{m+1} psi_k), as the closed-form double sum over b_i.
+
+    Sums with a negative upper limit are empty, so out-of-range
+    derivative orders give 0.
+    """
+    total = Fraction(0)
+    for i in range((n - m) // 2 + 1) if n - m >= 0 else ():
+        b_i = legendre_b(i, m, n)
+        for j in range((k - m - 1) // 2 + 1) if k - m - 1 >= 0 else ():
+            s = n + k - 2 * (m + i + j)
+            parity = 1 - (-1) ** s
+            if parity == 0:
+                continue
+            total += Fraction(b_i * legendre_b(j, m + 1, k) * parity, s)
+    return total
 
 
 def endpoint_derivative(n: int, j: int, side: str) -> Fraction:

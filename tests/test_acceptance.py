@@ -37,7 +37,7 @@ from gsfr.spectral import (
     k_from_k_hat,
 )
 
-from closed_forms import osfr_correction
+from closed_forms import _dpsi, osfr_correction
 from test_correction import (
     GOLDEN_P2,
     GOLDEN_P3,
@@ -47,7 +47,6 @@ from test_correction import (
     _check_golden,
     sample_inside_bounds,
 )
-from test_legendre import _dpsi
 from test_operators import dense_operator
 from test_spectral import physical_speed
 
@@ -148,7 +147,7 @@ def test_criterion_04_norm_positivity_suite():
 
 
 def test_criterion_05_derivative_product_integral_oracle():
-    """Exhaustive quadrature check of the closed-form integral, m,n,k <= 6."""
+    """Exhaustive quadrature check of the exact integral, m,n,k <= 6."""
     xs, ws = npleg.leggauss(20)
     worst = 0.0
     count = 0

@@ -1,4 +1,5 @@
 import re
+import warnings
 from fractions import Fraction as F
 from math import factorial
 
@@ -7,8 +8,10 @@ import numpy.polynomial.legendre as npleg
 import pytest
 
 from gsfr.correction import (
+    _BOUND_ROWS,
     _integer_system,
     _solve_rational,
+    _top_weight,
     CorrectionPair,
     CorrectionParams,
     DegenerateCoefficientError,
@@ -25,7 +28,8 @@ from gsfr.correction import (
     solve_correction,
     sufficient_bounds,
 )
-from gsfr.legendre import LegendreSeries, integral_dm_dm1, series_derivative
+from gsfr.experiments import default_search_grid, step_limit
+from gsfr.legendre import LegendreSeries, _derivative_coeffs, integral_dm_dm1, mass_diagonal, series_derivative
 
 from closed_forms import boundary_product, fraction_solve, osfr_correction
 
@@ -449,6 +453,79 @@ def test_violating_bounds_is_not_asserted_indefinite():
     for _ in range(200):
         u = rng.standard_normal(4)
         assert sobolev_norm_squared(params, u) > 0.0
+
+
+def test_overflowing_bound_is_not_met():
+    # a bound row whose float sum overflows gives no finite lower bound, so the
+    # bound is not met and there is no step limit: these three norms are indefinite
+    for iota in ([1, 1e308, -1e308], [1, 0, 1e308, -1e308], [1, 1e308, 0, -1e308]):
+        params = CorrectionParams(len(iota) - 1, iota)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bounds = sufficient_bounds(params)
+            assert np.isnan(step_limit(params))
+        assert not bounds.satisfied
+        assert not np.isfinite(bounds.lower[-1])
+        assert sobolev_norm_squared(params, [0] * params.p + [1e-200]) < 0
+
+
+def gram_block(p, i):
+    """G_i[j][k] = integral psi_j^(i) psi_k^(i) for j, k <= p, exact, from the series-rule primitive."""
+    derivs = [_derivative_coeffs(i, j) for j in range(p + 1)]
+    return [[sum((w * x * y for w, x, y in zip(mass_diagonal(p), a, b)), F(0)) for b in derivs] for a in derivs]
+
+
+def positive_definite(mat):
+    """Exact LDL^T: a symmetric matrix is positive definite iff every pivot is positive."""
+    a = [list(row) for row in mat]
+    for c in range(len(a)):
+        if a[c][c] <= 0:
+            return False
+        for r in range(c + 1, len(a)):
+            factor = a[r][c] / a[c][c]
+            a[r][c + 1 :] = [x - factor * y for x, y in zip(a[r][c + 1 :], a[c][c + 1 :])]
+    return True
+
+
+@pytest.mark.parametrize(
+    "p, magnitudes, counts",
+    [
+        (2, [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1], (121, 101, 101, 0)),
+        (3, [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1], (1331, 471, 788, 0)),
+        (4, [0.0, 1e-3, 1e-2], (625, 98, 227, 0)),
+    ],
+)
+def test_sufficient_bounds_imply_positive_definite_gram(p, magnitudes, counts):
+    # the norm is c^T G c with G = sum_i iota_i G_i; (points, sufficient, PD,
+    # sufficient but not PD) on the vn sweep grids. The bounds guarantee a
+    # norm but are not necessary: many PD points fail them.
+    blocks = [gram_block(p, i) for i in range(p + 1)]
+    points = sufficient = definite = unsound = 0
+    for iota in default_search_grid(p, magnitudes):
+        weights = [F(float(v)) for v in iota]
+        gram = [[sum(w * g[j][k] for w, g in zip(weights, blocks)) for k in range(p + 1)] for j in range(p + 1)]
+        ok = sufficient_bounds(CorrectionParams(p, iota)).satisfied
+        pd = positive_definite(gram)
+        points += 1
+        sufficient += ok
+        definite += pd
+        unsound += ok and not pd
+    assert (points, sufficient, definite, unsound) == counts
+
+
+def test_bound_rows_are_gram_diagonals():
+    # row i, entry j is G_j[i][i], the u_i^2 factor of iota_j, except the three
+    # entries the published sum-of-squares split moves into cross terms
+    split = {(3, 1): (8, 12), (4, 1): (11, 20), (4, 2): (290, 690)}
+    for i, row in _BOUND_ROWS.items():
+        for j, entry in enumerate(row):
+            diagonal = gram_block(i, j)[i][i]
+            if (i, j) in split:
+                assert (entry, diagonal) == split[(i, j)]
+            else:
+                assert entry == float(diagonal), (i, j)
+        assert _top_weight(i) == gram_block(i, i)[i][i]
+    assert [_top_weight(i) for i in range(1, 6)] == [2, 18, 450, 22050, 1786050]
 
 
 def test_json_round_trip():

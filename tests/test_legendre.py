@@ -7,20 +7,11 @@ import pytest
 from gsfr.legendre import (
     LegendreSeries,
     integral_dm_dm1,
-    legendre_b,
     mass_diagonal,
     series_derivative,
 )
 
-from closed_forms import endpoint_derivative
-
-
-def _dpsi(order, n, xs):
-    """Quadrature-side derivative evaluation, independent of integral_dm_dm1."""
-    c = [0.0] * n + [1.0]
-    for _ in range(order):
-        c = series_derivative(c) if len(c) > 1 else [0.0]
-    return npleg.legval(xs, c)
+from closed_forms import _dpsi, b_sum_integral, endpoint_derivative, legendre_b
 
 
 def test_endpoint_derivative_examples():
@@ -51,6 +42,14 @@ def test_legendre_b_examples():
 def test_legendre_b_rejects_out_of_range():
     with pytest.raises(ValueError):
         legendre_b(2, 0, 1)
+
+
+def test_integral_matches_b_sum_oracle():
+    # all 729 triples m, n, k <= 8, equal as Fractions
+    for m in range(9):
+        for n in range(9):
+            for k in range(9):
+                assert integral_dm_dm1(m, n, k) == b_sum_integral(m, n, k), (m, n, k)
 
 
 def test_integral_examples():
