@@ -4,8 +4,9 @@ Commands are grouped as ``corr`` (solve/bounds/identify), ``vn``
 (dispersion/cfl/sweep), ``run`` (advect/hetero/ooa), and ``search``
 (cfl). Results go to CSV files with 17-significant-digit numbers or to
 JSON files with Python's shortest round-trip repr; both round-trip
-every double. A JSON document holds the command's parsed options as
-``config`` and its result's fields as ``result``. Exit codes: 0
+every finite double, and JSON writes a non-finite one as null, so each
+document is strict JSON. A JSON document holds the command's parsed
+options as ``config`` and its result's fields as ``result``. Exit codes: 0
 success, 1 invalid usage or configuration, 2 numerical failure
 (singular system, blow-up, empty search).
 """
@@ -18,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -71,12 +72,26 @@ def _write_csv(path, header, columns):
     _write_text(path, "\n".join(rows) + "\n")
 
 
+def _finite_or_null(value):
+    """value with arrays as lists and every non-finite float as None; finite values are left as they are."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not isfinite(value):
+        return None
+    return value
+
+
 def _json_doc(args, result) -> str:
-    """Every parsed option but the routing and --out as config; a dataclass result as its fields."""
+    """Every parsed option but the routing and --out as config; a dataclass result as its fields; strict JSON."""
     config = {k: v for k, v in vars(args).items() if k not in ("group", "cmd", "func", "out")}
     if dataclasses.is_dataclass(result):
         result = dataclasses.asdict(result)
-    return json.dumps({"config": config, "result": result}, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    doc = _finite_or_null({"config": config, "result": result})
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _cmd_corr_solve(args):

@@ -12,9 +12,11 @@ and the weight recovery ``recover_weights`` (the same blocks with the
 weights as unknowns) are exact: every float is an integer ratio
 (binary-exact), each system is scaled row by row to integers, and the
 tiny integer systems are solved by fraction-free (Bareiss) elimination,
-so identical inputs give bit-identical outputs. The
-one-parameter (OSFR) family is the weights [1, 0, ..., 0, iota], so its
-map is weight recovery with the intermediate weights held at zero; the
+so identical inputs give bit-identical outputs. The norm is the
+quadratic form of one exact Gram matrix G = sum_i iota_i G_i
+(``_gram_block``), summed once per weight vector. The one-parameter
+(OSFR) family is the weights [1, 0, ..., 0, iota], so its map is
+weight recovery with the intermediate weights held at zero; the
 kappa-matrix (ESFR) map is a closed form evaluated in floating point.
 Both membership tests regenerate the function and compare within
 MEMBERSHIP_TOL.
@@ -25,13 +27,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import isfinite, lcm
 from numbers import Rational
 
 import numpy as np
 
-from .legendre import LegendreSeries, _derivative_coeffs, integral_dm_dm1, mass_diagonal, series_derivative
+from .legendre import LegendreSeries, _derivative_coeffs, integral_dm_dm1, mass_diagonal
 
 __all__ = [
     "CorrectionParams",
@@ -92,6 +94,13 @@ def _to_fraction(x) -> Fraction:
     return Fraction(float(x))
 
 
+def _over_common_denominator(values) -> tuple[int, list[int]]:
+    """(scale, nums) with values[k] = nums[k] / scale exactly, for floats and exact rationals alike."""
+    ratios = [_to_fraction(v).as_integer_ratio() for v in values]
+    scale = lcm(*(den for _, den in ratios))
+    return scale, [num * (scale // den) for num, den in ratios]
+
+
 @dataclass(frozen=True)
 class CorrectionParams:
     """Order p and derivative weights iota_0..iota_p (iota_0 > 0)."""
@@ -119,6 +128,16 @@ class CorrectionParams:
     @property
     def iota_array(self) -> np.ndarray:
         return np.array([float(v) for v in self.iota])
+
+    @cached_property
+    def _gram(self) -> tuple[int, list[list[int]]]:
+        """The norm's Gram matrix G = sum_i iota_i G_i as (den, rows), G = rows / den exactly; summed on first use."""
+        scale, weights = _over_common_denominator(self.iota)
+        den, _ = _gram_block(self.p, 0)  # every block of order p has this denominator
+        terms = [(w, _gram_block(self.p, i)[1]) for i, w in enumerate(weights) if w]
+        size = self.p + 1
+        rows = [[sum(w * block[j][k] for w, block in terms) for k in range(size)] for j in range(size)]
+        return scale * den, rows
 
 
 @dataclass(frozen=True)
@@ -172,10 +191,9 @@ def _integer_system(params: CorrectionParams) -> tuple[list[list[int]], list[int
     h_l(-1) = 1.
     """
     p = params.p
-    terms = [(w.as_integer_ratio(), _weight_block(p, i)) for i, w in enumerate(params.iota_fractions) if w]
-    scale = lcm(*(den for (_, den), _ in terms))
-    coeffs = [(num * (scale // den), block) for (num, den), block in terms]
-    rows = [[sum(c * block[r][n] for c, block in coeffs) for n in range(p + 2)] for r in range(p)]
+    scale, weights = _over_common_denominator(params.iota)
+    terms = [(w, _weight_block(p, i)) for i, w in enumerate(weights) if w]
+    rows = [[sum(w * block[r][n] for w, block in terms) for n in range(p + 2)] for r in range(p)]
     rows.append([1] * (p + 2))
     rows.append([(-1) ** n for n in range(p + 2)])
     return rows, [scale] * p + [1, 1]
@@ -258,36 +276,40 @@ def _reflected_pair(h_l: list[Fraction]) -> CorrectionPair:
     return CorrectionPair(h_l=hl, h_r=hr, g_l=hl.derivative(), g_r=hr.derivative())
 
 
-def sobolev_norm_squared(params: CorrectionParams, u_tilde) -> float:
-    """Weighted derivative norm of a Legendre series, exactly.
-
-    Computes sum_i iota_i * integral (u^(i))^2 dxi by repeated exact
-    series differentiation and the orthogonality weights 2/(2j+1).
-    """
-    coeffs = getattr(u_tilde, "coeffs", u_tilde)
-    level = [_to_fraction(c) for c in coeffs]
-    iota = params.iota_fractions
-    total = Fraction(0)
-    for i in range(params.p + 1):
-        if iota[i] != 0:
-            diag = mass_diagonal(len(level) - 1)
-            total += iota[i] * sum(w * c * c for w, c in zip(diag, level))
-        if len(level) > 1:
-            level = series_derivative(level)
-        else:
-            level = [Fraction(0)]
-    return float(total)
-
-
 @cache
-def _top_weight(i: int) -> Fraction:
-    """integral (d^i psi_i)^2, the factor of iota_i in the u_i^2 entry of the norm: 18, 450, 22050 for i = 2, 3, 4."""
-    top = _derivative_coeffs(i, i)
-    return sum(w * c * c for w, c in zip(mass_diagonal(len(top) - 1), top))
+def _gram_block(p: int, i: int) -> tuple:
+    """G_i of order p as (den, rows): G_i[j][k] = integral psi_j^(i) psi_k^(i) dxi = rows[j][k] / den, exact.
+
+    Each entry is the mass-weighted inner product of the integer
+    Legendre coefficients of d^i psi_j and d^i psi_k. den = lcm(1, 3,
+    ..., 2p+1) clears every mass 2/(2k+1), so all blocks of one order
+    share it.
+    """
+    den = lcm(*range(1, 2 * p + 2, 2))
+    mass = [int(w * den) for w in mass_diagonal(p)]
+    derivs = [_derivative_coeffs(i, j) for j in range(p + 1)]
+    return den, tuple(tuple(sum(w * x * y for w, x, y in zip(mass, a, b)) for b in derivs) for a in derivs)
+
+
+def sobolev_norm_squared(params: CorrectionParams, u_tilde) -> float:
+    """Weighted derivative norm sum_i iota_i * integral (u^(i))^2 dxi of a Legendre series, exactly.
+
+    The quadratic form c^T G c of the coefficients c (zero-padded to
+    p+1; a longer series is a ValueError) with the Gram matrix of the
+    weights, in integers.
+    """
+    coeffs = list(getattr(u_tilde, "coeffs", u_tilde))
+    size = params.p + 1
+    if len(coeffs) > size:
+        raise ValueError(f"series has {len(coeffs)} coefficients, more than the p+1 = {size} of p={params.p}")
+    scale, c = _over_common_denominator(coeffs + [0] * (size - len(coeffs)))
+    den, gram = params._gram
+    total = sum(cj * sum(g * ck for g, ck in zip(row, c)) for cj, row in zip(c, gram))
+    return total / (den * scale * scale)  # int / int rounds the exact ratio once
 
 
 # Row i holds the coefficients of iota_0..iota_{i-1} in the bound on iota_i,
-# before the scale -1/_top_weight(i).
+# before the scale -1/G_i[i][i].
 _BOUND_ROWS = {1: (2.0 / 3.0,), 2: (0.4, 6), 3: (2.0 / 7.0, 8, 150), 4: (2.0 / 9.0, 11, 290, 7350)}
 
 
@@ -311,11 +333,12 @@ def sufficient_bounds(params: CorrectionParams) -> StabilityBounds:
     weights = values.tolist()
     for i in (p - 1, p):
         row = _BOUND_ROWS[i]
+        den, gram = _gram_block(p, i)
         # summed left to right as first written, so each bound stays the same double
         acc = row[0] * weights[0]
         for coeff, value in zip(row[1:], weights[1:]):
             acc += coeff * value
-        lower[i] = -float(1 / _top_weight(i)) * acc
+        lower[i] = -(den / gram[i][i]) * acc  # 1 / G_i[i][i], rounded once
     margins = values - lower
     ok = values[0] > 0.0
     for i in range(1, p + 1):
@@ -328,12 +351,10 @@ def _applied_blocks(h_l: LegendreSeries) -> tuple[int, list[list[int]]]:
 
     Returned as (scale, integer rows): B_i h is rows[i] / scale for every i.
     """
-    ratios = [_to_fraction(c).as_integer_ratio() for c in h_l.coeffs]
-    p = len(ratios) - 2
+    scale, h = _over_common_denominator(h_l.coeffs)
+    p = len(h) - 2
     if not 2 <= p <= 5:
         raise UnsupportedOrderError(f"h_l of order {p + 1} is outside the supported orders 3..6")
-    scale = lcm(*(den for _, den in ratios))
-    h = [num * (scale // den) for num, den in ratios]
     return scale, [[sum(b * c for b, c in zip(row, h)) for row in _weight_block(p, i)] for i in range(p + 1)]
 
 

@@ -12,6 +12,9 @@
 - ``legendre_b`` and ``b_sum_integral``: the factorial double sum for the
   derivative-product integral, which ``integral_dm_dm1`` replaces with
   the series rule and orthogonality.
+- ``differentiating_norm``: the Sobolev norm by repeated series
+  differentiation on every call, which the Gram quadratic form of
+  ``sobolev_norm_squared`` replaces.
 
 ``_dpsi`` evaluates a derivative of psi_n at points, for the quadrature
 oracles of test_legendre.py and the acceptance suite.
@@ -29,7 +32,7 @@ from gsfr.correction import (
     _reflected_pair,
     _to_fraction,
 )
-from gsfr.legendre import series_derivative
+from gsfr.legendre import mass_diagonal, series_derivative
 
 
 def _dpsi(order, n, xs):
@@ -139,3 +142,23 @@ def fraction_solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
         acc = aug[r][n] - sum(aug[r][c] * sol[c] for c in range(r + 1, n))
         sol[r] = acc / aug[r][r]
     return sol
+
+
+def differentiating_norm(params, u_tilde) -> float:
+    """sum_i iota_i * integral (u^(i))^2 dxi by repeated exact series differentiation and the weights 2/(2j+1).
+
+    Takes a series of any length.
+    """
+    coeffs = getattr(u_tilde, "coeffs", u_tilde)
+    level = [_to_fraction(c) for c in coeffs]
+    iota = params.iota_fractions
+    total = Fraction(0)
+    for i in range(params.p + 1):
+        if iota[i] != 0:
+            diag = mass_diagonal(len(level) - 1)
+            total += iota[i] * sum(w * c * c for w, c in zip(diag, level))
+        if len(level) > 1:
+            level = series_derivative(level)
+        else:
+            level = [Fraction(0)]
+    return float(total)

@@ -43,6 +43,20 @@ def test_corr_bounds(tmp_path, capsys):
     assert doc["config"]["p"] == 3  # resolved config embedded
 
 
+def test_corr_bounds_writes_strict_json(tmp_path, capsys):
+    # an overflowing bound row gives non-finite lower bounds and margins, which the document writes as null
+    out_file = tmp_path / "b.json"
+    code, out, _ = run(["corr", "bounds", "--p", "2", "--iota", "1,1e308,-1e308", "--out", str(out_file)], capsys)
+    assert code == 0 and "NOT satisfied" in out
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(out_file.read_text(), parse_constant=reject)
+    assert doc["result"]["lower"][2] is None and doc["result"]["margins"][2] is None
+    assert doc["result"]["satisfied"] is False
+
+
 def test_corr_identify_unique_member(capsys):
     code, out, _ = run(["corr", "identify", "--p", "3", "--iota", "1,0.01,0.01,0.1"], capsys)
     assert code == 0

@@ -9,9 +9,9 @@ import pytest
 
 from gsfr.correction import (
     _BOUND_ROWS,
+    _gram_block,
     _integer_system,
     _solve_rational,
-    _top_weight,
     CorrectionPair,
     CorrectionParams,
     DegenerateCoefficientError,
@@ -29,9 +29,9 @@ from gsfr.correction import (
     sufficient_bounds,
 )
 from gsfr.experiments import default_search_grid, step_limit
-from gsfr.legendre import LegendreSeries, _derivative_coeffs, integral_dm_dm1, mass_diagonal, series_derivative
+from gsfr.legendre import LegendreSeries, integral_dm_dm1, series_derivative
 
-from closed_forms import boundary_product, fraction_solve, osfr_correction
+from closed_forms import boundary_product, differentiating_norm, fraction_solve, osfr_correction
 
 
 def coefficient_matrices(p):
@@ -397,7 +397,7 @@ def test_norm_closed_form_p3():
 def test_norm_quadrature_oracle():
     xs, ws = npleg.leggauss(12)
     rng = np.random.default_rng(11)
-    for p in (2, 3, 4):
+    for p in (2, 3, 4, 5):
         for _ in range(30):
             iota = [1.0] + list(rng.uniform(-0.005, 0.2, p))
             u = rng.standard_normal(p + 1)
@@ -408,6 +408,32 @@ def test_norm_quadrature_oracle():
                 quad += iota[i] * float(np.sum(ws * npleg.legval(xs, coeffs) ** 2))
                 coeffs = series_derivative(coeffs) if len(coeffs) > 1 else [0.0]
             assert sobolev_norm_squared(params, u) == pytest.approx(quad, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_norm_matches_the_differentiating_loop(p):
+    # the Gram quadratic form rounds the same exact rational once, so it returns the loop's doubles bit for bit
+    rng = np.random.default_rng(p)
+    cases = [(CorrectionParams(p, [1] + [0] * p), [1])]
+    for _ in range(100):
+        signed = rng.choice([-1.0, 1.0], p) * 10 ** rng.uniform(-12, 300, p)
+        iota = [10 ** rng.uniform(-3, 300)] + list(np.where(rng.random(p) < 0.3, 0.0, signed))
+        u = rng.standard_normal(p + 1) * 10 ** rng.uniform(-3, 3, p + 1)
+        params = CorrectionParams(p, iota)
+        cases += [(params, u), (params, LegendreSeries(u)), (params, list(u[: rng.integers(1, p + 2)]))]
+    for iota in ([1, 1e308, -1e308], [1, 0, 1e308, -1e308], [1, 1e308, 0, -1e308]):
+        if len(iota) == p + 1:
+            cases.append((CorrectionParams(p, iota), [0] * p + [1e-200]))
+    for params, u in cases:
+        assert sobolev_norm_squared(params, u) == differentiating_norm(params, u)
+
+
+def test_norm_pads_a_short_series_and_rejects_a_long_one():
+    dg3 = CorrectionParams(3, [1, 0, 0, 0])
+    assert sobolev_norm_squared(dg3, [1]) == 2.0
+    assert sobolev_norm_squared(dg3, [0, 1]) == sobolev_norm_squared(dg3, [0, 1, 0, 0])
+    with pytest.raises(ValueError, match="series has 6 coefficients, more than the p\\+1 = 4 of p=3"):
+        sobolev_norm_squared(dg3, [1, 2, 3, 4, 5, 6])
 
 
 def sample_inside_bounds(p, rng):
@@ -469,10 +495,18 @@ def test_overflowing_bound_is_not_met():
         assert sobolev_norm_squared(params, [0] * params.p + [1e-200]) < 0
 
 
-def gram_block(p, i):
-    """G_i[j][k] = integral psi_j^(i) psi_k^(i) for j, k <= p, exact, from the series-rule primitive."""
-    derivs = [_derivative_coeffs(i, j) for j in range(p + 1)]
-    return [[sum((w * x * y for w, x, y in zip(mass_diagonal(p), a, b)), F(0)) for b in derivs] for a in derivs]
+@pytest.mark.parametrize("p", range(6))
+def test_gram_block_matches_quadrature(p):
+    # G_i[j][k] against Gauss quadrature of numpy's Legendre derivatives, which do not use the series rule
+    xs, ws = npleg.leggauss(p + 2)
+    unit = np.eye(p + 1)
+    for i in range(p + 1):
+        den, rows = _gram_block(p, i)
+        samples = [npleg.legval(xs, npleg.legder(unit[j], i)) for j in range(p + 1)]
+        for j in range(p + 1):
+            for k in range(p + 1):
+                quad = float(np.sum(ws * samples[j] * samples[k]))
+                assert quad == pytest.approx(F(rows[j][k], den), rel=1e-12, abs=1e-9), (i, j, k)
 
 
 def positive_definite(mat):
@@ -498,8 +532,9 @@ def positive_definite(mat):
 def test_sufficient_bounds_imply_positive_definite_gram(p, magnitudes, counts):
     # the norm is c^T G c with G = sum_i iota_i G_i; (points, sufficient, PD,
     # sufficient but not PD) on the vn sweep grids. The bounds guarantee a
-    # norm but are not necessary: many PD points fail them.
-    blocks = [gram_block(p, i) for i in range(p + 1)]
+    # norm but are not necessary: many PD points fail them. The blocks of one
+    # order share a positive denominator, which does not change definiteness.
+    blocks = [_gram_block(p, i)[1] for i in range(p + 1)]
     points = sufficient = definite = unsound = 0
     for iota in default_search_grid(p, magnitudes):
         weights = [F(float(v)) for v in iota]
@@ -519,13 +554,17 @@ def test_bound_rows_are_gram_diagonals():
     split = {(3, 1): (8, 12), (4, 1): (11, 20), (4, 2): (290, 690)}
     for i, row in _BOUND_ROWS.items():
         for j, entry in enumerate(row):
-            diagonal = gram_block(i, j)[i][i]
+            den, rows = _gram_block(i, j)
+            diagonal = F(rows[i][i], den)
             if (i, j) in split:
                 assert (entry, diagonal) == split[(i, j)]
             else:
                 assert entry == float(diagonal), (i, j)
-        assert _top_weight(i) == gram_block(i, i)[i][i]
-    assert [_top_weight(i) for i in range(1, 6)] == [2, 18, 450, 22050, 1786050]
+    tops = []
+    for i in range(1, 6):
+        den, rows = _gram_block(i, i)
+        tops.append(F(rows[i][i], den))
+    assert tops == [2, 18, 450, 22050, 1786050]
 
 
 def test_json_round_trip():
