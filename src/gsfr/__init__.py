@@ -13,7 +13,6 @@ from .correction import (
     CorrectionPair,
     CorrectionParams,
     StabilityBounds,
-    correction_matrix,
     esfr3_gradient,
     esfr3_weights,
     osfr_iota,
@@ -34,7 +33,6 @@ from .experiments import (
 )
 from .legendre import (
     LegendreSeries,
-    integral_dm_dm1,
     series_derivative,
 )
 from .operators import (

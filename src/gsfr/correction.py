@@ -2,24 +2,22 @@
 
 The correction-function family is parameterized by the polynomial order p
 and a weight vector ``iota = [iota_0, ..., iota_p]`` of the derivative
-norm ``sum_i iota_i * integral (u^(i))^2 dxi``. Each weight vector yields
-a (p+2)x(p+2) linear system whose solution is the left correction
-function in the Legendre basis; the right function follows by parity.
-
-The system is linear in the weights: iota_i contributes one block of
-interior rows, written once (``_weight_block``). The assembly, the solve
-and the weight recovery ``recover_weights`` (the same blocks with the
-weights as unknowns) are exact: every float is an integer ratio
-(binary-exact), each system is scaled row by row to integers, and the
-tiny integer systems are solved by fraction-free (Bareiss) elimination,
-so identical inputs give bit-identical outputs. The norm is the
-quadratic form of one exact Gram matrix G = sum_i iota_i G_i
-(``_gram_block``), summed once per weight vector. The one-parameter
-(OSFR) family is the weights [1, 0, ..., 0, iota], so its map is
-weight recovery with the intermediate weights held at zero; the
-kappa-matrix (ESFR) map is a closed form evaluated in floating point.
-Both membership tests regenerate the function and compare within
-MEMBERSHIP_TOL.
+norm ``sum_i iota_i * integral (u^(i))^2 dxi``. The norm is the quadratic
+form of one exact Gram matrix G = sum_i iota_i G_i, G_i[j][k] = integral
+psi_j^(i) psi_k^(i) dxi (``_gram_block``), summed once per weight vector,
+and the same matrix gives the correction functions: g_l solves
+G g = -iota_0 psi(-1); the solve is singular exactly where det G = 0.
+The left correction function h_l is the antiderivative of g_l with
+h_l(1) = 0; the right function follows by parity. Weight recovery
+``recover_weights`` applies the same blocks to the gradient of a given
+h_l, the weights as unknowns. Both solves are exact: every float is an
+integer ratio (binary-exact), each system is scaled to integers and
+solved by fraction-free (Bareiss) elimination, so identical inputs give
+bit-identical outputs. The one-parameter (OSFR) family is the weights
+[1, 0, ..., 0, iota], so its map is weight recovery with the
+intermediate weights held at zero; the kappa-matrix (ESFR) map is a
+closed form evaluated in floating point. Both membership tests
+regenerate the function and compare within MEMBERSHIP_TOL.
 """
 
 from __future__ import annotations
@@ -28,12 +26,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import isfinite, lcm
+from math import inf, isfinite, lcm
 from numbers import Rational
 
 import numpy as np
 
-from .legendre import LegendreSeries, _derivative_coeffs, integral_dm_dm1, mass_diagonal
+from .legendre import LegendreSeries, _derivative_coeffs, mass_diagonal, series_derivative
 
 __all__ = [
     "CorrectionParams",
@@ -45,7 +43,6 @@ __all__ = [
     "UnsupportedOrderError",
     "SingularDenominatorError",
     "DegenerateCoefficientError",
-    "correction_matrix",
     "solve_correction",
     "sobolev_norm_squared",
     "sufficient_bounds",
@@ -122,10 +119,6 @@ class CorrectionParams:
         object.__setattr__(self, "iota", iota)
 
     @property
-    def iota_fractions(self) -> list[Fraction]:
-        return [_to_fraction(v) for v in self.iota]
-
-    @property
     def iota_array(self) -> np.ndarray:
         return np.array([float(v) for v in self.iota])
 
@@ -163,64 +156,15 @@ class StabilityBounds:
     margins: np.ndarray
 
 
-@cache
-def _weight_block(p: int, i: int) -> tuple:
-    """Interior rows (test orders m = 1..p) that a unit weight iota_i adds, exact.
-
-    The raw entry (m-1, n) is the integral of d^i psi_n times d^(i+1) psi_m
-    minus, for i >= 1, its endpoint term; integration by parts makes that
-    exactly minus the integral of d^i psi_m times d^(i+1) psi_n. The raw
-    form is -2x the conventional normalization (row scaling does not
-    change the solution; the factor pins the golden form). The entries
-    are integers: in each integral the factor with the higher derivative
-    has Legendre coefficients (2k+1) times an integer and the other
-    integer ones, so the mass 2/(2k+1) leaves an even integer.
-    """
-    return tuple(
-        tuple(int((integral_dm_dm1(i, m, n) if i else -integral_dm_dm1(0, n, m)) / 2) for n in range(p + 2))
-        for m in range(1, p + 1)
-    )
-
-
-def _integer_system(params: CorrectionParams) -> tuple[list[list[int]], list[int]]:
-    """The correction system as integer rows and row scales: row r of the exact matrix is rows[r] / scales[r].
-
-    The p interior rows are sum_i iota_i * _weight_block(p, i) over the
-    nonzero weights, each weight entering as its integer ratio, over
-    their common denominator; the last two rows enforce h_l(1) = 0 and
-    h_l(-1) = 1.
-    """
-    p = params.p
-    scale, weights = _over_common_denominator(params.iota)
-    terms = [(w, _weight_block(p, i)) for i, w in enumerate(weights) if w]
-    rows = [[sum(w * block[r][n] for w, block in terms) for n in range(p + 2)] for r in range(p)]
-    rows.append([1] * (p + 2))
-    rows.append([(-1) ** n for n in range(p + 2)])
-    return rows, [scale] * p + [1, 1]
-
-
-def _fraction_view(rows: list[list[int]], scales: list[int]) -> list[list[Fraction]]:
-    return [[Fraction(v, s) for v in row] for row, s in zip(rows, scales)]
-
-
-def correction_matrix(params: CorrectionParams) -> list[list[Fraction]]:
-    """The exact (p+2)x(p+2) correction-function system matrix, as fractions.
-
-    The p interior rows are sum_i iota_i * _weight_block(p, i) over the
-    nonzero weights; the last two rows enforce h_l(1) = 0 and h_l(-1) = 1.
-    """
-    return _fraction_view(*_integer_system(params))
-
-
-def _solve_rational(rows: list[list[int]], scales: list[int], rhs: list[int]) -> list[Fraction]:
-    """Exact solution of the integer system rows . x = rhs, by fraction-free elimination.
+def _solve_rational(rows: list[list[int]], scale: int, rhs: list[int]) -> tuple[int, list[int]]:
+    """Exact solution of the integer system rows . x = rhs, by fraction-free elimination, as (det, det * x).
 
     Bareiss elimination with partial (first-nonzero) pivoting: every
     update (a_rc a_kk - a_rk a_kc) divides exactly by the previous pivot,
     so all entries stay integers, and the last pivot is the determinant
     up to sign, so back substitution runs on det * x in integers too. A
     column without a nonzero pivot raises SingularSystemError carrying
-    the float condition estimate of the exact system rows[r] / scales[r].
+    the float condition estimate of the exact system rows / scale.
     """
     n = len(rows)
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
@@ -228,7 +172,7 @@ def _solve_rational(rows: list[list[int]], scales: list[int], rhs: list[int]) ->
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot_row is None:
-            cond = _condition_estimate(_fraction_view(rows, scales))
+            cond = _condition_estimate([[Fraction(v, scale) for v in row] for row in rows])
             raise SingularSystemError(
                 f"correction system is singular (float condition estimate {cond:.3e})"
             )
@@ -247,7 +191,7 @@ def _solve_rational(rows: list[list[int]], scales: list[int], rhs: list[int]) ->
         row = aug[r]
         acc = det * row[n] - sum(row[c] * scaled[c] for c in range(r + 1, n))
         scaled[r] = acc // row[r]
-    return [Fraction(v, det) for v in scaled]
+    return det, scaled
 
 
 def _condition_estimate(mat) -> float:
@@ -260,12 +204,26 @@ def _condition_estimate(mat) -> float:
 def solve_correction(params: CorrectionParams) -> CorrectionPair:
     """Solve for the correction pair belonging to a weight vector.
 
-    The left coefficients solve the assembled system against the
-    boundary-condition right-hand side [0, ..., 0, 1]; the right
-    function is the parity reflection h_r(xi) = h_l(-xi).
+    The left gradient g = h_l' solves G g = -iota_0 psi(-1), psi(-1) =
+    [(-1)^m], on the norm's Gram matrix G (the norm-representer form of
+    the stability conditions). Row and column 0 of G decouple (G[0][0] =
+    2 iota_0, the rest of both is 0), so g_0 = -1/2, and rows 1..p are
+    solved exactly. h_l is the antiderivative h_n = g_{n-1}/(2n-1) -
+    g_{n+1}/(2n+3) with h_0 = -sum h_n, so h_l(1) = 0 and h_l(-1) =
+    h_l(1) - integral g = 1; the right function is the parity reflection
+    h_r(xi) = h_l(-xi).
     """
-    rows, scales = _integer_system(params)
-    return _reflected_pair(_solve_rational(rows, scales, [0] * (params.p + 1) + [1]))
+    p = params.p
+    den, gram = params._gram
+    # iota_0 = gram[0][0] / (2 den): over den the right-hand side -iota_0 (-1)^m is -(-1)^m gram[0][0] / 2
+    half = gram[0][0] // 2
+    rhs = [(-1) ** (m + 1) * half for m in range(1, p + 1)]
+    det, scaled = _solve_rational([row[1:] for row in gram[1:]], den, rhs)
+    g = [-det] + [2 * v for v in scaled] + [0, 0]  # 2 det g, zero-padded above the top
+    odd = lcm(*range(1, 2 * p + 4, 2))
+    h = [0] + [g[n - 1] * (odd // (2 * n - 1)) - g[n + 1] * (odd // (2 * n + 3)) for n in range(1, p + 2)]
+    h[0] = -sum(h)
+    return _reflected_pair([Fraction(v, 2 * odd * det) for v in h])
 
 
 def _reflected_pair(h_l: list[Fraction]) -> CorrectionPair:
@@ -296,7 +254,8 @@ def sobolev_norm_squared(params: CorrectionParams, u_tilde) -> float:
 
     The quadratic form c^T G c of the coefficients c (zero-padded to
     p+1; a longer series is a ValueError) with the Gram matrix of the
-    weights, in integers.
+    weights, in integers. A value beyond the float range is the
+    correspondingly signed infinity.
     """
     coeffs = list(getattr(u_tilde, "coeffs", u_tilde))
     size = params.p + 1
@@ -305,7 +264,10 @@ def sobolev_norm_squared(params: CorrectionParams, u_tilde) -> float:
     scale, c = _over_common_denominator(coeffs + [0] * (size - len(coeffs)))
     den, gram = params._gram
     total = sum(cj * sum(g * ck for g, ck in zip(row, c)) for cj, row in zip(c, gram))
-    return total / (den * scale * scale)  # int / int rounds the exact ratio once
+    try:
+        return total / (den * scale * scale)  # int / int rounds the exact ratio once
+    except OverflowError:  # beyond the float range
+        return inf if total > 0 else -inf
 
 
 # Row i holds the coefficients of iota_0..iota_{i-1} in the bound on iota_i,
@@ -347,22 +309,30 @@ def sufficient_bounds(params: CorrectionParams) -> StabilityBounds:
 
 
 def _applied_blocks(h_l: LegendreSeries) -> tuple[int, list[list[int]]]:
-    """B_i h for i = 0..p, each _weight_block(p, i) applied to the coefficients h of h_l, exact.
+    """The interior rows of G g = -iota_0 psi(-1) per weight, for the gradient g = h' of h_l, exact.
 
-    Returned as (scale, integer rows): B_i h is rows[i] / scale for every i.
+    Returned as (scale, integer rows): rows[i] / scale is (G_i g)[1..p]
+    for i >= 1, and rows[0] / scale holds the iota_0 terms
+    (G_0 g)[m] - (h(1) - (-1)^m h(-1)), m = 1..p, whose boundary term is
+    the right-hand side psi_m(-1) = (-1)^m once h(-1) = 1 and h(1) = 0.
     """
     scale, h = _over_common_denominator(h_l.coeffs)
     p = len(h) - 2
     if not 2 <= p <= 5:
         raise UnsupportedOrderError(f"h_l of order {p + 1} is outside the supported orders 3..6")
-    return scale, [[sum(b * c for b, c in zip(row, h)) for row in _weight_block(p, i)] for i in range(p + 1)]
+    g = series_derivative(h)
+    right, left = sum(h), sum((-1) ** n * c for n, c in enumerate(h))  # scale h(1), scale h(-1)
+    den = _gram_block(p, 0)[0]
+    applied = [[sum(a * b for a, b in zip(row, g)) for row in _gram_block(p, i)[1][1:]] for i in range(p + 1)]
+    applied[0] = [v - den * (right - (-1) ** m * left) for m, v in enumerate(applied[0], 1)]
+    return den * scale, applied
 
 
 def osfr_iota(p: int, h_l: LegendreSeries):
     """Recover the single-parameter iota reproducing h_l, or None.
 
     This is recover_weights with iota_1..iota_{p-1} held at zero: iota_p
-    enters only the last interior row (B_p h is zero above it), so that
+    enters only the last interior row (G_p g is zero above it), so that
     row alone gives the candidate. Membership requires the solve of
     [1, 0, ..., 0, iota] to match every coefficient of h_l within
     MEMBERSHIP_TOL (a singular solve is not a member). Returns None
@@ -430,20 +400,21 @@ def esfr3_weights(g_l: LegendreSeries):
 def recover_weights(h_l: LegendreSeries) -> np.ndarray:
     """Invert a left correction function of order p+1 back to [1, iota_1..iota_p].
 
-    With iota_0 = 1, the interior rows of the correction system with the
-    weights as unknowns are the exact p x p system
-    sum_{i>=1} iota_i (B_i h) = -(B_0 h), B_i = _weight_block(p, i), h the
-    coefficients of h_l as exact fractions. A singular system (h_l admits
-    several weight vectors) raises DegenerateCoefficientError.
+    With iota_0 = 1, rows 1..p of G g = -iota_0 psi(-1) with the weights
+    as unknowns are the exact p x p system
+    sum_{i>=1} iota_i (G_i g)[1..p] = -(G_0 g)[1..p] + (h(1) - (-1)^m h(-1)),
+    g = h' for the coefficients h of h_l as exact fractions. A singular
+    system (h_l admits several weight vectors) raises
+    DegenerateCoefficientError.
     """
     scale, applied = _applied_blocks(h_l)
     p = len(applied) - 1
     rows = [[applied[i][r] for i in range(1, p + 1)] for r in range(p)]
     try:
-        weights = _solve_rational(rows, [scale] * p, [-v for v in applied[0]])
+        det, scaled = _solve_rational(rows, scale, [-v for v in applied[0]])
     except SingularSystemError as exc:
         raise DegenerateCoefficientError(f"weight recovery is degenerate: {exc}") from None
-    return np.array([1.0] + [float(w) for w in weights])
+    return np.array([1.0] + [float(Fraction(v, det)) for v in scaled])
 
 
 def pair_to_json(params: CorrectionParams, pair: CorrectionPair) -> str:

@@ -3,10 +3,11 @@
 One rule carries all of the calculus: d psi_j/dxi = sum_{i = j-1, j-3,
 ...} (2i+1) psi_i (``series_derivative``) together with orthogonality,
 integral psi_i psi_j = 2/(2j+1) if i = j and 0 otherwise
-(``mass_diagonal``). Exact integrals of derivative products are
-mass-weighted inner products of integer coefficient tuples, returned
-as :class:`fractions.Fraction`. Floating point enters only when a series
-is evaluated or handed to the linear algebra layer.
+(``mass_diagonal``). The correction module's Gram blocks G_i are
+mass-weighted inner products of the integer coefficient tuples of
+derivatives (``_derivative_coeffs``): g_l solves G g = -iota_0 psi(-1);
+the solve is singular exactly where det G = 0. Floating point enters
+only when a series is evaluated or handed to the linear algebra layer.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy.polynomial.legendre as npleg
 
 __all__ = [
     "LegendreSeries",
-    "integral_dm_dm1",
     "mass_diagonal",
     "series_derivative",
 ]
@@ -33,17 +33,6 @@ def _derivative_coeffs(m: int, n: int) -> tuple[int, ...]:
     for _ in range(m):
         coeffs = series_derivative(coeffs)
     return tuple(coeffs)
-
-
-def integral_dm_dm1(m: int, n: int, k: int) -> Fraction:
-    """Exact integral over [-1, 1] of (d^m psi_n/dxi^m)(d^{m+1} psi_k/dxi^{m+1}).
-
-    The mass-weighted inner product of the two derivatives' Legendre
-    coefficients; out-of-range derivative orders give 0.
-    """
-    a, b = _derivative_coeffs(m, n), _derivative_coeffs(m + 1, k)
-    # by parity every product vanishes when n + k is even; skipping zeros saves most of the Fraction work
-    return sum((w * (x * y) for w, x, y in zip(mass_diagonal(len(a) - 1), a, b) if x and y), Fraction(0))
 
 
 def mass_diagonal(p: int) -> list[Fraction]:

@@ -1,17 +1,24 @@
-"""Closed forms that the exact correction system makes redundant, kept as test oracles.
+"""Closed forms that the exact Gram solve makes redundant, kept as test oracles.
 
-- ``endpoint_derivative`` and ``boundary_product``: the endpoint term of
-  the raw per-weight blocks, which integration by parts cancels;
-  ``triple_loop_matrix`` in test_correction.py sums the blocks in that
-  raw form.
+The program builds the norm, its bounds and the solve from one Gram
+matrix G = sum_i iota_i G_i: g_l solves G g = -iota_0 psi(-1); the solve
+is singular exactly where det G = 0. These are the routes it replaced.
+
+- ``correction_matrix``: the paper-form (p+2)x(p+2) system in the
+  coefficients of h_l, summed entry by entry, weight by weight, from
+  ``integral_dm_dm1`` and the endpoint term ``boundary_product`` (built
+  on ``endpoint_derivative``), which integration by parts cancels. Its
+  interior rows are the Gram rows of the gradient; criterion 1's golden
+  forms and the Fraction-solve oracle read it.
+- ``integral_dm_dm1``: the derivative-product integral as a
+  mass-weighted inner product of series-rule coefficients;
+  ``legendre_b`` and ``b_sum_integral``: the factorial double sum for
+  the same integral.
 - ``osfr_correction``: the one-parameter (OSFR) family's a_p/eta closed
   form (Vincent, Castonguay & Jameson, J. Sci. Comput. 2011), which the
   exact solve of [1, 0, ..., 0, iota] reproduces.
 - ``fraction_solve``: Gaussian elimination in Fraction arithmetic, which
   the fraction-free integer elimination of ``solve_correction`` replaces.
-- ``legendre_b`` and ``b_sum_integral``: the factorial double sum for the
-  derivative-product integral, which ``integral_dm_dm1`` replaces with
-  the series rule and orthogonality.
 - ``differentiating_norm``: the Sobolev norm by repeated series
   differentiation on every call, which the Gram quadratic form of
   ``sobolev_norm_squared`` replaces.
@@ -21,6 +28,7 @@ oracles of test_legendre.py and the acceptance suite.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import numpy.polynomial.legendre as npleg
@@ -32,7 +40,7 @@ from gsfr.correction import (
     _reflected_pair,
     _to_fraction,
 )
-from gsfr.legendre import mass_diagonal, series_derivative
+from gsfr.legendre import _derivative_coeffs, mass_diagonal, series_derivative
 
 
 def _dpsi(order, n, xs):
@@ -41,6 +49,18 @@ def _dpsi(order, n, xs):
     for _ in range(order):
         c = series_derivative(c) if len(c) > 1 else [0.0]
     return npleg.legval(xs, c)
+
+
+@cache
+def integral_dm_dm1(m: int, n: int, k: int) -> Fraction:
+    """Exact integral over [-1, 1] of (d^m psi_n/dxi^m)(d^{m+1} psi_k/dxi^{m+1}).
+
+    The mass-weighted inner product of the two derivatives' Legendre
+    coefficients; out-of-range derivative orders give 0.
+    """
+    a, b = _derivative_coeffs(m, n), _derivative_coeffs(m + 1, k)
+    # by parity every product vanishes when n + k is even; skipping zeros saves most of the Fraction work
+    return sum((w * (x * y) for w, x, y in zip(mass_diagonal(len(a) - 1), a, b) if x and y), Fraction(0))
 
 
 def legendre_b(i: int, m: int, n: int) -> Fraction:
@@ -103,6 +123,33 @@ def boundary_product(i: int, n: int, m: int) -> Fraction:
     return right - left
 
 
+def correction_matrix(params) -> list[list[Fraction]]:
+    """The paper-form (p+2)x(p+2) correction system in the coefficients of h_l, exact.
+
+    Interior row m = 1..p sums, weight by weight, -iota_i / 2 times the
+    integral of (d^i psi_n)(d^{i+1} psi_m) minus, for i >= 1, its
+    endpoint term; the last two rows enforce h_l(1) = 0 and h_l(-1) = 1.
+    """
+    p = params.p
+    iota = [_to_fraction(v) for v in params.iota]
+    mat = []
+    for m in range(1, p + 1):
+        row = []
+        for n in range(p + 2):
+            acc = Fraction(0)
+            for i in range(p + 1):
+                if iota[i] == 0:
+                    continue
+                acc += iota[i] * integral_dm_dm1(i, n, m)
+                if i >= 1:
+                    acc -= iota[i] * boundary_product(i, n, m)
+            row.append(-acc / 2)
+        mat.append(row)
+    mat.append([Fraction(1)] * (p + 2))
+    mat.append([Fraction(-1) ** n for n in range(p + 2)])
+    return mat
+
+
 def osfr_correction(p: int, iota) -> CorrectionPair:
     """One-parameter stable correction pair (classical single-iota family).
 
@@ -151,7 +198,7 @@ def differentiating_norm(params, u_tilde) -> float:
     """
     coeffs = getattr(u_tilde, "coeffs", u_tilde)
     level = [_to_fraction(c) for c in coeffs]
-    iota = params.iota_fractions
+    iota = [_to_fraction(v) for v in params.iota]
     total = Fraction(0)
     for i in range(params.p + 1):
         if iota[i] != 0:

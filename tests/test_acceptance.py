@@ -21,7 +21,7 @@ from gsfr.correction import (
     sufficient_bounds,
 )
 from gsfr.experiments import HETERO_PERIOD, hetero_energy_study, ooa_study
-from gsfr.legendre import LegendreSeries, integral_dm_dm1, series_derivative
+from gsfr.legendre import LegendreSeries, series_derivative
 from gsfr.operators import (
     RK_STAGE_ORDER,
     build_reference_element,
@@ -37,7 +37,7 @@ from gsfr.spectral import (
     k_from_k_hat,
 )
 
-from closed_forms import _dpsi, osfr_correction
+from closed_forms import _dpsi, integral_dm_dm1, osfr_correction
 from test_correction import (
     GOLDEN_P2,
     GOLDEN_P3,

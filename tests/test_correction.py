@@ -10,14 +10,11 @@ import pytest
 from gsfr.correction import (
     _BOUND_ROWS,
     _gram_block,
-    _integer_system,
-    _solve_rational,
     CorrectionPair,
     CorrectionParams,
     DegenerateCoefficientError,
     SingularSystemError,
     UnsupportedOrderError,
-    correction_matrix,
     esfr3_gradient,
     esfr3_weights,
     osfr_iota,
@@ -29,13 +26,13 @@ from gsfr.correction import (
     sufficient_bounds,
 )
 from gsfr.experiments import default_search_grid, step_limit
-from gsfr.legendre import LegendreSeries, integral_dm_dm1, series_derivative
+from gsfr.legendre import LegendreSeries, series_derivative
 
-from closed_forms import boundary_product, differentiating_norm, fraction_solve, osfr_correction
+from closed_forms import correction_matrix, differentiating_norm, fraction_solve, osfr_correction
 
 
 def coefficient_matrices(p):
-    """Per-weight coefficient matrices: M(iota) = sum_i iota_i * C_i on interior rows."""
+    """Per-weight coefficient matrices of the paper-form oracle: M(iota) = sum_i iota_i * C_i on interior rows."""
     size = p + 2
     base = correction_matrix(CorrectionParams(p, [F(1)] + [F(0)] * p))
     out = [base]
@@ -116,35 +113,62 @@ def test_golden_matrix_p4_known_deviations():
             assert assembled == [F(0), F(105), F(3255), F(33075), F(99225)]
 
 
-def triple_loop_matrix(params):
-    """The correction system summed entry by entry, weight by weight, in the raw endpoint form: the oracle for the per-weight blocks."""
+def derivative_matrix(p):
+    """The integer (p+1)x(p+2) matrix D with g = D h: column n holds the series derivative of psi_n."""
+    cols = [series_derivative([0] * n + [1]) for n in range(p + 2)]
+    return [[col[k] if k < len(col) else 0 for col in cols] for k in range(p + 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_interior_rows_are_gram_rows_of_the_gradient(p):
+    # the oracle's per-weight interior rows are 1/2 (G_i D)[1..p] for i >= 1 and, by parts,
+    # -1/2 (D^T G_0)[1..p] for i = 0 (zero in the psi_{p+1} column): the system is G g = -iota_0 psi(-1)
+    d = derivative_matrix(p)
+    blocks = coefficient_matrices(p)
+    for i in range(p + 1):
+        den, rows = _gram_block(p, i)
+        gram = [[F(v, den) for v in row] for row in rows]
+        if i:
+            expected = [[sum(gram[m][k] * d[k][n] for k in range(p + 1)) / 2 for n in range(p + 2)] for m in range(1, p + 1)]
+        else:
+            expected = [
+                [-sum(d[k][m] * gram[k][n] for k in range(p + 1)) / 2 for n in range(p + 1)] + [F(0)]
+                for m in range(1, p + 1)
+            ]
+        assert blocks[i][:p] == expected, i
+
+
+def exact_gram(params):
+    """G = sum_i iota_i G_i as Fractions, from the integer blocks."""
     p = params.p
-    iota = params.iota_fractions
-    mat = []
-    for m in range(1, p + 1):
-        row = []
-        for n in range(p + 2):
-            acc = F(0)
-            for i in range(p + 1):
-                if iota[i] == 0:
-                    continue
-                acc += iota[i] * integral_dm_dm1(i, n, m)
-                if i >= 1:
-                    acc -= iota[i] * boundary_product(i, n, m)
-            row.append(-acc / 2)
-        mat.append(row)
-    mat.append([F(1)] * (p + 2))
-    mat.append([F(-1) ** n for n in range(p + 2)])
-    return mat
+    blocks = [_gram_block(p, i) for i in range(p + 1)]
+    return [
+        [sum(F(w) * F(rows[j][k], den) for w, (den, rows) in zip(params.iota, blocks)) for k in range(p + 1)]
+        for j in range(p + 1)
+    ]
 
 
-def test_block_assembly_matches_triple_loop():
-    rng = np.random.default_rng(5)
-    for p in (2, 3, 4, 5):
-        for _ in range(25):
-            weights = [1.0] + list(rng.uniform(-1e-2, 1e-1, p) * (rng.random(p) < 0.7))
-            params = CorrectionParams(p, weights)
-            assert correction_matrix(params) == triple_loop_matrix(params)
+def _osfr_singular_iota(p):
+    """The weight iota_p at which 1 + eta_p of the one-parameter family vanishes."""
+    return F(-1, (2 * p + 1) * (factorial(2 * p) // (2**p * factorial(p))) ** 2)
+
+
+SINGULAR_WEIGHTS = [
+    [1, F(1, 10), F(-1, 18)],
+    [1, F(-1, 3), 5],
+    [1, F(1, 10), 0, F(-131, 40950)],
+    [1, F(1, 10), F(-1, 18), F(1, 100)],
+] + [[1] + [0] * (p - 1) + [_osfr_singular_iota(p)] for p in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("iota", SINGULAR_WEIGHTS, ids=["p2-a", "p2-b", "p3-a", "p3-b", "p2-osfr", "p3-osfr", "p4-osfr", "p5-osfr"])
+def test_solve_is_singular_where_the_gram_matrix_is(iota):
+    params = CorrectionParams(len(iota) - 1, iota)
+    for mat in (exact_gram(params), correction_matrix(params)):
+        with pytest.raises(SingularSystemError):
+            fraction_solve(mat, [F(0)] * len(mat))
+    with pytest.raises(SingularSystemError):
+        solve_correction(params)
 
 
 def test_boundary_condition_rows():
@@ -175,20 +199,21 @@ def test_params_validation():
 
 @pytest.mark.parametrize(
     "params",
-    # the determinants are -2(45 iota_2 + 1) and -2(1575 iota_3 + 1)
-    [CorrectionParams(2, [1, 0, F(-1, 45)]), CorrectionParams(3, [1, 0, 0, F(-1, 1575)])],
-    ids=["p2", "p3"],
+    # the Gram rows 1..p are exactly singular where 45 iota_2 + 1 or 1575 iota_3 + 1 vanishes, and in a coupled p=3 case
+    [
+        CorrectionParams(2, [1, 0, F(-1, 45)]),
+        CorrectionParams(3, [1, 0, 0, F(-1, 1575)]),
+        CorrectionParams(3, [1, F(1, 10), 0, F(-131, 40950)]),
+    ],
+    ids=["p2", "p3", "p3-coupled"],
 )
 def test_singular_system_reports_condition_estimate(params):
-    cond = np.linalg.cond(np.array(correction_matrix(params), dtype=float))
-    assert 1e15 < cond < np.inf  # the float copy of the exact system is ill-conditioned, not exactly singular
+    # the estimate is that of the float copy of the Gram rows and columns 1..p the solve eliminates
+    gram = [row[1:] for row in exact_gram(params)[1:]]
+    cond = np.linalg.cond(np.array(gram, dtype=float))
+    assert cond > 1e15
     with pytest.raises(SingularSystemError, match=re.escape(f"(float condition estimate {cond:.3e})")):
         solve_correction(params)
-
-
-def _osfr_singular_iota(p):
-    """The weight iota_p at which 1 + eta_p of the one-parameter family vanishes."""
-    return F(-1, (2 * p + 1) * (factorial(2 * p) // (2**p * factorial(p))) ** 2)
 
 
 def _oracle_vectors():
@@ -213,18 +238,16 @@ def test_integer_elimination_matches_fraction_oracle():
         p = params.p
         try:
             expected = fraction_solve(correction_matrix(params), [F(0)] * (p + 1) + [F(1)])
-        except SingularSystemError as exc:
+        except SingularSystemError:
+            # singular together; each message estimates the condition of its own system
             singular += 1
-            with pytest.raises(SingularSystemError) as caught:
+            with pytest.raises(SingularSystemError):
                 solve_correction(params)
-            assert str(caught.value) == str(exc), params
             continue
-        rows, scales = _integer_system(params)
-        assert _solve_rational(rows, scales, [0] * (p + 1) + [1]) == expected, params
         h_l = solve_correction(params).h_l
         assert h_l.coeffs.tolist() == [float(v) for v in expected], params
         if recovered % 10 == 0:
-            # weight recovery: the same blocks, applied to the float coefficients, with the weights as unknowns
+            # weight recovery: the oracle's blocks, applied to the float coefficients, with the weights as unknowns
             blocks = blocks_by_order[p]
             h = [F(c) for c in h_l.coeffs]
             applied = [[sum(b * c for b, c in zip(block[r], h)) for r in range(p)] for block in blocks]
@@ -434,6 +457,11 @@ def test_norm_pads_a_short_series_and_rejects_a_long_one():
     assert sobolev_norm_squared(dg3, [0, 1]) == sobolev_norm_squared(dg3, [0, 1, 0, 0])
     with pytest.raises(ValueError, match="series has 6 coefficients, more than the p\\+1 = 4 of p=3"):
         sobolev_norm_squared(dg3, [1, 2, 3, 4, 5, 6])
+
+
+def test_norm_beyond_the_float_range_is_a_signed_infinity():
+    assert sobolev_norm_squared(CorrectionParams(2, [1e300, 0, 0]), [1e10]) == np.inf
+    assert sobolev_norm_squared(CorrectionParams(2, [1, -1e308, 0]), [0, 1e10]) == -np.inf
 
 
 def sample_inside_bounds(p, rng):

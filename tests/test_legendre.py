@@ -6,12 +6,11 @@ import pytest
 
 from gsfr.legendre import (
     LegendreSeries,
-    integral_dm_dm1,
     mass_diagonal,
     series_derivative,
 )
 
-from closed_forms import _dpsi, b_sum_integral, endpoint_derivative, legendre_b
+from closed_forms import _dpsi, b_sum_integral, endpoint_derivative, integral_dm_dm1, legendre_b
 
 
 def test_endpoint_derivative_examples():

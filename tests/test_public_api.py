@@ -1,0 +1,29 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import gsfr
+
+
+def test_every_exported_name_exists():
+    modules = [importlib.import_module(f"gsfr.{info.name}") for info in pkgutil.iter_modules(gsfr.__path__)]
+    assert sum(hasattr(module, "__all__") for module in modules) >= 5
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
+
+
+def test_every_package_import_resolves():
+    tree = ast.parse(Path(gsfr.__file__).read_text())
+    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(imported) > 30
+    for name in imported:
+        assert hasattr(gsfr, name), name
+
+
+def test_removed_names_are_gone():
+    # the paper-form system and its integral live on as test oracles in closed_forms.py only
+    for name in ("correction_matrix", "integral_dm_dm1"):
+        assert not hasattr(gsfr, name)
+        assert not hasattr(gsfr.correction, name) and not hasattr(gsfr.legendre, name)
