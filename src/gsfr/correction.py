@@ -111,9 +111,13 @@ class CorrectionParams:
             raise UnsupportedOrderError(f"order p={p} outside supported range 2..5")
         if len(iota) != p + 1:
             raise ValueError(f"expected {p + 1} weights for p={p}, got {len(iota)}")
-        if not all(isfinite(float(v)) for v in iota):
-            raise ValueError(f"weights must be finite, got {[float(v) for v in iota]}")
-        if float(iota[0]) <= 0:
+        try:
+            values = [float(v) for v in iota]
+        except OverflowError:  # an exact weight beyond the float range
+            raise ValueError("weights must be finite, got one beyond the float range") from None
+        if not all(isfinite(v) for v in values):
+            raise ValueError(f"weights must be finite, got {values}")
+        if values[0] <= 0:
             raise ValueError("iota_0 must be positive (it scales the L2 part of the norm)")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "iota", iota)
@@ -197,8 +201,8 @@ def _solve_rational(rows: list[list[int]], scale: int, rhs: list[int]) -> tuple[
 def _condition_estimate(mat) -> float:
     try:
         return float(np.linalg.cond(np.array([[float(v) for v in row] for row in mat])))
-    except np.linalg.LinAlgError:
-        return float("inf")
+    except (np.linalg.LinAlgError, OverflowError):  # singular, or an exact entry beyond the float range
+        return inf
 
 
 def solve_correction(params: CorrectionParams) -> CorrectionPair:
@@ -417,8 +421,14 @@ def recover_weights(h_l: LegendreSeries) -> np.ndarray:
     return np.array([1.0] + [float(Fraction(v, det)) for v in scaled])
 
 
+def _check_endpoints(h_l: LegendreSeries, error: type, what: str) -> None:
+    if abs(h_l(-1.0) - 1.0) > MEMBERSHIP_TOL or abs(h_l(1.0)) > MEMBERSHIP_TOL:
+        raise error(f"{what} has h_l(-1) = {h_l(-1.0):g}, h_l(1) = {h_l(1.0):g}; need 1 and 0")
+
+
 def pair_to_json(params: CorrectionParams, pair: CorrectionPair) -> str:
-    """Serialize p, the weights, and both correction functions."""
+    """Serialize p, the weights, and both correction functions; h_l off its endpoints in doubles is singular."""
+    _check_endpoints(pair.h_l, SingularSystemError, "the solve's h_l in doubles")
     doc = {
         "p": params.p,
         "iota": [float(v) for v in params.iota],
@@ -452,8 +462,7 @@ def pair_from_json(text: str) -> tuple[CorrectionParams, CorrectionPair]:
     if not np.array_equal(h_r, h_l * (-1.0) ** np.arange(params.p + 2)):
         raise ValueError("correction file field 'h_r' is not the reflection h_l(-xi) of its 'h_l'")
     hl, hr = LegendreSeries(h_l), LegendreSeries(h_r)
-    if abs(hl(-1.0) - 1.0) > MEMBERSHIP_TOL or abs(hl(1.0)) > MEMBERSHIP_TOL:
-        raise ValueError(f"correction file field 'h_l' has h_l(-1) = {hl(-1.0):g}, h_l(1) = {hl(1.0):g}; need 1 and 0")
+    _check_endpoints(hl, ValueError, "correction file field 'h_l'")
     gap = np.max(np.abs(solve_correction(params).h_l.coeffs - h_l))
     if gap > MEMBERSHIP_TOL:
         raise ValueError(

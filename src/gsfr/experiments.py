@@ -50,7 +50,7 @@ __all__ = [
 HETERO_PERIOD = 2.0 / sqrt(3.0)
 
 BLOWUP_ENERGY = 1e3
-# steps of the hetero study per energy reduction; its buffer holds this many solutions
+# steps of the hetero study per energy reduction; its buffer holds their products and the state before them
 _ENERGY_CHUNK = 128
 
 # advection studies: wave cos(WAVENUMBER x), step SAFETY times the limit at REFERENCE_RHO_TOL
@@ -120,7 +120,8 @@ class StepMap:
     is rows[g] applied to the values of the 3s elements (g*s-s, ...,
     g*s+2s-1) mod n, which sit at the flat positions cols[g] of u. When s
     does not divide n, the last group runs past element n-1 and repeats
-    elements 0, 1, ...; those surplus rows are dropped.
+    elements 0, 1, ...; a call drops those surplus rows, and the in-place
+    steps of hetero_energy_study leave them unread.
     """
 
     rows: np.ndarray  # (ceil(n/s), s(p+1), 3s(p+1))
@@ -317,7 +318,8 @@ def hetero_energy_study(
     |E(nT) - 1| measure the aliasing-driven error. The step is sized per
     solution point against the maximum speed 3 and adjusted to land
     exactly on period boundaries. Blow-up (energy above 1e3) stops the
-    run and is flagged with its time rather than raised.
+    run and is flagged with its time rather than raised. Each step is one
+    gather and one product written in place into the energy buffer.
     """
     if n_elements < 1 or n_periods < 1 or not 0.0 < cfl < inf:
         raise ValueError(f"need n_elements >= 1, n_periods >= 1, a finite cfl > 0; got {n_elements}, {n_periods}, {cfl}")
@@ -340,19 +342,23 @@ def hetero_energy_study(
     record_stride = max(1, steps_per_period // 32)
 
     step = step_map(make_heterogeneous_rhs(ops, state), state, tau, rk)
+    rows, cols, size = step.rows, step.cols[..., None], state.u.size
+    buf = np.zeros((_ENERGY_CHUNK + 1,) + rows.shape[:2] + (1,))  # slot 0: the state before the chunk
+    buf[0].reshape(-1)[:size] = state.u.ravel()
     # solution_energy's expression over a chunk of steps, so the energies are the same doubles
-    u, jac, w = state.u, state.jacobian, ops.element.weights[None, :]
+    jac, w = state.jacobian, ops.element.weights[None, :]
     total = n_periods * steps_per_period
-    buf = np.empty((_ENERGY_CHUNK,) + u.shape)
     times, energy, period_errors = [np.zeros(1)], [np.array([solution_energy(ops, state)])], []
     peak = energy[0][0]
     # blow-up overflows on its way to inf; the energy check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, total, _ENERGY_CHUNK):
             count = min(_ENERGY_CHUNK, total - start)
-            for k in range(count):
-                buf[k] = u = step(u)
-            e = jac * np.sum(w * buf[:count] ** 2, axis=(1, 2))
+            for k in range(1, count + 1):
+                np.matmul(rows, buf[k - 1].take(cols), out=buf[k])
+            chunk = buf[1 : count + 1].reshape(count, -1)[:, :size].reshape((count,) + state.u.shape)
+            e = jac * np.sum(w * chunk**2, axis=(1, 2))
+            buf[0] = buf[count]
             bad = ~np.isfinite(e) | (e > BLOWUP_ENERGY)
             blew_up = bool(bad.any())
             stop = np.argmax(bad) + 1 if blew_up else count

@@ -1,0 +1,50 @@
+"""The verdict rules of tools/bench_pair.py's summary, on synthetic run lists (no benchmark runs)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pair.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pair", _PATH)
+bench_pair = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pair)
+
+LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
+HIGHER = {"unit": "count", "better": "higher", "bound": 0.25}
+# medians 1.45; inclusive quartiles 1.225 and 1.675, so an IQR of 0.45
+BEFORE = [1.0 + 0.1 * i for i in range(10)]
+
+
+@pytest.mark.parametrize(
+    "shift, losing_pairs, gain",
+    [(1.0, 0, True), (1.0, 1, True), (1.0, 2, False), (0.5, 0, True), (0.4, 0, False)],
+    ids=["all-pairs", "nine-of-ten", "eight-of-ten", "shift-above-iqr", "shift-within-iqr"],
+)
+def test_gain_needs_nine_of_ten_pairs_and_a_shift_beyond_the_iqr(shift, losing_pairs, gain):
+    after = [b - shift for b in BEFORE]
+    for i in range(losing_pairs):
+        after[i] = BEFORE[i] + 0.01
+    s = bench_pair.summary(LOWER, BEFORE, after)
+    assert s["before_quartiles"] == pytest.approx([1.225, 1.45, 1.675])
+    assert s["after_better_pairs"] == 10 - losing_pairs
+    assert s["gain"] is gain
+    assert not s["regressed"]
+
+
+@pytest.mark.parametrize("after, regressed", [(1.2, False), (1.3, True)])
+def test_regressed_against_the_bound(after, regressed):
+    s = bench_pair.summary(LOWER, [1.0] * 10, [after] * 10)
+    assert s["change"] == pytest.approx(after - 1.0)
+    assert s["regressed"] is regressed
+    assert s["after_better_pairs"] == 0 and not s["gain"]
+
+
+@pytest.mark.parametrize(
+    "after, wins, gain, regressed", [(1.5, 10, True, False), (0.8, 0, False, False), (0.7, 0, False, True)]
+)
+def test_higher_is_better(after, wins, gain, regressed):
+    s = bench_pair.summary(HIGHER, [1.0] * 10, [after] * 10)
+    assert s["after_better_pairs"] == wins
+    assert s["gain"] is gain
+    assert s["regressed"] is regressed

@@ -127,6 +127,15 @@ def test_corr_identify_rejects_a_bad_file(content, p, message, tmp_path, capsys)
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+def test_corr_solve_refuses_a_pair_its_reader_rejects(tmp_path, capsys):
+    # next to the singular iota_2 = -1/45 the exact h_l's huge coefficients cancel; in doubles h_l(-1) = -2
+    path = tmp_path / "c.json"
+    code, out, err = run(["corr", "solve", "--p", "2", "--iota", "1,0,-0.022222222222222223", "--out", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("numerical failure: ") and "h_l(-1) = -2" in err and err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_vn_cfl_reports_table_value(tmp_path, capsys):
     out_file = tmp_path / "cfl.json"
     code, out, _ = run(

@@ -523,6 +523,17 @@ def test_overflowing_bound_is_not_met():
         assert sobolev_norm_squared(params, [0] * params.p + [1e-200]) < 0
 
 
+def test_exact_weight_beyond_the_float_range_is_not_finite():
+    with pytest.raises(ValueError, match="must be finite"):
+        CorrectionParams(2, [1, 0, 10**400])
+
+
+def test_singular_solve_with_entries_beyond_the_float_range():
+    # iota_0 + 3 iota_1 = 0 makes the system singular, and its exact Gram entries overflow a float
+    with pytest.raises(SingularSystemError, match=re.escape("(float condition estimate inf)")):
+        solve_correction(CorrectionParams(2, [1, F(-1, 3), 10**308]))
+
+
 @pytest.mark.parametrize("p", range(6))
 def test_gram_block_matches_quadrature(p):
     # G_i[j][k] against Gauss quadrature of numpy's Legendre derivatives, which do not use the series rule

@@ -318,14 +318,25 @@ def step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk="rk44", node_k
 
 
 @pytest.mark.parametrize(
-    "p, alpha, n_elements, n_periods, cfl",
-    [(3, 1.0, 32, 15, 0.06), (3, 0.5, 16, 15, 0.06), (2, 1.0, 5, 2, 0.2), (2, 0.75, 6, 4, 0.13), (3, 1.0, 8, 3, 100.0)],
-    ids=["default", "blowup-mid-chunk", "partial-last-chunk", "period-off-stride", "blowup-on-a-period"],
+    "p, alpha, n_elements, n_periods, cfl, rk",
+    [
+        (3, 1.0, 32, 15, 0.06, "rk44"),
+        (3, 0.5, 16, 15, 0.06, "rk44"),
+        (2, 1.0, 5, 2, 0.2, "rk44"),
+        (2, 0.75, 6, 4, 0.13, "rk44"),
+        (3, 1.0, 8, 3, 100.0, "rk44"),
+        (3, 1.0, 32, 2, 0.06, "rk33"),
+        (3, 1.0, 32, 2, 0.06, "rk55"),
+    ],
+    ids=[
+        "default", "blowup-mid-chunk", "partial-last-chunk", "period-off-stride", "blowup-on-a-period",
+        "rk33-surplus-rows", "rk55-surplus-rows",
+    ],
 )
-def test_hetero_study_matches_per_step_loop(p, alpha, n_elements, n_periods, cfl, request):
+def test_hetero_study_matches_per_step_loop(p, alpha, n_elements, n_periods, cfl, rk, request):
     params = CorrectionParams(p, [1.0] + [0.0] * p)
-    report = hetero_energy_study(params, alpha, n_elements, n_periods, cfl)
-    times, energy, period_errors, blowup_time, peak = step_map_hetero(params, alpha, n_elements, n_periods, cfl)
+    report = hetero_energy_study(params, alpha, n_elements, n_periods, cfl, rk)
+    times, energy, period_errors, blowup_time, peak = step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk)
     steps = n_periods * report.steps_per_period
     case = request.node.callspec.id
     # each case stands for what its id names
@@ -338,6 +349,8 @@ def test_hetero_study_matches_per_step_loop(p, alpha, n_elements, n_periods, cfl
         assert steps > _ENERGY_CHUNK and steps % _ENERGY_CHUNK != 0
     if case == "period-off-stride":
         assert report.steps_per_period % max(1, report.steps_per_period // 32) != 0
+    if case.endswith("surplus-rows"):
+        assert n_elements % RK_STAGE_ORDER[rk] != 0  # the last group of s elements runs past element n-1
     assert report.blew_up == (blowup_time is not None) == case.startswith("blowup")
     assert np.array_equal(report.times, times)
     assert np.array_equal(report.energy, energy)
