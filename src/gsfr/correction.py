@@ -426,8 +426,19 @@ def _check_endpoints(h_l: LegendreSeries, error: type, what: str) -> None:
         raise error(f"{what} has h_l(-1) = {h_l(-1.0):g}, h_l(1) = {h_l(1.0):g}; need 1 and 0")
 
 
+def _check_solve(params: CorrectionParams, h_l: np.ndarray, error: type, what: str) -> None:
+    gap = np.max(np.abs(solve_correction(params).h_l.coeffs - h_l))
+    if gap > MEMBERSHIP_TOL:
+        raise error(f"{what} is {gap:.3g} off the solve of its 'iota' (tolerance {MEMBERSHIP_TOL:g})")
+
+
 def pair_to_json(params: CorrectionParams, pair: CorrectionPair) -> str:
-    """Serialize p, the weights, and both correction functions; h_l off its endpoints in doubles is singular."""
+    """Serialize p, the weights, and both correction functions, refusing what pair_from_json would reject.
+
+    The weights are written as doubles. An h_l off its endpoints in
+    doubles, or off the solve of the written weights (exact weights next
+    to a singular point round far from it), is a SingularSystemError.
+    """
     _check_endpoints(pair.h_l, SingularSystemError, "the solve's h_l in doubles")
     doc = {
         "p": params.p,
@@ -435,6 +446,7 @@ def pair_to_json(params: CorrectionParams, pair: CorrectionPair) -> str:
         "h_l": [float(c) for c in pair.h_l.coeffs],
         "h_r": [float(c) for c in pair.h_r.coeffs],
     }
+    _check_solve(CorrectionParams(params.p, doc["iota"]), pair.h_l.coeffs, SingularSystemError, "the solve's h_l")
     return json.dumps(doc, sort_keys=True)
 
 
@@ -463,9 +475,5 @@ def pair_from_json(text: str) -> tuple[CorrectionParams, CorrectionPair]:
         raise ValueError("correction file field 'h_r' is not the reflection h_l(-xi) of its 'h_l'")
     hl, hr = LegendreSeries(h_l), LegendreSeries(h_r)
     _check_endpoints(hl, ValueError, "correction file field 'h_l'")
-    gap = np.max(np.abs(solve_correction(params).h_l.coeffs - h_l))
-    if gap > MEMBERSHIP_TOL:
-        raise ValueError(
-            f"correction file field 'h_l' is {gap:.3g} off the solve of its 'iota' (tolerance {MEMBERSHIP_TOL:g})"
-        )
+    _check_solve(params, h_l, ValueError, "correction file field 'h_l'")
     return params, CorrectionPair(h_l=hl, h_r=hr, g_l=hl.derivative(), g_r=hr.derivative())

@@ -237,6 +237,15 @@ def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str
     The step is SAFETY times the stable limit, shrinks like 1/N and is
     shortened to land exactly on t_end. The wave is one Bloch mode, so the
     steps are one power of its (p+1)x(p+1) block, probed from rk_advance.
+
+    The probe runs on the 2s+1 elements that reach element 0 in one step
+    (s = stage_order(rk)): elements 0..s and n-s..n-1, element 0 first,
+    or the whole mesh when n <= 2s+1. The block is exact, not a truncation:
+    the right-hand side wraps over u's own element axis, a step makes s
+    right-hand-side evaluations, each reaching one element further, and on
+    the (2s+1)-element cycle the wrapped path to element 0 is s+1 long.
+    The window keeps the mesh's own jacobian, so its doubles are the
+    whole-mesh probe's.
     """
     ops = build_scheme_operators(element, alpha, jacobian=pi / n_elements)
     state = uniform_mesh(ops, n_elements, 0.0, 2.0 * pi)
@@ -247,8 +256,10 @@ def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str
     # element j holds Re(phase[j] v), v = e^{i WAVENUMBER x} on element 0; column i
     # of the block is element 0's response to the probe phase e_i
     phase = np.exp(1j * WAVENUMBER * (x[:, :1] - x[0, 0]))
-    probes = replace(state, u=phase * np.eye(x.shape[1])[:, None, :])
-    block = rk_advance(lambda s: linear_advection_rhs(ops, s), probes, tau, rk).u[:, 0].T
+    s = stage_order(rk)
+    window = np.r_[0 : s + 1, -s:0] % n_elements if n_elements > 2 * s + 1 else slice(None)
+    probes = replace(state, u=phase[window] * np.eye(x.shape[1])[:, None, :])
+    block = rk_advance(lambda st: linear_advection_rhs(ops, st), probes, tau, rk).u[:, 0].T
     # divergence overflows on its way to inf; the finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         u = (phase * (np.linalg.matrix_power(block, steps) @ np.exp(1j * WAVENUMBER * x[0]))).real

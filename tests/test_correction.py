@@ -629,6 +629,18 @@ def test_json_round_trip_passes_the_boundary_check(p):
         assert np.array_equal(pair2.h_l.coeffs, pair.h_l.coeffs)
 
 
+@pytest.mark.parametrize("exponent, gap", [(6, "1.56e-07"), (7, "7.78e-05"), (13, "3.38e+07")])
+def test_pair_to_json_refuses_exact_weights_its_reader_rejects(exponent, gap):
+    # next to the singular iota_2 = -1/45 the written doubles of an exact weight solve far from the exact h_l
+    params = CorrectionParams(2, [1, 0, F(-1, 45) + F(1, 7 * 10**exponent)])
+    pair = solve_correction(params)
+    with pytest.raises(SingularSystemError, match=re.escape(f"h_l is {gap} off the solve of its 'iota'")):
+        pair_to_json(params, pair)
+    params = CorrectionParams(2, [1, 0, F(1, 45) + F(1, 7 * 10**exponent)])
+    _, pair2 = pair_from_json(pair_to_json(params, solve_correction(params)))
+    assert np.array_equal(pair2.h_l.coeffs, solve_correction(params).h_l.coeffs)
+
+
 def test_pair_dataclass_order():
     pair = solve_correction(CorrectionParams(3, [1, 0, 0, 0]))
     assert isinstance(pair, CorrectionPair)

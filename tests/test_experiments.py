@@ -463,8 +463,47 @@ def test_advection_block_is_the_spectral_update_matrix(rk, alpha, node_kind, mon
         assert gap <= 1e-14, (n, gap)
 
 
+def whole_mesh_block(element, alpha, n_elements, tau, rk):
+    """The wave's one-step block of _advect_cosine probed on all n elements, as before the probe ran on the
+    2s+1 elements that reach element 0; its oracle."""
+    ops = build_scheme_operators(element, alpha, jacobian=pi / n_elements)
+    state = uniform_mesh(ops, n_elements, 0.0, 2.0 * pi)
+    x = mesh_nodes(ops, state)
+    phase = np.exp(1j * WAVENUMBER * (x[:, :1] - x[0, 0]))
+    probes = replace(state, u=phase * np.eye(x.shape[1])[:, None, :])
+    return rk_advance(lambda s: linear_advection_rhs(ops, s), probes, tau, rk).u[:, 0].T
+
+
+@pytest.mark.parametrize("rk", RK_SCHEMES)
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_windowed_advection_block_matches_whole_mesh_probe(p, rk, monkeypatch):
+    # bit for bit: element 0 reads only the s elements on either side in one step, and the window's wrap
+    # (element s next to element n-s) is s+1 away from it; n = 1, 2, 2s and 2s+1 probe the whole mesh
+    s = RK_STAGE_ORDER[rk]
+    recorded = []
+
+    def recording(*args, **kwargs):
+        stepped = rk_advance(*args, **kwargs)
+        recorded.append(stepped.u)
+        return stepped
+
+    monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
+    pair = solve_correction(CorrectionParams(p, [1.0] + [0.0] * p))
+    for alpha in (1.0, 0.5):
+        tau_ref = _reference_tau(pair, alpha, rk)
+        for node_kind in ("gauss", "lobatto"):
+            element = build_reference_element(p, pair, node_kind)
+            for n in (1, 2, 2 * s, 2 * s + 1, 2 * s + 2, 160):
+                recorded.clear()
+                tau = _advect_cosine(element, alpha, n, pi, rk, tau_ref)[4]
+                assert len(recorded) == 1 and recorded[0].shape == (p + 1, min(n, 2 * s + 1), p + 1)
+                block = recorded[0][:, 0].T
+                assert block.tobytes() == whole_mesh_block(element, alpha, n, tau, rk).tobytes(), (alpha, node_kind, n)
+
+
 def test_ooa_study_has_no_time_loop(monkeypatch):
-    # one step of the p+1 = 4 stacked probes per mesh, whatever the number of time steps (hundreds per mesh here)
+    # one step of the p+1 = 4 stacked probes on the 2s+1 = 7 elements that reach element 0, per mesh,
+    # whatever the number of time steps (hundreds per mesh here)
     shapes = []
 
     def recording(rhs_fn, state, *args, **kwargs):
@@ -474,7 +513,7 @@ def test_ooa_study_has_no_time_loop(monkeypatch):
     monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
     report = ooa_study(DG3, rk="rk33")
     assert min(report.steps) > 100
-    assert shapes == [(4, n, 4) for n in DEFAULT_ELEMENT_COUNTS]
+    assert shapes == [(4, 7, 4)] * len(DEFAULT_ELEMENT_COUNTS)
 
 
 def test_hetero_upwind_survives_fifteen_periods():
