@@ -31,13 +31,13 @@ def describe(label, params):
 
 
 dg = describe("nodal DG (plain L2 weights)", CorrectionParams(3, [1, 0, 0, 0]))
-print(f"  one-parameter equivalent: iota = {osfr_iota(3, dg.h_l)}")
+print(f"  one-parameter equivalent: iota = {osfr_iota(dg.h_l)}")
 
 osfr = describe("one-parameter member, iota = 1e-2", CorrectionParams(3, [1, 0, 0, 1e-2]))
-print(f"  one-parameter weight recovered: iota = {osfr_iota(3, osfr.h_l)}")
+print(f"  one-parameter weight recovered: iota = {osfr_iota(osfr.h_l)}")
 
 unique = describe("a new member", CorrectionParams(3, [1, 0.01, 0.01, 0.1]))
-print(f"  one-parameter family: {osfr_iota(3, unique.h_l)} (None = not a member)")
+print(f"  one-parameter family: {osfr_iota(unique.h_l)} (None = not a member)")
 print(f"  kappa-matrix family:  {esfr3_weights(unique.g_l)} (None = not a member)")
 print(f"  recovered weights:    {np.round(recover_weights(unique.h_l), 10)}")
 

@@ -124,7 +124,7 @@ def _cmd_corr_identify(args):
     else:
         params = _params(args)
         pair = corr.solve_correction(params)
-    maps = [("osfr_iota", "osfr", lambda: corr.osfr_iota(params.p, pair.h_l))]
+    maps = [("osfr_iota", "osfr", lambda: corr.osfr_iota(pair.h_l))]
     if params.p == 3:
         maps.append(("esfr_kappa", "esfr", lambda: corr.esfr3_weights(pair.g_l)))
     maps.append(("recovered_iota", "iota", lambda: corr.recover_weights(pair.h_l)))

@@ -8,16 +8,19 @@ psi_j^(i) psi_k^(i) dxi (``_gram_block``), summed once per weight vector,
 and the same matrix gives the correction functions: g_l solves
 G g = -iota_0 psi(-1); the solve is singular exactly where det G = 0.
 The left correction function h_l is the antiderivative of g_l with
-h_l(1) = 0; the right function follows by parity. Weight recovery
-``recover_weights`` applies the same blocks to the gradient of a given
-h_l, the weights as unknowns. Both solves are exact: every float is an
-integer ratio (binary-exact), each system is scaled to integers and
+h_l(1) = 0; a pair is h_l alone, and the reflection h_r(xi) = h_l(-xi)
+and both gradients derive from it. Weight recovery ``recover_weights``
+applies the same blocks to the gradient of a given h_l (whose order
+gives p), the weights as unknowns. Both solves are exact: every float is
+an integer ratio (binary-exact), each system is scaled to integers and
 solved by fraction-free (Bareiss) elimination, so identical inputs give
-bit-identical outputs. The one-parameter (OSFR) family is the weights
-[1, 0, ..., 0, iota], so its map is weight recovery with the
-intermediate weights held at zero; the kappa-matrix (ESFR) map is a
-closed form evaluated in floating point. Both membership tests
-regenerate the function and compare within MEMBERSHIP_TOL.
+bit-identical outputs, and a zero pivot is the exact verdict det = 0.
+The one-parameter (OSFR) family is the weights [1, 0, ..., 0, iota], so
+its map is weight recovery with the intermediate weights held at zero;
+the kappa-matrix (ESFR) map is a closed form evaluated in floating
+point, singular (a SingularSystemError) where that system is. Both
+membership tests regenerate the function and compare within
+MEMBERSHIP_TOL.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "NumericalFailure",
     "SingularSystemError",
     "UnsupportedOrderError",
-    "SingularDenominatorError",
     "DegenerateCoefficientError",
     "solve_correction",
     "sobolev_norm_squared",
@@ -72,10 +74,6 @@ class SingularSystemError(NumericalFailure):
 
 
 class UnsupportedOrderError(GsfrError):
-    pass
-
-
-class SingularDenominatorError(NumericalFailure):
     pass
 
 
@@ -139,16 +137,26 @@ class CorrectionParams:
 
 @dataclass(frozen=True)
 class CorrectionPair:
-    """Left/right correction functions (order p+1) and their gradients."""
+    """A left correction function h_l (order p+1); the right function and both gradients derive from it."""
 
     h_l: LegendreSeries
-    h_r: LegendreSeries
-    g_l: LegendreSeries
-    g_r: LegendreSeries
 
     @property
     def p(self) -> int:
         return self.h_l.order - 1
+
+    @cached_property
+    def h_r(self) -> LegendreSeries:
+        """The reflection h_r(xi) = h_l(-xi); + 0.0 writes a zero coefficient as 0.0, never -0.0."""
+        return LegendreSeries(self.h_l.coeffs * (-1.0) ** np.arange(len(self.h_l.coeffs)) + 0.0)
+
+    @cached_property
+    def g_l(self) -> LegendreSeries:
+        return self.h_l.derivative()
+
+    @cached_property
+    def g_r(self) -> LegendreSeries:
+        return self.h_r.derivative()
 
 
 @dataclass(frozen=True)
@@ -160,15 +168,15 @@ class StabilityBounds:
     margins: np.ndarray
 
 
-def _solve_rational(rows: list[list[int]], scale: int, rhs: list[int]) -> tuple[int, list[int]]:
+def _solve_rational(rows: list[list[int]], rhs: list[int]) -> tuple[int, list[int]]:
     """Exact solution of the integer system rows . x = rhs, by fraction-free elimination, as (det, det * x).
 
     Bareiss elimination with partial (first-nonzero) pivoting: every
     update (a_rc a_kk - a_rk a_kc) divides exactly by the previous pivot,
     so all entries stay integers, and the last pivot is the determinant
     up to sign, so back substitution runs on det * x in integers too. A
-    column without a nonzero pivot raises SingularSystemError carrying
-    the float condition estimate of the exact system rows / scale.
+    column without a nonzero pivot is the exact verdict det = 0, a
+    SingularSystemError.
     """
     n = len(rows)
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
@@ -176,10 +184,7 @@ def _solve_rational(rows: list[list[int]], scale: int, rhs: list[int]) -> tuple[
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot_row is None:
-            cond = _condition_estimate([[Fraction(v, scale) for v in row] for row in rows])
-            raise SingularSystemError(
-                f"correction system is singular (float condition estimate {cond:.3e})"
-            )
+            raise SingularSystemError("correction system is singular (exact determinant 0)")
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         top = aug[col]
@@ -198,13 +203,6 @@ def _solve_rational(rows: list[list[int]], scale: int, rhs: list[int]) -> tuple[
     return det, scaled
 
 
-def _condition_estimate(mat) -> float:
-    try:
-        return float(np.linalg.cond(np.array([[float(v) for v in row] for row in mat])))
-    except (np.linalg.LinAlgError, OverflowError):  # singular, or an exact entry beyond the float range
-        return inf
-
-
 def solve_correction(params: CorrectionParams) -> CorrectionPair:
     """Solve for the correction pair belonging to a weight vector.
 
@@ -214,28 +212,19 @@ def solve_correction(params: CorrectionParams) -> CorrectionPair:
     2 iota_0, the rest of both is 0), so g_0 = -1/2, and rows 1..p are
     solved exactly. h_l is the antiderivative h_n = g_{n-1}/(2n-1) -
     g_{n+1}/(2n+3) with h_0 = -sum h_n, so h_l(1) = 0 and h_l(-1) =
-    h_l(1) - integral g = 1; the right function is the parity reflection
-    h_r(xi) = h_l(-xi).
+    h_l(1) - integral g = 1; each coefficient is rounded to a double once.
     """
     p = params.p
     den, gram = params._gram
     # iota_0 = gram[0][0] / (2 den): over den the right-hand side -iota_0 (-1)^m is -(-1)^m gram[0][0] / 2
     half = gram[0][0] // 2
     rhs = [(-1) ** (m + 1) * half for m in range(1, p + 1)]
-    det, scaled = _solve_rational([row[1:] for row in gram[1:]], den, rhs)
+    det, scaled = _solve_rational([row[1:] for row in gram[1:]], rhs)
     g = [-det] + [2 * v for v in scaled] + [0, 0]  # 2 det g, zero-padded above the top
     odd = lcm(*range(1, 2 * p + 4, 2))
     h = [0] + [g[n - 1] * (odd // (2 * n - 1)) - g[n + 1] * (odd // (2 * n + 3)) for n in range(1, p + 2)]
     h[0] = -sum(h)
-    return _reflected_pair([Fraction(v, 2 * odd * det) for v in h])
-
-
-def _reflected_pair(h_l: list[Fraction]) -> CorrectionPair:
-    """Pair from exact left coefficients; the right function is h_r(xi) = h_l(-xi)."""
-    h_r = [(-1) ** i * c for i, c in enumerate(h_l)]
-    hl = LegendreSeries(np.array([float(c) for c in h_l]))
-    hr = LegendreSeries(np.array([float(c) for c in h_r]))
-    return CorrectionPair(h_l=hl, h_r=hr, g_l=hl.derivative(), g_r=hr.derivative())
+    return CorrectionPair(LegendreSeries(np.array([float(Fraction(v, 2 * odd * det)) for v in h])))
 
 
 @cache
@@ -287,40 +276,45 @@ def sufficient_bounds(params: CorrectionParams) -> StabilityBounds:
     positive, while the weights entering squared cross terms (iota_1 for
     p=3; iota_1, iota_2 for p=4) only need to be non-negative. Exceeding
     every bound is sufficient for positivity; violating one proves
-    nothing (the condition is one-sided). A bound that overflows to a
-    non-finite value is not met.
+    nothing (the condition is one-sided). A row whose left-to-right sum
+    overflows is summed again from its terms scaled by 1/G_i[i][i] first,
+    which cannot overflow (each row's scaled coefficients sum to less
+    than 1/2), so every bound is finite; a margin beyond the float range
+    is inf.
     """
     p = params.p
     if p not in _BOUND_ROWS:
         raise UnsupportedOrderError(f"sufficient bounds are only tabulated for p in 2..4, got p={p}")
-    values = params.iota_array
-    lower = np.zeros(p + 1)
-    # Python floats: a row that overflows becomes a non-finite bound without a warning, and fails below
-    weights = values.tolist()
+    # Python floats: a sum that overflows becomes inf without a warning
+    weights = params.iota_array.tolist()
+    lower = [0.0] * (p + 1)
     for i in (p - 1, p):
         row = _BOUND_ROWS[i]
         den, gram = _gram_block(p, i)
-        # summed left to right as first written, so each bound stays the same double
+        # summed left to right as first written, so each finite row keeps its double
         acc = row[0] * weights[0]
         for coeff, value in zip(row[1:], weights[1:]):
             acc += coeff * value
-        lower[i] = -(den / gram[i][i]) * acc  # 1 / G_i[i][i], rounded once
-    margins = values - lower
-    ok = values[0] > 0.0
-    for i in range(1, p + 1):
-        ok = ok and (values[i] >= 0.0 if i <= p - 2 else isfinite(lower[i]) and values[i] > lower[i])
-    return StabilityBounds(lower=lower, satisfied=bool(ok), margins=margins)
+        if isfinite(acc):
+            lower[i] = -(den / gram[i][i]) * acc  # 1 / G_i[i][i], rounded once
+        else:  # summed again from its terms scaled first
+            lower[i] = -sum(coeff * den / gram[i][i] * value for coeff, value in zip(row, weights))
+    margins = [value - bound for value, bound in zip(weights, lower)]
+    ok = weights[0] > 0.0 and all(v >= 0.0 for v in weights[1 : p - 1])
+    ok = ok and all(weights[i] > lower[i] for i in (p - 1, p))
+    return StabilityBounds(lower=np.array(lower), satisfied=ok, margins=np.array(margins))
 
 
-def _applied_blocks(h_l: LegendreSeries) -> tuple[int, list[list[int]]]:
+def _applied_blocks(h_l: LegendreSeries) -> list[list[int]]:
     """The interior rows of G g = -iota_0 psi(-1) per weight, for the gradient g = h' of h_l, exact.
 
-    Returned as (scale, integer rows): rows[i] / scale is (G_i g)[1..p]
-    for i >= 1, and rows[0] / scale holds the iota_0 terms
+    Returned as integer rows, all over one positive scale that the
+    systems built from them do not see: rows[i] is (G_i g)[1..p] for
+    i >= 1, and rows[0] holds the iota_0 terms
     (G_0 g)[m] - (h(1) - (-1)^m h(-1)), m = 1..p, whose boundary term is
     the right-hand side psi_m(-1) = (-1)^m once h(-1) = 1 and h(1) = 0.
     """
-    scale, h = _over_common_denominator(h_l.coeffs)
+    _, h = _over_common_denominator(h_l.coeffs)
     p = len(h) - 2
     if not 2 <= p <= 5:
         raise UnsupportedOrderError(f"h_l of order {p + 1} is outside the supported orders 3..6")
@@ -329,10 +323,10 @@ def _applied_blocks(h_l: LegendreSeries) -> tuple[int, list[list[int]]]:
     den = _gram_block(p, 0)[0]
     applied = [[sum(a * b for a, b in zip(row, g)) for row in _gram_block(p, i)[1][1:]] for i in range(p + 1)]
     applied[0] = [v - den * (right - (-1) ** m * left) for m, v in enumerate(applied[0], 1)]
-    return den * scale, applied
+    return applied
 
 
-def osfr_iota(p: int, h_l: LegendreSeries):
+def osfr_iota(h_l: LegendreSeries):
     """Recover the single-parameter iota reproducing h_l, or None.
 
     This is recover_weights with iota_1..iota_{p-1} held at zero: iota_p
@@ -340,12 +334,12 @@ def osfr_iota(p: int, h_l: LegendreSeries):
     row alone gives the candidate. Membership requires the solve of
     [1, 0, ..., 0, iota] to match every coefficient of h_l within
     MEMBERSHIP_TOL (a singular solve is not a member). Returns None
-    outside the one-parameter family. Like recover_weights it takes
-    p in 2..5 only; other orders raise UnsupportedOrderError.
+    outside the one-parameter family. Like recover_weights it reads p
+    from h_l and takes p in 2..5 only; other orders raise
+    UnsupportedOrderError.
     """
-    if len(h_l.coeffs) != p + 2:
-        raise ValueError(f"h_l must have order p+1={p + 1}, got order {h_l.order}")
-    _, applied = _applied_blocks(h_l)
+    applied = _applied_blocks(h_l)
+    p = len(applied) - 1
     if applied[p][-1] == 0:
         raise DegenerateCoefficientError("top Legendre coefficient of h_l vanishes")
     iota = float(Fraction(-applied[0][-1], applied[p][-1]))
@@ -362,9 +356,9 @@ def esfr3_gradient(kappa0: float, kappa1: float) -> LegendreSeries:
     """Left-correction gradient of the p=3 kappa-matrix family."""
     upsilon = 175.0 * kappa1**2 - 42.0 * kappa0 - 12.0
     if upsilon == 0.0:
-        raise SingularDenominatorError("upsilon = 175 k1^2 - 42 k0 - 12 vanishes")
+        raise SingularSystemError("upsilon = 175 k1^2 - 42 k0 - 12 vanishes")
     if 5.0 * kappa1 + 2.0 == 0.0:
-        raise SingularDenominatorError("5 k1 + 2 vanishes")
+        raise SingularSystemError("5 k1 + 2 vanishes")
     return LegendreSeries(
         -np.array(
             [
@@ -394,7 +388,7 @@ def esfr3_weights(g_l: LegendreSeries):
     kappa0 = (175.0 * kappa1**2 * g[3] + 105.0 * kappa1 + 42.0 - 12.0 * g[3]) / (42.0 * g[3])
     try:
         rebuilt = esfr3_gradient(kappa0, kappa1)
-    except SingularDenominatorError:
+    except SingularSystemError:
         return None
     if np.max(np.abs(rebuilt.coeffs - g)) > MEMBERSHIP_TOL:
         return None
@@ -411,11 +405,11 @@ def recover_weights(h_l: LegendreSeries) -> np.ndarray:
     system (h_l admits several weight vectors) raises
     DegenerateCoefficientError.
     """
-    scale, applied = _applied_blocks(h_l)
+    applied = _applied_blocks(h_l)
     p = len(applied) - 1
     rows = [[applied[i][r] for i in range(1, p + 1)] for r in range(p)]
     try:
-        det, scaled = _solve_rational(rows, scale, [-v for v in applied[0]])
+        det, scaled = _solve_rational(rows, [-v for v in applied[0]])
     except SingularSystemError as exc:
         raise DegenerateCoefficientError(f"weight recovery is degenerate: {exc}") from None
     return np.array([1.0] + [float(Fraction(v, det)) for v in scaled])
@@ -471,9 +465,9 @@ def pair_from_json(text: str) -> tuple[CorrectionParams, CorrectionPair]:
     for name, coeffs in (("h_l", h_l), ("h_r", h_r)):
         if coeffs.shape != (params.p + 2,) or not np.all(np.isfinite(coeffs)):
             raise ValueError(f"correction file field {name!r} must hold p+2 = {params.p + 2} finite coefficients")
-    if not np.array_equal(h_r, h_l * (-1.0) ** np.arange(params.p + 2)):
+    pair = CorrectionPair(LegendreSeries(h_l))
+    if not np.array_equal(h_r, pair.h_r.coeffs):
         raise ValueError("correction file field 'h_r' is not the reflection h_l(-xi) of its 'h_l'")
-    hl, hr = LegendreSeries(h_l), LegendreSeries(h_r)
-    _check_endpoints(hl, ValueError, "correction file field 'h_l'")
+    _check_endpoints(pair.h_l, ValueError, "correction file field 'h_l'")
     _check_solve(params, h_l, ValueError, "correction file field 'h_l'")
-    return params, CorrectionPair(h_l=hl, h_r=hr, g_l=hl.derivative(), g_r=hr.derivative())
+    return params, pair

@@ -17,6 +17,10 @@ is singular exactly where det G = 0. These are the routes it replaced.
 - ``osfr_correction``: the one-parameter (OSFR) family's a_p/eta closed
   form (Vincent, Castonguay & Jameson, J. Sci. Comput. 2011), which the
   exact solve of [1, 0, ..., 0, iota] reproduces.
+- ``reflected_pair``: all four series of a pair from exact left
+  coefficients, the right function reflected in Fractions before
+  rounding, which ``CorrectionPair``'s derivation from the rounded h_l
+  replaces.
 - ``fraction_solve``: Gaussian elimination in Fraction arithmetic, which
   the fraction-free integer elimination of ``solve_correction`` replaces.
 - ``differentiating_norm``: the Sobolev norm by repeated series
@@ -30,17 +34,13 @@ oracles of test_legendre.py and the acceptance suite.
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from typing import NamedTuple
 
+import numpy as np
 import numpy.polynomial.legendre as npleg
 
-from gsfr.correction import (
-    CorrectionPair,
-    SingularSystemError,
-    _condition_estimate,
-    _reflected_pair,
-    _to_fraction,
-)
-from gsfr.legendre import _derivative_coeffs, mass_diagonal, series_derivative
+from gsfr.correction import SingularSystemError, _to_fraction
+from gsfr.legendre import LegendreSeries, _derivative_coeffs, mass_diagonal, series_derivative
 
 
 def _dpsi(order, n, xs):
@@ -150,7 +150,22 @@ def correction_matrix(params) -> list[list[Fraction]]:
     return mat
 
 
-def osfr_correction(p: int, iota) -> CorrectionPair:
+class ExactPair(NamedTuple):
+    h_l: LegendreSeries
+    h_r: LegendreSeries
+    g_l: LegendreSeries
+    g_r: LegendreSeries
+
+
+def reflected_pair(h_l: list[Fraction]) -> ExactPair:
+    """The pair of exact left coefficients: h_r(xi) = h_l(-xi) reflected in Fractions, each function then rounded."""
+    h_r = [(-1) ** i * c for i, c in enumerate(h_l)]
+    hl = LegendreSeries(np.array([float(c) for c in h_l]))
+    hr = LegendreSeries(np.array([float(c) for c in h_r]))
+    return ExactPair(h_l=hl, h_r=hr, g_l=hl.derivative(), g_r=hr.derivative())
+
+
+def osfr_correction(p: int, iota) -> ExactPair:
     """One-parameter stable correction pair (classical single-iota family).
 
     Raises ZeroDivisionError where 1 + eta_p vanishes.
@@ -163,7 +178,7 @@ def osfr_correction(p: int, iota) -> CorrectionPair:
     h_l[p] = sign
     h_l[p - 1] = -sign * eta / (1 + eta)
     h_l[p + 1] = -sign / (1 + eta)
-    return _reflected_pair(h_l)
+    return reflected_pair(h_l)
 
 
 def fraction_solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -173,10 +188,7 @@ def fraction_solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot_row is None:
-            cond = _condition_estimate(mat)
-            raise SingularSystemError(
-                f"correction system is singular (float condition estimate {cond:.3e})"
-            )
+            raise SingularSystemError("correction system is singular (exact determinant 0)")
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         pivot = aug[col][col]

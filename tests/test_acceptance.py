@@ -107,7 +107,7 @@ def test_criterion_03_uniqueness():
     """The showcase weight vector is neither OSFR nor ESFR but round-trips."""
     params = CorrectionParams(3, [1, 0.01, 0.01, 0.1])
     pair = solve_correction(params)
-    not_osfr = osfr_iota(3, pair.h_l) is None
+    not_osfr = osfr_iota(pair.h_l) is None
     not_esfr = esfr3_weights(pair.g_l) is None
     recovered = recover_weights(pair.h_l)
     rebuilt = solve_correction(CorrectionParams(3, recovered))
@@ -206,8 +206,7 @@ def _printed_p4_operators(weights):
     ]
     mat += [[1.0] * size, [(-1.0) ** n for n in range(size)]]
     h_l = np.linalg.solve(np.array(mat, dtype=float), np.eye(size)[-1])
-    hl, hr = LegendreSeries(h_l), LegendreSeries(h_l * (-1.0) ** np.arange(size))
-    pair = CorrectionPair(h_l=hl, h_r=hr, g_l=hl.derivative(), g_r=hr.derivative())
+    pair = CorrectionPair(LegendreSeries(h_l))
     return build_scheme_operators(build_reference_element(4, pair), 1.0, 1.0)
 
 

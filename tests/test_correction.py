@@ -1,7 +1,8 @@
 import re
 import warnings
 from fractions import Fraction as F
-from math import factorial
+from itertools import permutations
+from math import factorial, prod
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
@@ -27,8 +28,9 @@ from gsfr.correction import (
 )
 from gsfr.experiments import default_search_grid, step_limit
 from gsfr.legendre import LegendreSeries, series_derivative
+from gsfr.spectral import PUBLISHED_STEP_LIMITS
 
-from closed_forms import correction_matrix, differentiating_norm, fraction_solve, osfr_correction
+from closed_forms import correction_matrix, differentiating_norm, fraction_solve, osfr_correction, reflected_pair
 
 
 def coefficient_matrices(p):
@@ -148,6 +150,16 @@ def exact_gram(params):
     ]
 
 
+def leibniz_determinant(mat):
+    """Exact determinant as the signed sum over permutations, independent of any elimination."""
+    n = len(mat)
+    total = F(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(mat[i][perm[i]] for i in range(n))
+    return total
+
+
 def _osfr_singular_iota(p):
     """The weight iota_p at which 1 + eta_p of the one-parameter family vanishes."""
     return F(-1, (2 * p + 1) * (factorial(2 * p) // (2**p * factorial(p))) ** 2)
@@ -207,13 +219,13 @@ def test_params_validation():
     ],
     ids=["p2", "p3", "p3-coupled"],
 )
-def test_singular_system_reports_condition_estimate(params):
-    # the estimate is that of the float copy of the Gram rows and columns 1..p the solve eliminates
+def test_singular_system_reports_exact_determinant(params):
+    # a zero pivot of the exact elimination is the verdict: the Gram rows and columns 1..p have determinant 0
     gram = [row[1:] for row in exact_gram(params)[1:]]
-    cond = np.linalg.cond(np.array(gram, dtype=float))
-    assert cond > 1e15
-    with pytest.raises(SingularSystemError, match=re.escape(f"(float condition estimate {cond:.3e})")):
+    assert leibniz_determinant(gram) == 0
+    with pytest.raises(SingularSystemError) as caught:
         solve_correction(params)
+    assert str(caught.value) == "correction system is singular (exact determinant 0)"
 
 
 def _oracle_vectors():
@@ -238,10 +250,10 @@ def test_integer_elimination_matches_fraction_oracle():
         p = params.p
         try:
             expected = fraction_solve(correction_matrix(params), [F(0)] * (p + 1) + [F(1)])
-        except SingularSystemError:
-            # singular together; each message estimates the condition of its own system
+        except SingularSystemError as exc:
+            # singular together, with the one exact message
             singular += 1
-            with pytest.raises(SingularSystemError):
+            with pytest.raises(SingularSystemError, match=re.escape(str(exc))):
                 solve_correction(params)
             continue
         h_l = solve_correction(params).h_l
@@ -309,26 +321,26 @@ def test_osfr_singular_eta():
 
 
 def test_osfr_iota_round_trip():
-    assert osfr_iota(3, osfr_correction(3, 0.01).h_l) == pytest.approx(0.01, abs=1e-10)
-    assert osfr_iota(3, osfr_correction(3, 0).h_l) == pytest.approx(0.0, abs=1e-12)
+    assert osfr_iota(osfr_correction(3, 0.01).h_l) == pytest.approx(0.01, abs=1e-10)
+    assert osfr_iota(osfr_correction(3, 0).h_l) == pytest.approx(0.0, abs=1e-12)
     # the typed weight comes back within one rounding, down to 1e-15, and it is the weight recover_weights finds
     for p in (2, 3, 4, 5):
         for iota in (1e-15, 1e-12, 1e-9, 1e-6, 1e-2, 1e6):
             h_l = solve_correction(CorrectionParams(p, [1.0] + [0.0] * (p - 1) + [iota])).h_l
-            recovered = osfr_iota(p, h_l)
+            recovered = osfr_iota(h_l)
             assert abs(recovered - iota) <= 2.2e-16 * iota, (p, iota)
             assert recovered == recover_weights(h_l)[p]
 
 
 def test_osfr_iota_degenerate_top_coefficient():
     with pytest.raises(DegenerateCoefficientError):
-        osfr_iota(3, LegendreSeries(np.array([0.0, 0.0, 0.25, -0.5, 0.0])))
+        osfr_iota(LegendreSeries(np.array([0.0, 0.0, 0.25, -0.5, 0.0])))
 
 
 def test_osfr_iota_unsupported_order():
-    # p = 1 nodal DG: osfr_iota reads the exact blocks, which exist for p in 2..5 only
+    # p = 1 nodal DG: osfr_iota reads p from h_l and the exact blocks, which exist for p in 2..5 only
     with pytest.raises(UnsupportedOrderError):
-        osfr_iota(1, LegendreSeries(np.array([0.0, 0.5, -0.5])))
+        osfr_iota(LegendreSeries(np.array([0.0, 0.5, -0.5])))
 
 
 def test_esfr3_gradient_nodal_dg():
@@ -510,8 +522,9 @@ def test_violating_bounds_is_not_asserted_indefinite():
 
 
 def test_overflowing_bound_is_not_met():
-    # a bound row whose float sum overflows gives no finite lower bound, so the
-    # bound is not met and there is no step limit: these three norms are indefinite
+    # a bound row whose float sum overflows is summed again from its pre-scaled terms; the last
+    # weight is below that finite bound, so it is not met and there is no step limit: these three
+    # norms are indefinite
     for iota in ([1, 1e308, -1e308], [1, 0, 1e308, -1e308], [1, 1e308, 0, -1e308]):
         params = CorrectionParams(len(iota) - 1, iota)
         with warnings.catch_warnings():
@@ -519,8 +532,47 @@ def test_overflowing_bound_is_not_met():
             bounds = sufficient_bounds(params)
             assert np.isnan(step_limit(params))
         assert not bounds.satisfied
-        assert not np.isfinite(bounds.lower[-1])
+        assert np.isfinite(bounds.lower[-1]) and iota[-1] < bounds.lower[-1]
         assert sobolev_norm_squared(params, [0] * params.p + [1e-200]) < 0
+
+
+def test_overflowing_bound_row_is_decided_by_its_pre_scaled_terms():
+    # 0.4 + 6e308 overflows, but the row scaled by 1/G_2[2][2] = 1/18 first is -3.33e307: these two
+    # positive-definite (diagonal) Gram matrices meet the bounds and have a step limit
+    for iota in ([1, 1e308, 0], [1, 1e308, 1e308]):
+        params = CorrectionParams(2, iota)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bounds = sufficient_bounds(params)
+            tau = step_limit(params)
+        assert bounds.satisfied and np.isfinite(tau) and tau > 0
+        assert bounds.lower[2] == pytest.approx(-1e308 / 3, rel=1e-15)
+    # the bound never overflows, but a margin may: inf, again without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = sufficient_bounds(CorrectionParams(2, [1, 1.5e308, 1.5e308]))
+    assert bounds.satisfied and bounds.lower[2] == pytest.approx(-5e307, rel=1e-15) and bounds.margins[2] == np.inf
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_finite_bound_rows_keep_their_left_to_right_double(p):
+    # a row that does not overflow is the left-to-right sum scaled once, bit for bit as before the
+    # overflow rule, on the vn sweep grid and on wide seeded vectors
+    rng = np.random.default_rng(p)
+    signed = rng.choice([-1.0, 1.0], (300, p)) * 10 ** rng.uniform(-12, 308, (300, p))
+    grid = [list(iota) for iota in default_search_grid(p, [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])]
+    finite = 0
+    for iota in grid + [[1.0] + list(row) for row in signed]:
+        lower = sufficient_bounds(CorrectionParams(p, iota)).lower
+        for i in (p - 1, p):
+            acc = _BOUND_ROWS[i][0] * float(iota[0])
+            for coeff, value in zip(_BOUND_ROWS[i][1:], iota[1:]):
+                acc += coeff * float(value)
+            if np.isfinite(acc):
+                den, rows = _gram_block(p, i)
+                assert lower[i].tobytes() == np.float64(-(den / rows[i][i]) * acc).tobytes(), (iota, i)
+                finite += 1
+    assert finite > 500
 
 
 def test_exact_weight_beyond_the_float_range_is_not_finite():
@@ -529,9 +581,11 @@ def test_exact_weight_beyond_the_float_range_is_not_finite():
 
 
 def test_singular_solve_with_entries_beyond_the_float_range():
-    # iota_0 + 3 iota_1 = 0 makes the system singular, and its exact Gram entries overflow a float
-    with pytest.raises(SingularSystemError, match=re.escape("(float condition estimate inf)")):
+    # iota_0 + 3 iota_1 = 0 makes the system singular, and its exact Gram entries overflow a float,
+    # which the exact verdict never converts (no bare OverflowError)
+    with pytest.raises(SingularSystemError) as caught:
         solve_correction(CorrectionParams(2, [1, F(-1, 3), 10**308]))
+    assert str(caught.value) == "correction system is singular (exact determinant 0)"
 
 
 @pytest.mark.parametrize("p", range(6))
@@ -639,6 +693,36 @@ def test_pair_to_json_refuses_exact_weights_its_reader_rejects(exponent, gap):
     params = CorrectionParams(2, [1, 0, F(1, 45) + F(1, 7 * 10**exponent)])
     _, pair2 = pair_from_json(pair_to_json(params, solve_correction(params)))
     assert np.array_equal(pair2.h_l.coeffs, solve_correction(params).h_l.coeffs)
+
+
+def test_pair_derives_the_exact_reflection_bit_for_bit():
+    # h_r and both gradients, derived from the rounded h_l, are the doubles of reflecting the exact
+    # coefficients first; DG's zero coefficients pin the signed zero (a reflected 0.0 is 0.0, not -0.0)
+    rng = np.random.default_rng(24)
+    cases = [CorrectionParams(p, [1] + [0] * p) for p in (2, 3, 4, 5)]
+    cases += [CorrectionParams(p, weights) for p, _, weights, _ in PUBLISHED_STEP_LIMITS]
+    for p in (2, 3, 4, 5):
+        for _ in range(10):
+            signed = rng.choice([-1.0, 0.0, 1.0], p) * 10 ** rng.uniform(-6, 1, p)
+            cases.append(CorrectionParams(p, [1.0] + signed.tolist()))
+    pairs = []
+    for params in cases:
+        try:
+            exact = fraction_solve(correction_matrix(params), [F(0)] * (params.p + 1) + [F(1)])
+        except SingularSystemError:
+            continue
+        pairs.append((solve_correction(params), reflected_pair(exact)))
+    for p in (2, 3, 4, 5):
+        for iota in (0, F(1, 1000), F(4, 4725), 0.01):
+            oracle = osfr_correction(p, iota)
+            pairs.append((CorrectionPair(oracle.h_l), oracle))
+    assert len(pairs) > 60
+    signed_zeros = 0
+    for pair, oracle in pairs:
+        for name in ("h_l", "h_r", "g_l", "g_r"):
+            assert getattr(pair, name).coeffs.tobytes() == getattr(oracle, name).coeffs.tobytes(), name
+        signed_zeros += np.count_nonzero(pair.h_l.coeffs[1::2] == 0)
+    assert signed_zeros > 10
 
 
 def test_pair_dataclass_order():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -23,7 +24,12 @@ def test_every_package_import_resolves():
 
 
 def test_removed_names_are_gone():
-    # the paper-form system and its integral live on as test oracles in closed_forms.py only
-    for name in ("correction_matrix", "integral_dm_dm1"):
+    # the paper-form system, its integral and the exact reflection live on as test oracles in closed_forms.py only;
+    # a singular ESFR denominator is a SingularSystemError, and a zero pivot needs no float condition estimate
+    for name in (
+        "correction_matrix", "integral_dm_dm1", "SingularDenominatorError", "_reflected_pair", "_condition_estimate",
+    ):
         assert not hasattr(gsfr, name)
         assert not hasattr(gsfr.correction, name) and not hasattr(gsfr.legendre, name)
+    # a pair is its left function; h_r, g_l and g_r derive from it
+    assert [field.name for field in dataclasses.fields(gsfr.CorrectionPair)] == ["h_l"]
