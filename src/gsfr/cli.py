@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import json
 import os
+import shutil
 import sys
 from math import isfinite, pi
 
@@ -264,10 +265,17 @@ def _command(group, name, func, help, options=""):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="gsfr", description=__doc__.splitlines()[0])
-    top = parser.add_subparsers(dest="group", required=True)
+    # one terminal-size read for all 15 parsers (argparse reads it per formatter);
+    # built per call, not cached, since every command is one process
+    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="gsfr", description=__doc__.splitlines()[0], formatter_class=fmt)
+    sub = functools.partial(_Parser, formatter_class=fmt)
+    top = parser.add_subparsers(dest="group", required=True, parser_class=sub)
 
-    corr_p = top.add_parser("corr", help="correction functions").add_subparsers(dest="cmd", required=True)
+    def group(name, help):
+        return top.add_parser(name, help=help).add_subparsers(dest="cmd", required=True, parser_class=sub)
+
+    corr_p = group("corr", "correction functions")
     _command(corr_p, "solve", _cmd_corr_solve, "solve for a correction pair", "--iota")
     _command(corr_p, "bounds", _cmd_corr_bounds, "check the sufficient stability bounds", "--iota")
     s = _command(corr_p, "identify", _cmd_corr_identify, "OSFR/ESFR membership and weight recovery")
@@ -275,7 +283,7 @@ def _build_parser() -> _Parser:
     source.add_argument("--iota", type=_iota_list, help="comma-separated weights")
     source.add_argument("--in", dest="infile", help="JSON correction file written by corr solve")
 
-    vn_p = top.add_parser("vn", help="wavenumber analysis").add_subparsers(dest="cmd", required=True)
+    vn_p = group("vn", "wavenumber analysis")
     # node kind cannot change a linear-advection spectrum (see xp.reference_operators)
     spectral = "--alpha --k-samples"
     _command(vn_p, "dispersion", _cmd_vn_dispersion, "dispersion/dissipation curves CSV", "--iota " + spectral)
@@ -284,7 +292,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--magnitudes", type=_iota_list, default=[0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
     s.add_argument("--jobs", type=int, default=1)
 
-    run_p = top.add_parser("run", help="time-domain studies").add_subparsers(dest="cmd", required=True)
+    run_p = group("run", "time-domain studies")
     study = "--iota --alpha --nodes --rk"
     s = _command(run_p, "advect", _cmd_run_advect, "linear advection snapshot CSV", study)
     s.add_argument("--n-elements", dest="n_elements", type=int, default=50)
@@ -302,7 +310,7 @@ def _build_parser() -> _Parser:
         default=xp.DEFAULT_ELEMENT_COUNTS,
     )
 
-    search_p = top.add_parser("search", help="coupled CFL/order search").add_subparsers(dest="cmd", required=True)
+    search_p = group("search", "coupled CFL/order search")
     s = _command(search_p, "cfl", _cmd_search_cfl, "maximise the stable step over a weight grid", "--alpha --rk")
     s.add_argument("--magnitudes", type=_iota_list, default=[0.0, 1e-4, 1e-3, 1e-2])
 

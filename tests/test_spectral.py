@@ -1,4 +1,7 @@
+import json
+from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from gsfr.spectral import (
     BISECTION_REL_TOL,
     PUBLISHED_STEP_LIMITS,
     StabilityResult,
+    _excess_coeffs,
     _phase_classes,
     bloch_matrix,
     cfl_limit,
@@ -348,6 +352,17 @@ def test_cfl_limit_solves_each_phase_once(monkeypatch):
     assert shapes["_eigvals"][2] == (256, 5, 5)
 
 
+def _r_terms(lam, order):
+    """The terms lambda^n / n! of R(lambda) = sum_{n<=order} lambda^n / n!."""
+    return np.array([1.0 / factorial(n) for n in range(order + 1)]) * lam ** np.arange(order + 1)
+
+
+def _squared_modulus(lam, order):
+    """Coefficients in tau, constant first, of |R(tau lambda)|^2 by one convolution."""
+    terms = _r_terms(lam, order)
+    return np.convolve(terms, terms.conj()).real
+
+
 def _first_loss_of_stability(ops, rk, rho_tol, k_samples=256):
     """Smallest positive root of |R(tau lambda)|^2 = (1 + rho_tol)^2 over all eigenvalues.
 
@@ -357,12 +372,9 @@ def _first_loss_of_stability(ops, rk, rho_tol, k_samples=256):
     """
     k_hats = np.pi * np.arange(1, k_samples + 1) / k_samples
     lams = np.linalg.eigvals(bloch_matrix(ops, k_from_k_hat(ops, k_hats))).ravel()
-    order = RK_STAGE_ORDER[rk]
-    coef = np.array([1.0 / factorial(n) for n in range(order + 1)])
     first = np.inf
     for lam in lams:
-        terms = coef * lam ** np.arange(order + 1)
-        poly = np.convolve(terms, terms.conj()).real
+        poly = _squared_modulus(lam, RK_STAGE_ORDER[rk])
         poly[0] -= (1.0 + rho_tol) ** 2
         roots = np.roots(poly[::-1])
         real = roots[(np.abs(roots.imag) <= 1e-9 * np.abs(roots)) & (roots.real > 0.0)].real
@@ -377,6 +389,59 @@ def test_cfl_limit_brackets_the_exact_root():
         root = _first_loss_of_stability(ops, rk, 1e-4)
         tau = cfl_limit(ops, rk, 256, 1e-4).tau_max
         assert root * (1.0 - BISECTION_REL_TOL) <= tau <= root, (p, rk, tau, root)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_excess_coeffs_match_the_convolved_polynomial(p):
+    # cfl_limit's probe rows are the convolution's coefficients without the
+    # constant 1; each c_j sums s+1 rounded products, so they agree to the
+    # rounding of that sum, measured against the convolution of |terms|
+    ops = make_ops([1] + [1e-3] * p, 1.0, p=p)
+    lams = np.linalg.eigvals(bloch_matrix(ops, k_from_k_hat(ops, np.pi * np.arange(1, 65) / 64))).ravel()
+    for rk, order in RK_STAGE_ORDER.items():
+        coeffs = _excess_coeffs(lams, order)
+        assert coeffs.shape == (lams.size, 2 * order)
+        for lam, row in zip(lams, coeffs):
+            poly = _squared_modulus(lam, order)
+            size = np.abs(_r_terms(lam, order))
+            scale = np.convolve(size, size)
+            assert poly[0] == 1.0
+            assert np.all(np.abs(row - poly[1:]) <= 2 * (order + 1) * np.finfo(float).eps * scale[1:]), (p, rk, lam)
+
+
+def _exact_excess(ops, rk, rho_tol, tau, k_samples=256):
+    """Exact max of |R(tau lambda)|^2 - (1 + rho_tol)^2 over cfl_limit's float eigenvalues."""
+    reps = _phase_classes(ops.element.p, k_samples)
+    k_hats = np.pi * np.arange(1, k_samples + 1) / k_samples
+    lams = np.linalg.eigvals(bloch_matrix(ops, k_from_k_hat(ops, k_hats[reps]))).ravel()
+    t = Fraction(tau)
+    worst = None
+    for lam in lams:
+        z_re, z_im = t * Fraction(lam.real), t * Fraction(lam.imag)
+        term_re, term_im = r_re, r_im = Fraction(1), Fraction(0)
+        for n in range(1, RK_STAGE_ORDER[rk] + 1):  # term = z^n / n!
+            term_re, term_im = (term_re * z_re - term_im * z_im) / n, (term_re * z_im + term_im * z_re) / n
+            r_re, r_im = r_re + term_re, r_im + term_im
+        excess = r_re**2 + r_im**2 - (1 + Fraction(rho_tol)) ** 2
+        worst = excess if worst is None else max(worst, excess)
+    return worst
+
+
+# two rows of `vn sweep --p 3 --rk rk44 --magnitudes 0,1e-3,1e-2` whose strict
+# limit a complex Horner probe of |R| put past the exact loss of stability:
+# it decided on |1 + small| at tau ~1e-7 and lost ~1e-6 of the excess
+HORNER_LIMITS = {(0.01, -0.001, 0.001): 1.1627562344074249e-07, (0.01, 0.001, 0.001): 4.9217487685382377e-08}
+
+
+def test_strict_tiny_limits_are_decided_without_cancellation():
+    reference = json.loads((Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json").read_text())
+    sweep = {tuple(point): tau for point, tau in zip(reference["vn_sweep"]["grid"], reference["vn_sweep"]["tau_max"])}
+    for iota, horner in HORNER_LIMITS.items():
+        ops = make_ops([1.0, *iota], 1.0)
+        tau = cfl_limit(ops, "rk44", 256).tau_max
+        assert tau.hex() == sweep[iota].hex(), iota
+        assert 0.0 < (horner - tau) / horner < 1e-4, iota
+        assert _exact_excess(ops, "rk44", 1e-10, tau) <= 0 < _exact_excess(ops, "rk44", 1e-10, horner), iota
 
 
 def test_degeneration_towards_lower_order():

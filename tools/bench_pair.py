@@ -1,9 +1,9 @@
 """Before/after medians of the benchmark's end-to-end metrics, from alternating runs.
 
 Runs each tree's own ``benchmarks/run.py --workload W --seed S --seconds T
---trace 0`` in a temporary export of a base revision and in the working
-tree, one run of each per pair, with the side that runs first
-alternating from pair to pair. It writes one JSON document with the
+--trace 0`` in a temporary export of a base revision and in a temporary
+copy of the working tree, one run of each per pair, with the side that
+runs first alternating from pair to pair. It writes one JSON document with the
 per-run values, their medians and quartiles, the number of pairs in
 which the working tree was better, and the Python and numpy versions and
 core count of the machine. A metric is flagged ``regressed`` when its
@@ -13,8 +13,12 @@ the working tree failed more calls than the base. Standard library only.
 
     python tools/bench_pair.py --base HEAD --pairs 5 --seconds 10 --out BENCH_N.json
 
-The base is exported with ``git archive`` into a temporary directory, so
-an interrupted run leaves nothing behind in the repository.
+The base is exported with ``git archive`` and the working tree's files
+(tracked ones as they are on disk, plus untracked ones that are not
+ignored) are copied, side by side into one temporary directory. So both
+sides run from fresh trees of the same shape, without ``.git``, earlier
+outputs or bytecode caches, and an interrupted run leaves nothing behind
+in the repository.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -38,11 +43,18 @@ def git(*args: str) -> str:
 
 
 def export(rev: str, dest: Path) -> None:
-    archive = dest / "base.tar"
+    archive = dest.with_suffix(".tar")
     subprocess.run(["git", "archive", "--output", str(archive), rev], cwd=ROOT, check=True)
     with tarfile.open(archive) as tar:
-        tar.extractall(dest / "tree", filter="data")
+        tar.extractall(dest, filter="data")
     archive.unlink()
+
+
+def copy_working_tree(dest: Path) -> None:
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        if name and (ROOT / name).is_file():  # skip tracked files deleted on disk
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -112,8 +124,9 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        export(base_rev, Path(tmp))
-        trees = {"before": Path(tmp) / "tree", "after": ROOT}
+        trees = {"before": Path(tmp) / "before", "after": Path(tmp) / "after"}
+        export(base_rev, trees["before"])
+        copy_working_tree(trees["after"])
         for workload in workloads:
             runs = {"before": [], "after": []}
             for pair in range(args.pairs):
