@@ -19,7 +19,6 @@ from .correction import CorrectionParams, NumericalFailure, SingularSystemError,
 from .operators import (
     build_reference_element,
     build_scheme_operators,
-    linear_advection_rhs,
     make_heterogeneous_rhs,
     mesh_nodes,
     rk_advance,
@@ -27,7 +26,7 @@ from .operators import (
     stage_order,
     uniform_mesh,
 )
-from .spectral import ConvergenceFailureError, cfl_limit
+from .spectral import ConvergenceFailureError, bloch_matrix, cfl_limit
 
 __all__ = [
     "OoaReport",
@@ -236,16 +235,9 @@ def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str
 
     The step is SAFETY times the stable limit, shrinks like 1/N and is
     shortened to land exactly on t_end. The wave is one Bloch mode, so the
-    steps are one power of its (p+1)x(p+1) block, probed from rk_advance.
-
-    The probe runs on the 2s+1 elements that reach element 0 in one step
-    (s = stage_order(rk)): elements 0..s and n-s..n-1, element 0 first,
-    or the whole mesh when n <= 2s+1. The block is exact, not a truncation:
-    the right-hand side wraps over u's own element axis, a step makes s
-    right-hand-side evaluations, each reaching one element further, and on
-    the (2s+1)-element cycle the wrapped path to element 0 is s+1 long.
-    The window keeps the mesh's own jacobian, so its doubles are the
-    whole-mesh probe's.
+    steps are one power of its (p+1)x(p+1) block: rk_advance applied to
+    the wave's semi-discrete operator Q (spectral.bloch_matrix), one
+    stacked step of the p+1 unit vectors.
     """
     ops = build_scheme_operators(element, alpha, jacobian=pi / n_elements)
     state = uniform_mesh(ops, n_elements, 0.0, 2.0 * pi)
@@ -253,13 +245,12 @@ def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str
     tau = SAFETY * tau_ref * ops.jacobian
     steps = max(1, ceil(t_end / tau))
     tau = t_end / steps
-    # element j holds Re(phase[j] v), v = e^{i WAVENUMBER x} on element 0; column i
-    # of the block is element 0's response to the probe phase e_i
+    # element j holds Re(phase[j] v), v = e^{i WAVENUMBER x} on element 0, and dv/dt = Q v;
+    # row i of the step is the image of e_i, so its transpose is the block
     phase = np.exp(1j * WAVENUMBER * (x[:, :1] - x[0, 0]))
-    s = stage_order(rk)
-    window = np.r_[0 : s + 1, -s:0] % n_elements if n_elements > 2 * s + 1 else slice(None)
-    probes = replace(state, u=phase[window] * np.eye(x.shape[1])[:, None, :])
-    block = rk_advance(lambda st: linear_advection_rhs(ops, st), probes, tau, rk).u[:, 0].T
+    q = bloch_matrix(ops, WAVENUMBER)
+    unit = replace(state, u=np.eye(x.shape[1], dtype=complex))
+    block = rk_advance(lambda st: st.u @ q.T, unit, tau, rk).u.T
     # divergence overflows on its way to inf; the finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         u = (phase * (np.linalg.matrix_power(block, steps) @ np.exp(1j * WAVENUMBER * x[0]))).real
@@ -282,11 +273,15 @@ def ooa_study(
     A cosine wave is advected to t_end on each mesh and the point-averaged
     error eps_2 = mean |u - u_exact| is fitted against the total number of
     solution points in log-log; the negated slope is the realised order.
-    The time step is SAFETY times the stable limit and shrinks like
-    1/N, keeping the temporal error negligible next to the spatial one.
-    At p=3 the errors past about N = 300 sit near round-off: at N = 384
-    eps_2 is about 1e-11 and two float routes to the same scheme differ
-    by 1.3e-4 relative, so orders fitted on such meshes are unresolved.
+    The time step is SAFETY times the stable limit and shrinks like 1/N,
+    so the study is fully discrete and also measures the time integrator:
+    with rk33 the third-order temporal error dominates from p=4 on (DG
+    fits about 3.04 at p=4 and 3.00 at p=5 on the default meshes).
+    Errors near round-off leave the fit unresolved. At p=3 past about
+    N = 300, eps_2 is about 1e-11 (at N = 384) and two float routes to
+    the same scheme differ by 1.3e-4 relative. At p=5 with rk55 the
+    default meshes already sit there (1e-12 to 9e-14), and two routes to
+    the one-step block fit 5.996 and 6.003.
     """
     if len(set(element_counts)) < 4:
         raise ValueError("need at least four distinct mesh resolutions for a credible fit")

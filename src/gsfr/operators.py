@@ -232,10 +232,8 @@ def mesh_nodes(ops: SchemeOperators, state: MeshState) -> np.ndarray:
 def linear_advection_rhs(ops: SchemeOperators, state: MeshState) -> np.ndarray:
     """du/dt for unit-speed linear advection on the periodic mesh, for u of shape (..., n, p+1).
 
-    It reads only state.u and state.jacobian, and wraps over u's own
-    element axis: element j meets elements j-1 and j+1 mod u.shape[-2].
-    So it may be called on a window of elements with the mesh's jacobian,
-    as the advection study's probe is (gsfr.experiments._advect_cosine).
+    It reads only state.u and state.jacobian: element j meets elements
+    j-1 and j+1 mod u.shape[-2].
     """
     u = state.u
     jac = state.jacobian
@@ -297,15 +295,11 @@ def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> Me
     sixth-power term relative to the spectral update matrix).
 
     This stage form defines every time step in the package and is the
-    oracle for the fast paths, which probe it: advection steps per Bloch
-    wave, as a power of the wave's (p+1)x(p+1) block, and the hetero study
-    with the periodic block-tridiagonal matrix (blocks of s elements) of
-    `gsfr.experiments.step_map`. Each probes in one call: state.u may be a
-    stack (..., n, p+1), and every state of it is stepped as if alone. A
-    step makes s = stage_order(scheme) right-hand-side evaluations, so it
-    couples each element only to the s elements on either side; the
-    advection block is therefore probed on the 2s+1 elements around
-    element 0 (the whole mesh when n <= 2s+1), with the same doubles.
+    oracle for the fast paths, which probe it in one call each: state.u
+    may be a stack (..., n, p+1), and every state of it is stepped as if
+    alone. Advection steps per Bloch wave, as a power of the step of the
+    wave's (p+1)x(p+1) operator, and the hetero study with the periodic
+    block-tridiagonal matrix of `gsfr.experiments.step_map`.
     """
     if tau < 0.0:
         raise ValueError("tau must be non-negative")

@@ -32,6 +32,13 @@ def test_gain_needs_nine_of_ten_pairs_and_a_shift_beyond_the_iqr(shift, losing_p
     assert not s["regressed"]
 
 
+def test_fewer_than_ten_pairs_never_claim_a_gain():
+    before = BEFORE[:5]
+    s = bench_pair.summary(LOWER, before, [b - 1.0 for b in before])
+    assert s["after_better_pairs"] == 5
+    assert s["gain"] is False
+
+
 @pytest.mark.parametrize("after, regressed", [(1.2, False), (1.3, True)])
 def test_regressed_against_the_bound(after, regressed):
     s = bench_pair.summary(LOWER, [1.0] * 10, [after] * 10)

@@ -352,6 +352,30 @@ def test_cfl_limit_solves_each_phase_once(monkeypatch):
     assert shapes["_eigvals"][2] == (256, 5, 5)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_tie_break_window_holds_the_two_routes_per_class_gap(alpha):
+    # cfl_limit keeps a phase class in its matrix-route tie-break when its eigen-route growth
+    # sqrt(1 + excess) is within 1e-12 of the largest; the matrix route's largest class must land inside,
+    # so the two routes' per-class growths just past the limit must differ by less than that window
+    # (measured maxima 3.7e-14 at alpha 1 and 5.8e-13 at alpha 0.5)
+    vectors = [(p, weights) for p, _, weights, _ in PUBLISHED_STEP_LIMITS]
+    vectors += [(4, (1, 0.01, 0.01, 0.01, 0.01)), (4, (1, 0.01, 0.01, 0, 0.01))]
+    worst = 0.0
+    for p, weights in vectors:
+        ops = make_ops(list(weights), alpha, p=p)
+        reps = _phase_classes(p, 256)
+        q_mats = bloch_matrix(ops, k_from_k_hat(ops, np.pi * (reps + 1) / 256))
+        lam = np.linalg.eigvals(q_mats).ravel()
+        for rk, order in RK_STAGE_ORDER.items():
+            coeffs = _excess_coeffs(lam, order)
+            for rho_tol in (1e-10, 1e-4):
+                tau = cfl_limit(ops, rk, 256, rho_tol).tau_max * (1.0 + BISECTION_REL_TOL)
+                eigen = np.sqrt(1.0 + (coeffs @ tau ** np.arange(1, 2 * order + 1)).reshape(len(reps), -1).max(axis=1))
+                matrix = spectral_radius(update_matrix(q_mats, tau, rk))
+                worst = max(worst, float(np.max(np.abs(eigen - matrix) / matrix)))
+    assert worst < 1e-12, worst
+
+
 def _r_terms(lam, order):
     """The terms lambda^n / n! of R(lambda) = sum_{n<=order} lambda^n / n!."""
     return np.array([1.0 / factorial(n) for n in range(order + 1)]) * lam ** np.arange(order + 1)

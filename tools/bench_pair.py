@@ -11,7 +11,7 @@ after-median is worse than its before-median by more than the metric's
 relative ``bound`` in BENCHMARK.json, and a workload ``more_failed`` when
 the working tree failed more calls than the base. Standard library only.
 
-    python tools/bench_pair.py --base HEAD --pairs 5 --seconds 10 --out BENCH_N.json
+    python tools/bench_pair.py --base HEAD --pairs 10 --seconds 10 --out BENCH_N.json
 
 The base is exported with ``git archive`` and the working tree's files
 (tracked ones as they are on disk, plus untracked ones that are not
@@ -36,6 +36,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# fewer pairs than this never report a gain, however they fall
+MIN_GAIN_PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -72,12 +74,14 @@ def quartiles(values: list) -> list:
 
 
 def summary(spec: dict, before: list, after: list) -> dict:
-    """Medians, quartiles and the pairs won; a gain is claimed only when after wins
-    at least nine in ten pairs and the medians differ by more than before's IQR."""
+    """Medians, quartiles and the pairs won; a gain is claimed only from at least
+    MIN_GAIN_PAIRS pairs, when after wins at least nine in ten of them and the
+    medians differ by more than before's IQR."""
     lower = spec["better"] == "lower"
     wins = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
     q_before, q_after = quartiles(before), quartiles(after)
     change = q_after[1] / q_before[1] - 1.0
+    beyond_iqr = abs(q_after[1] - q_before[1]) > q_before[2] - q_before[0]
     return {
         "unit": spec["unit"],
         "better": spec["better"],
@@ -87,7 +91,7 @@ def summary(spec: dict, before: list, after: list) -> dict:
         "before_quartiles": q_before,
         "after_quartiles": q_after,
         "after_better_pairs": wins,
-        "gain": wins >= 0.9 * len(before) and abs(q_after[1] - q_before[1]) > q_before[2] - q_before[0],
+        "gain": len(before) >= MIN_GAIN_PAIRS and wins >= 0.9 * len(before) and beyond_iqr,
         "regressed": (change if lower else -change) > spec["bound"],
         "before_runs": before,
         "after_runs": after,
@@ -98,7 +102,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare the working tree with")
     parser.add_argument("--workloads", default=None, help="comma-separated; default: all in BENCHMARK.json")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=MIN_GAIN_PAIRS)
     parser.add_argument("--seconds", type=float, default=10.0, help="run time of each benchmark run")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", required=True, help="JSON file to write")
