@@ -253,73 +253,73 @@ _OPTIONS = {
 }
 
 
-def _command(group, name, func, help, options=""):
-    """Add subcommand ``name`` taking --p, the space-separated shared ``options`` and --out."""
+def _command(group, name, func, help, shared="", own=(), one_of=()):
+    """Add ``name``: --p, ``shared`` _OPTIONS, --out, ``own`` {flag: (type, default)}, one of ``one_of`` required."""
     sub = group.add_parser(name, help=help)
     sub.add_argument("--p", type=int, required=True, help="polynomial order")
-    for flag in options.split():
+    for flag in shared.split():
         sub.add_argument(flag, **_OPTIONS[flag])
     sub.add_argument("--out", default=None, help="output file path")
+    for flag, (kind, default) in dict(own).items():
+        sub.add_argument(flag, type=kind, default=default)
+    if one_of:
+        source = sub.add_mutually_exclusive_group(required=True)
+        for flag, kwargs in one_of.items():
+            source.add_argument(flag, **kwargs)
     sub.set_defaults(func=func)
-    return sub
 
 
-def _build_parser() -> _Parser:
-    # one terminal-size read for all 15 parsers (argparse reads it per formatter);
-    # built per call, not cached, since every command is one process
+def _build_parser(argv=()) -> _Parser:
+    """The parser for ``argv``: when it starts with a group and one of that group's commands, only the three
+    parsers on that path, since no help screen, prog or one-line error depends on a sibling; else the whole tree."""
+    # one terminal-size read for every parser built (argparse reads it per formatter)
     fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(prog="gsfr", description=__doc__.splitlines()[0], formatter_class=fmt)
     sub = functools.partial(_Parser, formatter_class=fmt)
     top = parser.add_subparsers(dest="group", required=True, parser_class=sub)
-
-    def group(name, help):
-        return top.add_parser(name, help=help).add_subparsers(dest="cmd", required=True, parser_class=sub)
-
-    corr_p = group("corr", "correction functions")
-    _command(corr_p, "solve", _cmd_corr_solve, "solve for a correction pair", "--iota")
-    _command(corr_p, "bounds", _cmd_corr_bounds, "check the sufficient stability bounds", "--iota")
-    s = _command(corr_p, "identify", _cmd_corr_identify, "OSFR/ESFR membership and weight recovery")
-    source = s.add_mutually_exclusive_group(required=True)
-    source.add_argument("--iota", type=_iota_list, help="comma-separated weights")
-    source.add_argument("--in", dest="infile", help="JSON correction file written by corr solve")
-
-    vn_p = group("vn", "wavenumber analysis")
+    groups = dict(corr="correction functions", vn="wavenumber analysis", run="time-domain studies",
+                  search="coupled CFL/order search")
     # node kind cannot change a linear-advection spectrum (see xp.reference_operators)
-    spectral = "--alpha --k-samples"
-    _command(vn_p, "dispersion", _cmd_vn_dispersion, "dispersion/dissipation curves CSV", "--iota " + spectral)
-    _command(vn_p, "cfl", _cmd_vn_cfl, "largest stable time step", "--iota --rk --rho-tol " + spectral)
-    s = _command(vn_p, "sweep", _cmd_vn_sweep, "CFL limit over a weight grid CSV", "--rk --rho-tol " + spectral)
-    s.add_argument("--magnitudes", type=_iota_list, default=[0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
-    s.add_argument("--jobs", type=int, default=1)
-
-    run_p = group("run", "time-domain studies")
-    study = "--iota --alpha --nodes --rk"
-    s = _command(run_p, "advect", _cmd_run_advect, "linear advection snapshot CSV", study)
-    s.add_argument("--n-elements", dest="n_elements", type=int, default=50)
-    s.add_argument("--t-end", dest="t_end", type=float, default=pi)
-    s = _command(run_p, "hetero", _cmd_run_hetero, "variable-speed aliasing energy study", study)
-    s.add_argument("--n-elements", dest="n_elements", type=int, default=32)
-    s.add_argument("--periods", type=int, default=15)
-    s.add_argument("--cfl", type=float, default=0.06)
-    s = _command(run_p, "ooa", _cmd_run_ooa, "order-of-accuracy study", study)
-    s.add_argument("--t-end", dest="t_end", type=float, default=pi)
-    s.add_argument(
-        "--element-counts",
-        dest="element_counts",
-        type=_element_counts,
-        default=xp.DEFAULT_ELEMENT_COUNTS,
-    )
-
-    search_p = group("search", "coupled CFL/order search")
-    s = _command(search_p, "cfl", _cmd_search_cfl, "maximise the stable step over a weight grid", "--alpha --rk")
-    s.add_argument("--magnitudes", type=_iota_list, default=[0.0, 1e-4, 1e-3, 1e-2])
-
+    spectral, study = "--alpha --k-samples", "--iota --alpha --nodes --rk"
+    # (group, command) -> the arguments of _command after its name
+    commands = {
+        ("corr", "solve"): (_cmd_corr_solve, "solve for a correction pair", "--iota"),
+        ("corr", "bounds"): (_cmd_corr_bounds, "check the sufficient stability bounds", "--iota"),
+        ("corr", "identify"): (_cmd_corr_identify, "OSFR/ESFR membership and weight recovery", "", (), {
+            "--iota": dict(type=_iota_list, help="comma-separated weights"),
+            "--in": dict(dest="infile", help="JSON correction file written by corr solve"),
+        }),
+        ("vn", "dispersion"): (_cmd_vn_dispersion, "dispersion/dissipation curves CSV", "--iota " + spectral),
+        ("vn", "cfl"): (_cmd_vn_cfl, "largest stable time step", "--iota --rk --rho-tol " + spectral),
+        ("vn", "sweep"): (_cmd_vn_sweep, "CFL limit over a weight grid CSV", "--rk --rho-tol " + spectral, {
+            "--magnitudes": (_iota_list, [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]), "--jobs": (int, 1),
+        }),
+        ("run", "advect"): (_cmd_run_advect, "linear advection snapshot CSV", study, {
+            "--n-elements": (int, 50), "--t-end": (float, pi),
+        }),
+        ("run", "hetero"): (_cmd_run_hetero, "variable-speed aliasing energy study", study, {
+            "--n-elements": (int, 32), "--periods": (int, 15), "--cfl": (float, 0.06),
+        }),
+        ("run", "ooa"): (_cmd_run_ooa, "order-of-accuracy study", study, {
+            "--t-end": (float, pi), "--element-counts": (_element_counts, xp.DEFAULT_ELEMENT_COUNTS),
+        }),
+        ("search", "cfl"): (_cmd_search_cfl, "maximise the stable step over a weight grid", "--alpha --rk", {
+            "--magnitudes": (_iota_list, [0.0, 1e-4, 1e-3, 1e-2]),
+        }),
+    }
+    path = tuple(argv[:2])
+    if path in commands:
+        commands, groups = {path: commands[path]}, {path[0]: groups[path[0]]}
+    cmds = {group: top.add_parser(group, help=help).add_subparsers(dest="cmd", required=True, parser_class=sub)
+            for group, help in groups.items()}
+    for (group, name), row in commands.items():
+        _command(cmds[group], name, *row)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except corr.NumericalFailure as exc:

@@ -189,7 +189,10 @@ def cfl_limit(
     q_mats = bloch_matrix(ops, k_from_k_hat(ops, k_hats[reps]))
     lam = _eigvals(q_mats).ravel()
     coeffs, powers = _excess_coeffs(lam, order), np.arange(1, 2 * order + 1)
-    bound = 2.0 * rho_tol + rho_tol**2  # |R| <= 1 + rho_tol, squared, minus 1
+    try:
+        bound = 2.0 * rho_tol + rho_tol**2  # |R| <= 1 + rho_tol, squared, minus 1
+    except OverflowError:  # a bound past the float range is infinite: every probe is stable
+        bound = inf
     probes = 0
 
     def excess(tau: float) -> np.ndarray:

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import re
 import shlex
+import sys
 import warnings
 from pathlib import Path
 
@@ -435,6 +436,88 @@ def test_bad_element_counts_name_the_option(capsys):
         err = capsys.readouterr().err
         assert exc.value.code == 1
         assert message in err and "<lambda>" not in err and err.count("\n") == 1, err
+
+
+def _record_commands(monkeypatch):
+    """Replace every command with one that records its parsed arguments; the list of what it recorded."""
+    seen = []
+    for name in dir(gsfr.cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(gsfr.cli, name, lambda args: seen.append(args) or 0)
+    return seen
+
+
+@pytest.mark.parametrize("cmd", REQUIRED)
+def test_path_build_parses_and_helps_as_the_whole_tree(cmd, monkeypatch, capsys):
+    # main builds only the parsers on the command line's path; the whole tree is the oracle
+    argv = f"{cmd} {REQUIRED[cmd]}".split()
+    seen = _record_commands(monkeypatch)
+    assert main(argv) == 0
+    assert seen == [gsfr.cli._build_parser().parse_args(argv)]
+    screens = []
+    for parse in (main, gsfr.cli._build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(cmd.split() + ["-h"])
+        screens.append((exc.value.code, capsys.readouterr().out))
+    assert screens[0] == screens[1] and screens[0][0] == 0 and f"usage: gsfr {cmd} " in screens[0][1]
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        ("run ooa --p 3 --iota 1,0,0,0 --seed 1", "gsfr: error: unrecognized arguments: --seed 1"),
+        ("--foo run ooa --p 3 --iota 1,0,0,0", "gsfr: error: unrecognized arguments: --foo"),
+        ("nope", "gsfr: error: argument group: invalid choice: 'nope' (choose from 'corr', 'vn', 'run', 'search')"),
+        ("run nope", "gsfr run: error: argument cmd: invalid choice: 'nope' (choose from 'advect', 'hetero', 'ooa')"),
+        ("", "gsfr: error: the following arguments are required: group"),
+        ("run", "gsfr run: error: the following arguments are required: cmd"),
+    ],
+    ids=["unrecognized", "option-before-group", "unknown-group", "unknown-command", "no-group", "no-command"],
+)
+def test_parse_errors_match_the_whole_tree(argv, line, capsys):
+    errors = []
+    for parse in (main, gsfr.cli._build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv.split())
+        errors.append((exc.value.code, capsys.readouterr().err))
+    assert errors == [(1, line + "\n")] * 2
+
+
+def test_a_command_line_builds_only_the_parsers_on_its_path(monkeypatch):
+    # the whole tree is 15 parsers; a command line needs the top one, its group's and its command's
+    built = []
+
+    class Counting(gsfr.cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(gsfr.cli, "_Parser", Counting)
+    _record_commands(monkeypatch)
+    gsfr.cli._build_parser()
+    assert len(built) == 15
+    for cmd in REQUIRED:
+        built.clear()
+        assert main(f"{cmd} {REQUIRED[cmd]}".split()) == 0
+        assert built == ["gsfr", f"gsfr {cmd.split()[0]}", f"gsfr {cmd}"]
+
+
+def test_console_script_reads_sys_argv(tmp_path, monkeypatch, capsys):
+    # the gsfr script calls main() with no arguments
+    argv = ["corr", "bounds", "--p", "3", "--iota", "1,0,0,0", "--out"]
+    assert run(argv + [str(tmp_path / "a.json")], capsys)[0] == 0
+    monkeypatch.setattr(sys, "argv", ["gsfr", *argv, str(tmp_path / "b.json")])
+    assert main() == 0
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
+
+@pytest.mark.parametrize("rho_tol", ["1e154", "1e155", "1e200", "1.7e308"])
+@pytest.mark.parametrize("cmd", ["vn cfl --p 3 --iota 1,0,0,0", "vn sweep --p 3 --magnitudes 0"])
+def test_a_bound_past_the_float_range_reports_no_finite_limit(cmd, rho_tol, capsys):
+    # 2 rho_tol + rho_tol^2 passes the float range from about 1.34e154; past it, as just below it, no step is unstable
+    code, out, err = run(f"{cmd} --k-samples 16 --rho-tol {rho_tol}".split(), capsys)
+    assert (code, err) == (0, "")
+    assert "tau_max = 819.20000000000005" in out
 
 
 @pytest.mark.parametrize(
