@@ -250,7 +250,7 @@ def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str
     phase = np.exp(1j * WAVENUMBER * (x[:, :1] - x[0, 0]))
     q = bloch_matrix(ops, WAVENUMBER)
     unit = replace(state, u=np.eye(x.shape[1], dtype=complex))
-    block = rk_advance(lambda st: st.u @ q.T, unit, tau, rk).u.T
+    block = rk_advance(lambda u: u @ q.T, unit, tau, rk).u.T
     # divergence overflows on its way to inf; the finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         u = (phase * (np.linalg.matrix_power(block, steps) @ np.exp(1j * WAVENUMBER * x[0]))).real
@@ -354,10 +354,8 @@ def hetero_energy_study(
     rows, cols, size = step.rows, step.cols[..., None], state.u.size
     buf = np.zeros((_ENERGY_CHUNK + 1,) + rows.shape[:2] + (1,))  # slot 0: the state before the chunk
     buf[0].reshape(-1)[:size] = state.u.ravel()
-    # solution_energy's expression over a chunk of steps, so the energies are the same doubles
-    jac, w = state.jacobian, ops.element.weights[None, :]
     total = n_periods * steps_per_period
-    times, energy, period_errors = [np.zeros(1)], [np.array([solution_energy(ops, state)])], []
+    times, energy, period_errors = [np.zeros(1)], [np.array([solution_energy(ops, state.u)])], []
     peak = energy[0][0]
     # blow-up overflows on its way to inf; the energy check reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -366,7 +364,7 @@ def hetero_energy_study(
             for k in range(1, count + 1):
                 np.matmul(rows, buf[k - 1].take(cols), out=buf[k])
             chunk = buf[1 : count + 1].reshape(count, -1)[:, :size].reshape((count,) + state.u.shape)
-            e = jac * np.sum(w * chunk**2, axis=(1, 2))
+            e = solution_energy(ops, chunk)
             buf[0] = buf[count]
             bad = ~np.isfinite(e) | (e > BLOWUP_ENERGY)
             blew_up = bool(bad.any())

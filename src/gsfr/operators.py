@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
+from math import isclose
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
@@ -130,7 +131,7 @@ class SchemeOperators:
 
 @dataclass(frozen=True)
 class MeshState:
-    """Solution values at the mapped nodes of a periodic uniform mesh."""
+    """Values u at the nodes of a periodic uniform mesh and its geometry; the jacobian is SchemeOperators'."""
 
     n_elements: int
     x_left: float
@@ -140,10 +141,6 @@ class MeshState:
     @property
     def element_width(self) -> float:
         return (self.x_right - self.x_left) / self.n_elements
-
-    @property
-    def jacobian(self) -> float:
-        return 0.5 * self.element_width
 
 
 def build_reference_element(
@@ -210,9 +207,11 @@ def build_scheme_operators(
 def uniform_mesh(
     ops: SchemeOperators, n_elements: int, x_left: float, x_right: float, init=None
 ) -> MeshState:
-    """Periodic uniform mesh with optional pointwise initial data."""
+    """Periodic uniform mesh with optional pointwise initial data; its element width is 2 * ops.jacobian."""
     if n_elements < 1 or x_right <= x_left:
         raise ValueError("need n_elements >= 1 and x_right > x_left")
+    if not isclose((x_right - x_left) / n_elements, 2.0 * ops.jacobian, rel_tol=1e-12):
+        raise ValueError(f"element width {(x_right - x_left) / n_elements!r} is not 2 * jacobian {ops.jacobian!r}")
     x = _node_coords(ops.element, n_elements, x_left, x_right)
     u = np.zeros_like(x) if init is None else np.asarray(init(x), dtype=float)
     return MeshState(n_elements=n_elements, x_left=x_left, x_right=x_right, u=u)
@@ -229,18 +228,15 @@ def mesh_nodes(ops: SchemeOperators, state: MeshState) -> np.ndarray:
     return _node_coords(ops.element, state.n_elements, state.x_left, state.x_right)
 
 
-def linear_advection_rhs(ops: SchemeOperators, state: MeshState) -> np.ndarray:
+def linear_advection_rhs(ops: SchemeOperators, u: np.ndarray) -> np.ndarray:
     """du/dt for unit-speed linear advection on the periodic mesh, for u of shape (..., n, p+1).
 
-    It reads only state.u and state.jacobian: element j meets elements
-    j-1 and j+1 mod u.shape[-2].
+    Element j meets elements j-1 and j+1 mod u.shape[-2].
     """
-    u = state.u
-    jac = state.jacobian
     out = u @ ops.C_zero.T
     out += np.roll(u, -1, axis=-2) @ ops.C_plus.T
     out += np.roll(u, 1, axis=-2) @ ops.C_minus.T
-    return -out / jac
+    return -out / ops.jacobian
 
 
 def wave_speed(x):
@@ -255,17 +251,15 @@ def make_heterogeneous_rhs(ops: SchemeOperators, state: MeshState):
     (the product is under-resolved by the nodal basis, which is the
     aliasing mechanism of interest). The node and interface speeds depend
     only on the mesh geometry, so build this once per mesh and call the
-    returned rhs(state) per stage; state.u may be a stack (..., n, p+1).
+    returned rhs(u) per stage; u may be a stack (..., n, p+1).
     """
     el = ops.element
-    jac = state.jacobian
     a_nodes = wave_speed(mesh_nodes(ops, state))
     delta = state.element_width
     x_face = state.x_left + delta * np.arange(state.n_elements)
     a_face = wave_speed(x_face)
 
-    def rhs(s: MeshState) -> np.ndarray:
-        u = s.u
+    def rhs(u: np.ndarray) -> np.ndarray:
         f = a_nodes * u
         # interface i sits between elements i-1 and i (periodic); the
         # common flux is the local speed times the alpha-blend of the two
@@ -279,7 +273,7 @@ def make_heterogeneous_rhs(ops: SchemeOperators, state: MeshState):
         out = f @ el.D.T
         out += jump_left[..., None] * el.g_left
         out += jump_right[..., None] * el.g_right
-        return -out / jac
+        return -out / ops.jacobian
 
     return rhs
 
@@ -294,6 +288,7 @@ def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> Me
     Horner form (a six-stage fifth-order scheme would append a spurious
     sixth-power term relative to the spectral update matrix).
 
+    rhs_fn maps a solution array to du/dt and is called once per stage.
     This stage form defines every time step in the package and is the
     oracle for the fast paths, which probe it in one call each: state.u
     may be a stack (..., n, p+1), and every state of it is stepped as if
@@ -307,28 +302,24 @@ def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> Me
     if tau == 0.0:
         return state
     u = state.u
-
-    def f(v):
-        return rhs_fn(replace(state, u=v))
-
     if scheme == "rk33":
-        u1 = u + tau * f(u)
-        u2 = 0.75 * u + 0.25 * (u1 + tau * f(u1))
-        new = u / 3.0 + 2.0 / 3.0 * (u2 + tau * f(u2))
+        u1 = u + tau * rhs_fn(u)
+        u2 = 0.75 * u + 0.25 * (u1 + tau * rhs_fn(u1))
+        new = u / 3.0 + 2.0 / 3.0 * (u2 + tau * rhs_fn(u2))
     elif scheme == "rk44":
-        k1 = f(u)
-        k2 = f(u + 0.5 * tau * k1)
-        k3 = f(u + 0.5 * tau * k2)
-        k4 = f(u + tau * k3)
+        k1 = rhs_fn(u)
+        k2 = rhs_fn(u + 0.5 * tau * k1)
+        k3 = rhs_fn(u + 0.5 * tau * k2)
+        k4 = rhs_fn(u + tau * k3)
         new = u + tau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     else:  # rk55
         acc = u.copy()
         for n in range(5, 0, -1):
-            acc = u + (tau / n) * f(acc)
+            acc = u + (tau / n) * rhs_fn(acc)
         new = acc
     return replace(state, u=new)
 
 
-def solution_energy(ops: SchemeOperators, state: MeshState) -> float:
-    """Domain integral of u^2 by the element quadrature rule."""
-    return float(state.jacobian * np.sum(ops.element.weights[None, :] * state.u**2))
+def solution_energy(ops: SchemeOperators, u: np.ndarray):
+    """Domain integral of u^2 by the element quadrature rule, one per state of a stack (..., n, p+1)."""
+    return ops.jacobian * np.sum(ops.element.weights * u**2, axis=(-2, -1))

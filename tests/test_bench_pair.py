@@ -1,6 +1,8 @@
-"""The verdict rules of tools/bench_pair.py's summary, on synthetic run lists (no benchmark runs)."""
+"""tools/bench_pair.py: the verdict rules of its summary, on synthetic run lists, and its working-tree
+export, on a throwaway repository (no benchmark runs)."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,38 @@ def test_higher_is_better(after, wins, gain, regressed):
     assert s["after_better_pairs"] == wins
     assert s["gain"] is gain
     assert s["regressed"] is regressed
+
+
+def test_working_tree_exports_the_files_on_disk_and_leaves_the_repository_as_it_was(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True, text=True).stdout
+
+    files = {".gitignore": "ignored.txt\n", "kept.txt": "kept\n", "sub/modified.txt": "before\n", "deleted.txt": "gone\n"}
+    for name, text in files.items():
+        (repo / name).parent.mkdir(exist_ok=True)
+        (repo / name).write_text(text)
+    git("init", "-q")
+    git("add", "-A")
+    git("-c", "user.name=bench", "-c", "user.email=bench@example.com", "commit", "-q", "-m", "base")
+    (repo / "sub/modified.txt").write_text("after\n")
+    (repo / "untracked.txt").write_text("new\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+    (repo / "deleted.txt").unlink()
+    status, head = git("status", "--porcelain"), git("rev-parse", "HEAD")
+    assert status.splitlines() == [" D deleted.txt", " M sub/modified.txt", "?? untracked.txt"]
+
+    monkeypatch.setattr(bench_pair, "ROOT", repo)
+    bench_pair.export(bench_pair.working_tree(), tmp_path / "after")
+    bench_pair.export("HEAD", tmp_path / "before")
+
+    def contents(tree):
+        return {path.relative_to(tree).as_posix(): path.read_text() for path in tree.rglob("*") if path.is_file()}
+
+    assert contents(tmp_path / "before") == files
+    assert contents(tmp_path / "after") == {
+        ".gitignore": "ignored.txt\n", "kept.txt": "kept\n", "sub/modified.txt": "after\n", "untracked.txt": "new\n"
+    }
+    assert git("status", "--porcelain") == status and git("rev-parse", "HEAD") == head

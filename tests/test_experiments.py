@@ -264,24 +264,43 @@ def test_step_map_steps_any_mesh_in_one_bounded_stack(monkeypatch):
             assert len(shapes) == 1 and shapes[0][0] <= (4 * RK_STAGE_ORDER[rk] + 1) * 4, (rk, n, shapes)
 
 
+def test_studies_hand_their_right_hand_sides_arrays(monkeypatch):
+    # every stage of every stacked step passes the solution array itself, never a MeshState
+    kinds = []
+
+    def recording(rhs_fn, state, *args, **kwargs):
+        return rk_advance(lambda u: kinds.append(type(u)) or rhs_fn(u), state, *args, **kwargs)
+
+    monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
+    hetero_energy_study(DG3, n_elements=8, n_periods=1)
+    ooa_study(DG3, element_counts=(8, 10, 12, 14), rk="rk33")
+    ops = build_scheme_operators(build_reference_element(3, solve_correction(DG3)), 1.0, jacobian=1.0 / 5)
+    state = uniform_mesh(ops, 5, -1.0, 1.0)
+    step_map(lambda u: linear_advection_rhs(ops, u), state, 1e-3, "rk55")
+    # rk44 on hetero, rk33 on four meshes, rk55 on one mesh
+    assert kinds == [np.ndarray] * (4 + 4 * 3 + 5)
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("rhs_kind", ["advection", "heterogeneous"])
+@pytest.mark.parametrize("rhs_kind", ["advection", "heterogeneous", "energy"])
 def test_rhs_takes_a_stack_of_states(rhs_kind, dtype):
-    # a (3, 2, n, p+1) stack gives, bit for bit, the right-hand sides of its six states
+    # a (3, 2, n, p+1) stack gives, bit for bit, the right-hand sides (or the energies) of its six states
     element = build_reference_element(3, solve_correction(DG3))
     rng = np.random.default_rng(11)
     for n in (1, 2, 32):
         ops = build_scheme_operators(element, 0.75, jacobian=1.0 / n)
         state = uniform_mesh(ops, n, -1.0, 1.0)
         if rhs_kind == "advection":
-            rhs = lambda s: linear_advection_rhs(ops, s)
-        else:
+            rhs = lambda u: linear_advection_rhs(ops, u)
+        elif rhs_kind == "heterogeneous":
             rhs = make_heterogeneous_rhs(ops, state)
+        else:
+            rhs = lambda u: solution_energy(ops, u)
         stack = rng.standard_normal((3, 2, n, 4)).astype(dtype)
         if dtype is complex:
             stack += 1j * rng.standard_normal(stack.shape)
-        per_state = np.array([[rhs(replace(state, u=u)) for u in row] for row in stack])
-        assert np.array_equal(rhs(replace(state, u=stack)), per_state), n
+        per_state = np.array([[rhs(u) for u in row] for row in stack])
+        assert np.array_equal(rhs(stack), per_state), n
 
 
 def step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk="rk44", node_kind="gauss", per_element=False):
@@ -297,8 +316,8 @@ def step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk="rk44", node_k
     step = step_map(make_heterogeneous_rhs(ops, state), state, tau, rk)
     if per_element:
         step = per_element_apply(step, n_elements, RK_STAGE_ORDER[rk])
-    u, jac, w = state.u, state.jacobian, ops.element.weights[None, :]
-    times, energy, every = [0.0], [solution_energy(ops, state)], [solution_energy(ops, state)]
+    u, jac, w = state.u, ops.jacobian, ops.element.weights[None, :]
+    times, energy, every = [0.0], [solution_energy(ops, state.u)], [solution_energy(ops, state.u)]
     period_errors, blowup_time = [], None
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_periods * steps_per_period + 1):
@@ -384,7 +403,7 @@ def test_hetero_study_matches_stage_form(alpha, cfl):
     period_errors, blowup_time = [], None
     for n in range(1, 2 * report.steps_per_period + 1):
         state = rk_advance(rhs, state, report.tau, "rk44")
-        e = solution_energy(ops, state)
+        e = solution_energy(ops, state.u)
         if not np.isfinite(e) or e > BLOWUP_ENERGY:
             blowup_time = n * report.tau
             break
@@ -475,7 +494,7 @@ def whole_mesh_block(element, alpha, n_elements, tau, rk):
 
 @pytest.mark.parametrize("rk", RK_SCHEMES)
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
-def test_windowed_advection_block_matches_whole_mesh_probe(p, rk, monkeypatch):
+def test_advection_block_matches_whole_mesh_probe(p, rk, monkeypatch):
     # the block steps Q(k) where the oracle steps every element of the mesh, so the two round differently:
     # within 1e-15 relative (4.0e-16 measured) on meshes below, at and above the 2s+1 elements that reach
     # element 0 in one step
@@ -500,6 +519,12 @@ def test_windowed_advection_block_matches_whole_mesh_probe(p, rk, monkeypatch):
                 oracle = whole_mesh_block(element, alpha, n, tau, rk)
                 gap = np.max(np.abs(recorded[0].T - oracle)) / np.max(np.abs(oracle))
                 assert gap <= 1e-15, (alpha, node_kind, n, gap)
+
+
+@pytest.mark.parametrize("p, rk", [(2, "rk33")])
+def test_windowed_advection_block_matches_whole_mesh_probe(p, rk, monkeypatch):
+    # the former name of test_advection_block_matches_whole_mesh_probe, down to its first case
+    test_advection_block_matches_whole_mesh_probe(p, rk, monkeypatch)
 
 
 def test_ooa_study_has_no_time_loop(monkeypatch):

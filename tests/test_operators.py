@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import factorial, pi
 
 import numpy as np
@@ -33,15 +32,9 @@ def element(dg3):
 
 
 def dense_operator(ops, n_elements):
-    """Physical-space matrix of the linear rhs, assembled column by column."""
+    """Physical-space matrix of the linear rhs: column j is the rhs of unit vector j, all in one stacked call."""
     size = n_elements * (ops.element.p + 1)
-    mat = np.zeros((size, size))
-    for j in range(size):
-        basis = np.zeros(size)
-        basis[j] = 1.0
-        state = MeshState(n_elements, 0.0, 2.0 * ops.jacobian * n_elements, basis.reshape(n_elements, -1))
-        mat[:, j] = linear_advection_rhs(ops, state).ravel()
-    return mat
+    return linear_advection_rhs(ops, np.eye(size).reshape(size, n_elements, -1)).reshape(size, size).T
 
 
 def test_node_sets():
@@ -138,11 +131,10 @@ def test_constant_field_is_steady(element):
     for alpha in (1.0, 0.5):
         ops = build_scheme_operators(element, alpha, jacobian=0.25)
         state = uniform_mesh(ops, 10, 0.0, 5.0, init=lambda x: 3.0 * np.ones_like(x))
-        assert np.max(np.abs(linear_advection_rhs(ops, state))) < 1e-11
+        assert np.max(np.abs(linear_advection_rhs(ops, state.u))) < 1e-11
         hetero = make_heterogeneous_rhs(ops, state)
-        assert np.max(np.abs(hetero(state))) > 0  # variable speed, not steady
-        zero = replace(state, u=np.zeros_like(state.u))
-        assert np.max(np.abs(hetero(zero))) == 0.0
+        assert np.max(np.abs(hetero(state.u))) > 0  # variable speed, not steady
+        assert np.max(np.abs(hetero(np.zeros_like(state.u)))) == 0.0
 
 
 def test_resolved_sine_rhs(element):
@@ -150,7 +142,7 @@ def test_resolved_sine_rhs(element):
     ops = build_scheme_operators(element, 1.0, jacobian=pi / n)
     state = uniform_mesh(ops, n, 0.0, 2.0 * pi, init=np.sin)
     x = mesh_nodes(ops, state)
-    err = np.max(np.abs(linear_advection_rhs(ops, state) + np.cos(x)))
+    err = np.max(np.abs(linear_advection_rhs(ops, state.u) + np.cos(x)))
     assert err < 5e-5
 
 
@@ -162,9 +154,8 @@ def test_alpha_independent_for_continuous_nodal_data(element):
     ops5 = build_scheme_operators(element, 0.5, jacobian=1.0)
     cell = element.nodes**2  # trace 1 at both faces, periodic-continuous
     u = np.tile(cell, (n, 1))
-    state = MeshState(n, 0.0, 2.0 * n, u)
-    r1 = linear_advection_rhs(ops1, state)
-    r5 = linear_advection_rhs(ops5, state)
+    r1 = linear_advection_rhs(ops1, u)
+    r5 = linear_advection_rhs(ops5, u)
     assert np.max(np.abs(r1 - r5)) < 1e-10
     assert np.max(np.abs(r1 + 2.0 * element.nodes[None, :])) < 1e-10
 
@@ -174,9 +165,9 @@ def test_global_conservation(element):
     for alpha in (1.0, 0.75, 0.5):
         ops = build_scheme_operators(element, alpha, jacobian=0.37)
         state = uniform_mesh(ops, 9, 0.0, 9 * 0.74, init=lambda x: np.sin(x) + 0.2)
-        state = replace(state, u=state.u + 0.1 * rng.standard_normal(state.u.shape))
-        rhs = linear_advection_rhs(ops, state)
-        integral = state.jacobian * np.sum(element.weights[None, :] * rhs)
+        u = state.u + 0.1 * rng.standard_normal(state.u.shape)
+        rhs = linear_advection_rhs(ops, u)
+        integral = ops.jacobian * np.sum(element.weights[None, :] * rhs)
         assert abs(integral) < 1e-10
 
 
@@ -195,8 +186,8 @@ def test_gauss_lobatto_rhs_agreement(dg3):
     coeffs = rng.standard_normal((n, 4))
     u_g = npleg.legval(el_g.nodes, coeffs.T, tensor=True)
     u_l = npleg.legval(el_l.nodes, coeffs.T, tensor=True)
-    rg = linear_advection_rhs(ops_g, MeshState(n, 0.0, 2 * pi, u_g))
-    rl = linear_advection_rhs(ops_l, MeshState(n, 0.0, 2 * pi, u_l))
+    rg = linear_advection_rhs(ops_g, u_g)
+    rl = linear_advection_rhs(ops_l, u_l)
     vand = lambda el: np.stack([npleg.legval(el.nodes, [0] * j + [1]) for j in range(4)], axis=1)
     cg = np.linalg.solve(vand(el_g), rg.T)
     cl = np.linalg.solve(vand(el_l), rl.T)
@@ -243,11 +234,11 @@ def test_hetero_single_step_energy_matches_physical_curvature(dg3):
     for n in (256, 512):
         ops = build_scheme_operators(el, 1.0, jacobian=1.0 / n)
         state = uniform_mesh(ops, n, -1.0, 1.0, init=lambda x: np.sin(4 * np.pi * x))
-        e0 = solution_energy(ops, state)
+        e0 = solution_energy(ops, state.u)
         assert e0 == pytest.approx(1.0, abs=1e-12)
         tau = 0.05 * state.element_width / 3.0
         after = rk_advance(make_heterogeneous_rhs(ops, state), state, tau, "rk44")
-        delta = solution_energy(ops, after) - e0
+        delta = solution_energy(ops, after.u) - e0
         assert delta / tau**2 == pytest.approx(curvature, rel=0.01)
 
 
@@ -299,11 +290,11 @@ def test_energy_decays_for_upwind_linear(dg3):
     el = build_reference_element(3, dg3)
     ops = build_scheme_operators(el, 1.0, jacobian=pi / n)
     state = uniform_mesh(ops, n, 0.0, 2 * pi, init=lambda x: np.sin(3 * x))
-    e0 = solution_energy(ops, state)
+    e0 = solution_energy(ops, state.u)
     tau = 0.05 * ops.jacobian
     for _ in range(200):
         state = rk_advance(lambda s: linear_advection_rhs(ops, s), state, tau, "rk44")
-        e1 = solution_energy(ops, state)
+        e1 = solution_energy(ops, state.u)
         assert e1 <= e0 * (1.0 + 1e-12)
         e0 = e1
 
@@ -312,7 +303,14 @@ def test_mesh_state_geometry(element):
     ops = build_scheme_operators(element, 1.0, jacobian=0.1)
     state = uniform_mesh(ops, 10, -1.0, 1.0)
     assert state.element_width == pytest.approx(0.2, abs=1e-15)
-    assert state.jacobian == pytest.approx(0.1, abs=1e-15)
     x = mesh_nodes(ops, state)
     assert x.shape == (10, 4)
     assert x.min() > -1.0 and x.max() < 1.0
+    # the jacobian is the operators' alone: a mesh whose element width is not 2 * ops.jacobian is refused
+    for n_elements, x_right in ((10, 1.5), (5, 1.0), (20, 1.0), (10, 1.0 + 1e-9)):
+        with pytest.raises(ValueError, match=r"^element width .* is not 2 \* jacobian 0\.1$"):
+            uniform_mesh(ops, n_elements, -1.0, x_right)
+    # the studies' meshes: hetero on [-1, 1] with jacobian 1/n, advection on [0, 2 pi] with pi/n
+    for n in (*range(1, 41), 64, 127, 160, 192, 224, 256, 384, 512):
+        uniform_mesh(build_scheme_operators(element, 1.0, 1.0 / n), n, -1.0, 1.0)
+        uniform_mesh(build_scheme_operators(element, 1.0, pi / n), n, 0.0, 2.0 * pi)

@@ -13,12 +13,15 @@ the working tree failed more calls than the base. Standard library only.
 
     python tools/bench_pair.py --base HEAD --pairs 10 --seconds 10 --out BENCH_N.json
 
-The base is exported with ``git archive`` and the working tree's files
-(tracked ones as they are on disk, plus untracked ones that are not
-ignored) are copied, side by side into one temporary directory. So both
-sides run from fresh trees of the same shape, without ``.git``, earlier
-outputs or bytecode caches, and an interrupted run leaves nothing behind
-in the repository.
+Both sides are exported with ``git archive``, side by side into one
+temporary directory: the base revision, and the working tree written as
+a tree object through a temporary index (tracked files as they are on
+disk, untracked ones that are not ignored, deleted ones left out). So
+both sides run from fresh trees of the same shape, without ``.git``,
+earlier outputs or bytecode caches. The repository's index, HEAD and
+working files stay untouched; the working tree's tree object and the
+blobs of its changed files stay behind as unreferenced objects, which
+``git gc`` prunes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -40,8 +42,10 @@ ROOT = Path(__file__).resolve().parent.parent
 MIN_GAIN_PAIRS = 10
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+def git(*args: str, env=None) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, env=env, check=True, capture_output=True, text=True
+    ).stdout.strip()
 
 
 def export(rev: str, dest: Path) -> None:
@@ -52,11 +56,13 @@ def export(rev: str, dest: Path) -> None:
     archive.unlink()
 
 
-def copy_working_tree(dest: Path) -> None:
-    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
-        if name and (ROOT / name).is_file():  # skip tracked files deleted on disk
-            (dest / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(ROOT / name, dest / name)
+def working_tree() -> str:
+    """The id of a tree object holding the working tree, staged in a temporary index rather than the repository's."""
+    with tempfile.TemporaryDirectory(prefix="bench_pair_index_") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("read-tree", "HEAD", env=env)
+        git("add", "-A", env=env)
+        return git("write-tree", env=env)
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -130,7 +136,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees = {"before": Path(tmp) / "before", "after": Path(tmp) / "after"}
         export(base_rev, trees["before"])
-        copy_working_tree(trees["after"])
+        export(working_tree(), trees["after"])
         for workload in workloads:
             runs = {"before": [], "after": []}
             for pair in range(args.pairs):
