@@ -13,7 +13,6 @@ from gsfr import (
     CorrectionParams,
     esfr3_weights,
     osfr_iota,
-    pair_to_json,
     recover_weights,
     solve_correction,
     sufficient_bounds,
@@ -40,6 +39,3 @@ unique = describe("a new member", CorrectionParams(3, [1, 0.01, 0.01, 0.1]))
 print(f"  one-parameter family: {osfr_iota(unique.h_l)} (None = not a member)")
 print(f"  kappa-matrix family:  {esfr3_weights(unique.g_l)} (None = not a member)")
 print(f"  recovered weights:    {np.round(recover_weights(unique.h_l), 10)}")
-
-print("\nJSON document for exchange:")
-print(pair_to_json(CorrectionParams(3, [1, 0.01, 0.01, 0.1]), unique))

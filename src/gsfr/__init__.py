@@ -16,8 +16,6 @@ from .correction import (
     esfr3_gradient,
     esfr3_weights,
     osfr_iota,
-    pair_from_json,
-    pair_to_json,
     recover_weights,
     sobolev_norm_squared,
     solve_correction,

@@ -96,14 +96,14 @@ def _json_doc(args, result) -> str:
 
 
 def _cmd_corr_solve(args):
-    params = _params(args)
-    pair = corr.solve_correction(params)
-    _write_text(args.out, corr.pair_to_json(params, pair) + "\n")
-    print(
-        f"solved p={params.p}: h_l = ["
-        + ", ".join(FMT % c for c in pair.h_l.coeffs)
-        + "]"
-    )
+    pair = corr.solve_correction(_params(args))
+    h_l = pair.h_l
+    if abs(h_l(-1.0) - 1.0) > corr.MEMBERSHIP_TOL or abs(h_l(1.0)) > corr.MEMBERSHIP_TOL:
+        raise corr.SingularSystemError(
+            f"the solve's h_l in doubles has h_l(-1) = {h_l(-1.0):g}, h_l(1) = {h_l(1.0):g}; need 1 and 0"
+        )
+    _write_text(args.out, _json_doc(args, {"h_l": h_l.coeffs, "h_r": pair.h_r.coeffs}))
+    print(f"solved p={args.p}: h_l = [" + ", ".join(FMT % c for c in h_l.coeffs) + "]")
     return 0
 
 
@@ -117,19 +117,13 @@ def _cmd_corr_bounds(args):
 
 
 def _cmd_corr_identify(args):
-    if args.infile is not None:
-        with open(args.infile, encoding="utf-8") as fh:
-            params, pair = corr.pair_from_json(fh.read())
-        if params.p != args.p:
-            raise ValueError(f"--p {args.p} differs from p = {params.p} in {args.infile}")
-    else:
-        params = _params(args)
-        pair = corr.solve_correction(params)
+    params = _params(args)
+    pair = corr.solve_correction(params)
     maps = [("osfr_iota", "osfr", lambda: corr.osfr_iota(pair.h_l))]
     if params.p == 3:
         maps.append(("esfr_kappa", "esfr", lambda: corr.esfr3_weights(pair.g_l)))
     maps.append(("recovered_iota", "iota", lambda: corr.recover_weights(pair.h_l)))
-    result: dict = {"p": params.p}
+    result: dict = {}
     shown = []
     for key, label, recover in maps:
         try:
@@ -253,8 +247,8 @@ _OPTIONS = {
 }
 
 
-def _command(group, name, func, help, shared="", own=(), one_of=()):
-    """Add ``name``: --p, ``shared`` _OPTIONS, --out, ``own`` {flag: (type, default)}, one of ``one_of`` required."""
+def _command(group, name, func, help, shared="", own=()):
+    """Add ``name``: --p, ``shared`` _OPTIONS, --out, ``own`` {flag: (type, default)}."""
     sub = group.add_parser(name, help=help)
     sub.add_argument("--p", type=int, required=True, help="polynomial order")
     for flag in shared.split():
@@ -262,10 +256,6 @@ def _command(group, name, func, help, shared="", own=(), one_of=()):
     sub.add_argument("--out", default=None, help="output file path")
     for flag, (kind, default) in dict(own).items():
         sub.add_argument(flag, type=kind, default=default)
-    if one_of:
-        source = sub.add_mutually_exclusive_group(required=True)
-        for flag, kwargs in one_of.items():
-            source.add_argument(flag, **kwargs)
     sub.set_defaults(func=func)
 
 
@@ -285,10 +275,7 @@ def _build_parser(argv=()) -> _Parser:
     commands = {
         ("corr", "solve"): (_cmd_corr_solve, "solve for a correction pair", "--iota"),
         ("corr", "bounds"): (_cmd_corr_bounds, "check the sufficient stability bounds", "--iota"),
-        ("corr", "identify"): (_cmd_corr_identify, "OSFR/ESFR membership and weight recovery", "", (), {
-            "--iota": dict(type=_iota_list, help="comma-separated weights"),
-            "--in": dict(dest="infile", help="JSON correction file written by corr solve"),
-        }),
+        ("corr", "identify"): (_cmd_corr_identify, "OSFR/ESFR membership and weight recovery", "--iota"),
         ("vn", "dispersion"): (_cmd_vn_dispersion, "dispersion/dissipation curves CSV", "--iota " + spectral),
         ("vn", "cfl"): (_cmd_vn_cfl, "largest stable time step", "--iota --rk --rho-tol " + spectral),
         ("vn", "sweep"): (_cmd_vn_sweep, "CFL limit over a weight grid CSV", "--rk --rho-tol " + spectral, {

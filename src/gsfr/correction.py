@@ -25,7 +25,6 @@ MEMBERSHIP_TOL.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -52,8 +51,6 @@ __all__ = [
     "esfr3_gradient",
     "esfr3_weights",
     "recover_weights",
-    "pair_to_json",
-    "pair_from_json",
     "MEMBERSHIP_TOL",
 ]
 
@@ -413,61 +410,3 @@ def recover_weights(h_l: LegendreSeries) -> np.ndarray:
     except SingularSystemError as exc:
         raise DegenerateCoefficientError(f"weight recovery is degenerate: {exc}") from None
     return np.array([1.0] + [float(Fraction(v, det)) for v in scaled])
-
-
-def _check_endpoints(h_l: LegendreSeries, error: type, what: str) -> None:
-    if abs(h_l(-1.0) - 1.0) > MEMBERSHIP_TOL or abs(h_l(1.0)) > MEMBERSHIP_TOL:
-        raise error(f"{what} has h_l(-1) = {h_l(-1.0):g}, h_l(1) = {h_l(1.0):g}; need 1 and 0")
-
-
-def _check_solve(params: CorrectionParams, h_l: np.ndarray, error: type, what: str) -> None:
-    gap = np.max(np.abs(solve_correction(params).h_l.coeffs - h_l))
-    if gap > MEMBERSHIP_TOL:
-        raise error(f"{what} is {gap:.3g} off the solve of its 'iota' (tolerance {MEMBERSHIP_TOL:g})")
-
-
-def pair_to_json(params: CorrectionParams, pair: CorrectionPair) -> str:
-    """Serialize p, the weights, and both correction functions, refusing what pair_from_json would reject.
-
-    The weights are written as doubles. An h_l off its endpoints in
-    doubles, or off the solve of the written weights (exact weights next
-    to a singular point round far from it), is a SingularSystemError.
-    """
-    _check_endpoints(pair.h_l, SingularSystemError, "the solve's h_l in doubles")
-    doc = {
-        "p": params.p,
-        "iota": [float(v) for v in params.iota],
-        "h_l": [float(c) for c in pair.h_l.coeffs],
-        "h_r": [float(c) for c in pair.h_r.coeffs],
-    }
-    _check_solve(CorrectionParams(params.p, doc["iota"]), pair.h_l.coeffs, SingularSystemError, "the solve's h_l")
-    return json.dumps(doc, sort_keys=True)
-
-
-def pair_from_json(text: str) -> tuple[CorrectionParams, CorrectionPair]:
-    """Read what pair_to_json wrote; a missing, ill-typed or inconsistent field is a ValueError naming it.
-
-    h_l and h_r must each hold p+2 finite coefficients, h_r must be the
-    parity reflection h_l(-xi), h_l(-1) = 1, h_l(1) = 0, and h_l must equal
-    the solve of iota, each within MEMBERSHIP_TOL.
-    """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"correction file holds a JSON {type(doc).__name__}, not an object")
-    for name, kind in (("p", int), ("iota", list), ("h_l", list), ("h_r", list)):
-        if not isinstance(doc.get(name), kind) or isinstance(doc[name], bool):
-            raise ValueError(f"correction file field {name!r} is missing or not of type {kind.__name__}")
-    for name in ("iota", "h_l", "h_r"):
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc[name]):
-            raise ValueError(f"correction file field {name!r} must hold JSON numbers only")
-    params = CorrectionParams(doc["p"], doc["iota"])
-    h_l, h_r = (np.array(doc[name], dtype=float) for name in ("h_l", "h_r"))
-    for name, coeffs in (("h_l", h_l), ("h_r", h_r)):
-        if coeffs.shape != (params.p + 2,) or not np.all(np.isfinite(coeffs)):
-            raise ValueError(f"correction file field {name!r} must hold p+2 = {params.p + 2} finite coefficients")
-    pair = CorrectionPair(LegendreSeries(h_l))
-    if not np.array_equal(h_r, pair.h_r.coeffs):
-        raise ValueError("correction file field 'h_r' is not the reflection h_l(-xi) of its 'h_l'")
-    _check_endpoints(pair.h_l, ValueError, "correction file field 'h_l'")
-    _check_solve(params, h_l, ValueError, "correction file field 'h_l'")
-    return params, pair

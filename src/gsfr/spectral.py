@@ -53,7 +53,7 @@ PUBLISHED_STEP_LIMITS = (
 
 
 class ConvergenceFailureError(NumericalFailure):
-    """Eigenvalue extraction failed (matrices here are at most 8x8)."""
+    """Eigenvalue extraction failed (matrices here are at most 8x8), or a step bisection found no unstable step."""
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,9 @@ def cfl_limit(
     unstable. Weight vectors whose semi-discrete operator carries a tiny
     positive spectral abscissa (several published optima do; the result
     reports it) then report a tau_max near 0; passing a looser rho_tol
-    reproduces threshold-style stability verdicts instead.
+    reproduces threshold-style stability verdicts instead. A bracket
+    that passes tau = 1e3 has found no unstable step, so rho_tol is too
+    loose to give a limit: a ConvergenceFailureError.
     """
     order = stage_order(rk)
     if not 0.0 <= rho_tol < inf:
@@ -203,21 +205,11 @@ def cfl_limit(
         probes += 1
         return excess(tau).max() <= bound
 
-    def result(tau_max: float, worst_k_hat: float) -> StabilityResult:
-        return StabilityResult(
-            tau_max=tau_max,
-            k_samples=k_samples,
-            rk=rk,
-            worst_k_hat=float(worst_k_hat),
-            probes=probes,
-            spectral_abscissa=float(lam.real.max()),
-        )
-
     lo, hi = 0.0, 0.05
     while stable(hi):
         lo, hi = hi, 2.0 * hi
-        if hi > 1e3:  # no finite limit detected; report the verified bracket
-            return result(lo, k_hats[-1])
+        if hi > 1e3:
+            raise ConvergenceFailureError(f"no unstable step up to tau = {lo:g}: lower --rho-tol ({rho_tol:g} here)")
     while hi - lo > BISECTION_REL_TOL * max(hi, 1e-12):
         mid = 0.5 * (lo + hi)
         if stable(mid):
@@ -234,7 +226,14 @@ def cfl_limit(
     per_class = np.sqrt(1.0 + excess(hi).reshape(len(reps), -1).max(axis=1))
     near = np.flatnonzero(per_class >= per_class.max() * (1.0 - 1e-12))
     worst = near[np.argmax(spectral_radius(update_matrix(q_mats[near], hi, rk)))]
-    return result(lo, k_hats[reps[worst]])
+    return StabilityResult(
+        tau_max=lo,
+        k_samples=k_samples,
+        rk=rk,
+        worst_k_hat=float(k_hats[reps[worst]]),
+        probes=probes,
+        spectral_abscissa=float(lam.real.max()),
+    )
 
 
 def dispersion_sweep(ops: SchemeOperators, k_samples: int = 256):

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import inspect
 import json
@@ -31,8 +32,8 @@ def test_corr_solve_writes_dg_coefficients(tmp_path, capsys):
     assert code == 0
     assert "solved p=3" in out
     doc = json.loads(out_file.read_text())
-    assert doc["h_l"] == [0.0, 0.0, 0.0, -0.5, 0.5]
-    assert doc["p"] == 3 and doc["iota"] == [1.0, 0.0, 0.0, 0.0]
+    assert doc["result"] == {"h_l": [0.0, 0.0, 0.0, -0.5, 0.5], "h_r": [0.0, 0.0, 0.0, 0.5, 0.5]}
+    assert doc["config"] == {"p": 3, "iota": [1.0, 0.0, 0.0, 0.0]}
 
 
 def test_corr_bounds(tmp_path, capsys):
@@ -66,14 +67,6 @@ def test_corr_identify_unique_member(capsys):
     assert "iota=[1.0, 0.01" in out
 
 
-def test_corr_identify_from_file(tmp_path, capsys):
-    path = tmp_path / "c.json"
-    run(["corr", "solve", "--p", "3", "--iota", "1,0,0,0.01", "--out", str(path)], capsys)
-    code, out, _ = run(["corr", "identify", "--p", "3", "--in", str(path)], capsys)
-    assert code == 0
-    assert "osfr=0.0099" in out or "osfr=0.01" in out
-
-
 def test_corr_identify_dg_has_no_negative_zero(tmp_path, capsys):
     out_file = tmp_path / "id.json"
     code, out, _ = run(["corr", "identify", "--p", "3", "--iota", "1,0,0,0", "--out", str(out_file)], capsys)
@@ -94,41 +87,7 @@ def test_corr_identify_names_only_the_maps_that_ran(tmp_path, capsys):
         assert result["osfr_iota"] == result["recovered_iota"][-1]
 
 
-@pytest.mark.parametrize(
-    "content,p,message",
-    [
-        ('{"p": 3}', "3", "field 'iota' is missing"),
-        ("[1, 2]", "3", "JSON list"),
-        (None, "4", "--p 4 differs from p = 2"),
-        ('{"p": 2, "iota": [1, 0, 0], "h_l": [NaN, 0, 0.5, -0.5], "h_r": [NaN, 0, 0.5, 0.5]}', "2", "finite"),
-        ('{"p": 2, "iota": [1, 0, 0], "h_l": [0, 0, 0.5, -0.5], "h_r": [0, 0, 0.5, -0.5]}', "2", "reflection"),
-        # twice nodal DG: reflected and finite, but h_l(-1) = 2
-        ('{"p": 3, "iota": [1, 0, 0, 0], "h_l": [0, 0, 0, -1, 1], "h_r": [0, 0, 0, 1, 1]}', "3", "h_l(-1) = 2"),
-        # nodal DG's h_l under the weights [1, 0, 0, 10]: a member, but not the one its iota solves to
-        ('{"p": 3, "iota": [1, 0, 0, 10], "h_l": [0, 0, 0, -0.5, 0.5], "h_r": [0, 0, 0, 0.5, 0.5]}', "3", "of its 'iota'"),
-        # weights and orders must be JSON numbers, not strings or booleans
-        ('{"p": 2, "iota": [1, 0, "0.01"], "h_l": [0, 0, 0.5, -0.5], "h_r": [0, 0, 0.5, 0.5]}', "2", "field 'iota'"),
-        ('{"p": 2, "iota": [1, 0, true], "h_l": [0, 0, 0.5, -0.5], "h_r": [0, 0, 0.5, 0.5]}', "2", "field 'iota'"),
-        ('{"p": true, "iota": [1, 0], "h_l": [0, 0.5, -0.5], "h_r": [0, 0.5, 0.5]}', "1", "field 'p'"),
-        ('{"p": 2, "iota": [1, 0, 0], "h_l": [0, 0, "0.5", -0.5], "h_r": [0, 0, 0.5, 0.5]}', "2", "field 'h_l'"),
-    ],
-    ids=[
-        "missing-field", "not-an-object", "other-p", "nan", "contradicting-h_r", "twice-dg", "other-iota",
-        "string-weight", "bool-weight", "bool-p", "string-coefficient",
-    ],
-)
-def test_corr_identify_rejects_a_bad_file(content, p, message, tmp_path, capsys):
-    path = tmp_path / "c.json"
-    if content is None:
-        run(["corr", "solve", "--p", "2", "--iota", "1,0,0", "--out", str(path)], capsys)
-    else:
-        path.write_text(content)
-    code, out, err = run(["corr", "identify", "--p", p, "--in", str(path)], capsys)
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and message in err and err.count("\n") == 1
-
-
-def test_corr_solve_refuses_a_pair_its_reader_rejects(tmp_path, capsys):
+def test_corr_solve_refuses_a_pair_off_its_endpoints(tmp_path, capsys):
     # next to the singular iota_2 = -1/45 the exact h_l's huge coefficients cancel; in doubles h_l(-1) = -2
     path = tmp_path / "c.json"
     code, out, err = run(["corr", "solve", "--p", "2", "--iota", "1,0,-0.022222222222222223", "--out", str(path)], capsys)
@@ -332,26 +291,19 @@ def test_validation_errors_exit_one(capsys):
     assert code == 1 and "error" in err
 
 
-def test_corr_identify_needs_iota_or_in(capsys):
+def test_corr_identify_needs_iota(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["corr", "identify", "--p", "3"])
+    err = capsys.readouterr().err
     assert exc.value.code == 1
-    assert "one of the arguments --iota --in is required" in capsys.readouterr().err
-
-
-def test_corr_identify_rejects_iota_and_in(tmp_path, capsys):
-    path = tmp_path / "c.json"
-    run(["corr", "solve", "--p", "3", "--iota", "1,0,0,0", "--out", str(path)], capsys)
-    with pytest.raises(SystemExit) as exc:
-        main(["corr", "identify", "--p", "3", "--iota", "1,0,0,0.01", "--in", str(path)])
-    assert exc.value.code == 1
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert err == "gsfr corr identify: error: the following arguments are required: --iota\n"
 
 
 # every command that writes JSON, a cheap command line for it, and the config keys it records
 JSON_COMMANDS = {
     "corr bounds": ("--p 3 --iota 1,0,0,0", {"p", "iota"}),
-    "corr identify": ("--p 3 --iota 1,0,0,0", {"p", "iota", "infile"}),
+    "corr solve": ("--p 3 --iota 1,0,0,0", {"p", "iota"}),
+    "corr identify": ("--p 3 --iota 1,0,0,0", {"p", "iota"}),
     "vn cfl": ("--p 3 --iota 1,0,0,0 --k-samples 16", {"p", "iota", "alpha", "rk", "k_samples", "rho_tol"}),
     "run ooa": (
         "--p 2 --iota 1,0,0 --element-counts 8,10,12,14 --t-end 0.5",
@@ -387,7 +339,7 @@ def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line.split("#", 1)[0] for line in block.splitlines() if line.strip()]
-    assert len(lines) == 11
+    assert len(lines) == 10
     parser = gsfr.cli._build_parser()
     for line in lines:
         argv = shlex.split(line)
@@ -411,7 +363,7 @@ REQUIRED = {
 REMOVED_OPTIONS = (
     [(cmd, "--seed 1") for cmd in REQUIRED]
     + [(cmd, flag) for cmd in ("corr solve", "corr bounds", "corr identify") for flag in ("--alpha 0.5", "--nodes gauss")]
-    + [("search cfl", "--nodes lobatto"), ("vn dispersion", "--rho-tol 1e-4")]
+    + [("search cfl", "--nodes lobatto"), ("vn dispersion", "--rho-tol 1e-4"), ("corr identify", "--in x.json")]
     + [(cmd, "--nodes lobatto") for cmd in ("vn dispersion", "vn cfl", "vn sweep")]
 )
 
@@ -502,6 +454,25 @@ def test_a_command_line_builds_only_the_parsers_on_its_path(monkeypatch):
         assert built == ["gsfr", f"gsfr {cmd.split()[0]}", f"gsfr {cmd}"]
 
 
+def test_the_cli_has_59_options():
+    # every option string of every command's parser, -h excluded
+    def leaves(parser):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return [parser]
+        return [leaf for child in subs[0].choices.values() for leaf in leaves(child)]
+
+    commands = leaves(gsfr.cli._build_parser())
+    options = [
+        flag
+        for command in commands
+        for action in command._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    ]
+    assert len(commands) == len(REQUIRED) and len(options) == 59
+
+
 def test_console_script_reads_sys_argv(tmp_path, monkeypatch, capsys):
     # the gsfr script calls main() with no arguments
     argv = ["corr", "bounds", "--p", "3", "--iota", "1,0,0,0", "--out"]
@@ -514,10 +485,15 @@ def test_console_script_reads_sys_argv(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("rho_tol", ["1e154", "1e155", "1e200", "1.7e308"])
 @pytest.mark.parametrize("cmd", ["vn cfl --p 3 --iota 1,0,0,0", "vn sweep --p 3 --magnitudes 0"])
 def test_a_bound_past_the_float_range_reports_no_finite_limit(cmd, rho_tol, capsys):
-    # 2 rho_tol + rho_tol^2 passes the float range from about 1.34e154; past it, as just below it, no step is unstable
+    # 2 rho_tol + rho_tol^2 passes the float range from about 1.34e154; past it, as just below it, no step is
+    # unstable, so the bracket passes tau = 1e3: vn cfl fails, and vn sweep writes the point's limit as nan
     code, out, err = run(f"{cmd} --k-samples 16 --rho-tol {rho_tol}".split(), capsys)
-    assert (code, err) == (0, "")
-    assert "tau_max = 819.20000000000005" in out
+    if cmd.startswith("vn cfl"):
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical failure: no unstable step up to tau = 819.2: lower --rho-tol (")
+        assert err.count("\n") == 1
+    else:
+        assert (code, err, out) == (0, "", "sweep: 1 points, best tau_max = nan\n")
 
 
 @pytest.mark.parametrize(
@@ -612,8 +588,8 @@ def test_sweep_lets_programming_errors_through(monkeypatch):
         main(["vn", "sweep", "--p", "2", "--magnitudes", "0", "--k-samples", "8"])
 
 
-def test_missing_input_file_exit_one(capsys):
-    code, _, err = run(["corr", "identify", "--p", "3", "--in", "/nonexistent/x.json"], capsys)
+def test_unwritable_output_file_exits_one(capsys):
+    code, _, err = run(["corr", "solve", "--p", "3", "--iota", "1,0,0,0", "--out", "/nonexistent/dir/x.json"], capsys)
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
 

@@ -19,8 +19,6 @@ from gsfr.correction import (
     esfr3_gradient,
     esfr3_weights,
     osfr_iota,
-    pair_from_json,
-    pair_to_json,
     recover_weights,
     sobolev_norm_squared,
     solve_correction,
@@ -658,41 +656,6 @@ def test_bound_rows_are_gram_diagonals():
         den, rows = _gram_block(i, i)
         tops.append(F(rows[i][i], den))
     assert tops == [2, 18, 450, 22050, 1786050]
-
-
-def test_json_round_trip():
-    params = CorrectionParams(3, [1, 0.01, 0.01, 0.1])
-    pair = solve_correction(params)
-    params2, pair2 = pair_from_json(pair_to_json(params, pair))
-    assert params2.p == 3
-    assert np.allclose(params2.iota_array, params.iota_array, atol=0)
-    assert np.allclose(pair2.h_l.coeffs, pair.h_l.coeffs, atol=0)
-    assert np.allclose(pair2.g_r.coeffs, pair.g_r.coeffs, atol=1e-15)
-
-
-@pytest.mark.parametrize("p", [2, 3, 4, 5])
-def test_json_round_trip_passes_the_boundary_check(p):
-    # pair_from_json asks h_l(-1) = 1, h_l(1) = 0 and h_l = the solve of iota; every solved pair, down to
-    # extreme weights, passes
-    rng = np.random.default_rng(p)
-    signed = rng.choice([-1.0, 1.0], (40, p)) * 10 ** rng.uniform(-8, 6, (40, p))
-    for iota in [[1.0] + [0.0] * p] + [[1.0] + list(row) for row in signed]:
-        params = CorrectionParams(p, iota)
-        pair = solve_correction(params)
-        _, pair2 = pair_from_json(pair_to_json(params, pair))
-        assert np.array_equal(pair2.h_l.coeffs, pair.h_l.coeffs)
-
-
-@pytest.mark.parametrize("exponent, gap", [(6, "1.56e-07"), (7, "7.78e-05"), (13, "3.38e+07")])
-def test_pair_to_json_refuses_exact_weights_its_reader_rejects(exponent, gap):
-    # next to the singular iota_2 = -1/45 the written doubles of an exact weight solve far from the exact h_l
-    params = CorrectionParams(2, [1, 0, F(-1, 45) + F(1, 7 * 10**exponent)])
-    pair = solve_correction(params)
-    with pytest.raises(SingularSystemError, match=re.escape(f"h_l is {gap} off the solve of its 'iota'")):
-        pair_to_json(params, pair)
-    params = CorrectionParams(2, [1, 0, F(1, 45) + F(1, 7 * 10**exponent)])
-    _, pair2 = pair_from_json(pair_to_json(params, solve_correction(params)))
-    assert np.array_equal(pair2.h_l.coeffs, solve_correction(params).h_l.coeffs)
 
 
 def test_pair_derives_the_exact_reflection_bit_for_bit():

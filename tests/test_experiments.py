@@ -521,12 +521,6 @@ def test_advection_block_matches_whole_mesh_probe(p, rk, monkeypatch):
                 assert gap <= 1e-15, (alpha, node_kind, n, gap)
 
 
-@pytest.mark.parametrize("p, rk", [(2, "rk33")])
-def test_windowed_advection_block_matches_whole_mesh_probe(p, rk, monkeypatch):
-    # the former name of test_advection_block_matches_whole_mesh_probe, down to its first case
-    test_advection_block_matches_whole_mesh_probe(p, rk, monkeypatch)
-
-
 def test_ooa_study_has_no_time_loop(monkeypatch):
     # one stacked step of the p+1 = 4 unit vectors of the wave's 4x4 operator per mesh, whatever the
     # number of time steps (hundreds per mesh here)

@@ -28,6 +28,7 @@ def test_removed_names_are_gone():
     # a singular ESFR denominator is a SingularSystemError, and a zero pivot needs no float condition estimate
     for name in (
         "correction_matrix", "integral_dm_dm1", "SingularDenominatorError", "_reflected_pair", "_condition_estimate",
+        "pair_to_json", "pair_from_json",
     ):
         assert not hasattr(gsfr, name)
         assert not hasattr(gsfr.correction, name) and not hasattr(gsfr.legendre, name)
