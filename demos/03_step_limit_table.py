@@ -33,14 +33,14 @@ p=4 vectors are most likely not the ones behind the printed limits.
 Acceptance criterion 6 checks all of this.
 """
 
-from gsfr import CorrectionParams, build_reference_element, build_scheme_operators, cfl_limit, solve_correction
+from gsfr import CorrectionParams, cfl_limit, solve_correction
+from gsfr.experiments import reference_operators
 from gsfr.spectral import PUBLISHED_STEP_LIMITS
 
 computed = {}
 print(f"{'p':>2} {'scheme':>6} {'strict tau':>12} {'tau @1e-4':>12} {'published':>10}")
 for p, rk, weights, published in PUBLISHED_STEP_LIMITS:
-    pair = solve_correction(CorrectionParams(p, weights))
-    ops = build_scheme_operators(build_reference_element(p, pair), alpha=1.0, jacobian=1.0)
+    ops = reference_operators(solve_correction(CorrectionParams(p, weights)), 1.0)
     strict = cfl_limit(ops, rk, k_samples=256).tau_max
     loose = cfl_limit(ops, rk, k_samples=256, rho_tol=1e-4).tau_max
     computed[(p, rk)] = loose
@@ -55,7 +55,6 @@ for p, rk, _, published in PUBLISHED_STEP_LIMITS:
 
 print("\nbaselines (plain-L2 weights), tau at the strict threshold:")
 for p in (3, 4):
-    pair = solve_correction(CorrectionParams(p, [1] + [0] * p))
-    ops = build_scheme_operators(build_reference_element(p, pair), alpha=1.0, jacobian=1.0)
+    ops = reference_operators(solve_correction(CorrectionParams(p, [1] + [0] * p)), 1.0)
     for rk in ("rk33", "rk44", "rk55"):
         print(f"  p={p} {rk}: tau = {cfl_limit(ops, rk, k_samples=256).tau_max:.4f}")

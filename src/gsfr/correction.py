@@ -54,7 +54,7 @@ __all__ = [
     "MEMBERSHIP_TOL",
 ]
 
-# Absolute per-coefficient tolerance for the OSFR/ESFR membership tests.
+# Absolute tolerance of the OSFR/ESFR membership tests (per coefficient) and of the solve's endpoint values.
 MEMBERSHIP_TOL = 1e-9
 
 
@@ -210,6 +210,9 @@ def solve_correction(params: CorrectionParams) -> CorrectionPair:
     solved exactly. h_l is the antiderivative h_n = g_{n-1}/(2n-1) -
     g_{n+1}/(2n+3) with h_0 = -sum h_n, so h_l(1) = 0 and h_l(-1) =
     h_l(1) - integral g = 1; each coefficient is rounded to a double once.
+    The rounded h_l meets h_l(-1) = 1 and h_l(1) = 0 to MEMBERSHIP_TOL,
+    or the solve raises SingularSystemError: next to a singular vector
+    the huge exact coefficients cancel there, and their doubles need not.
     """
     p = params.p
     den, gram = params._gram
@@ -221,7 +224,11 @@ def solve_correction(params: CorrectionParams) -> CorrectionPair:
     odd = lcm(*range(1, 2 * p + 4, 2))
     h = [0] + [g[n - 1] * (odd // (2 * n - 1)) - g[n + 1] * (odd // (2 * n + 3)) for n in range(1, p + 2)]
     h[0] = -sum(h)
-    return CorrectionPair(LegendreSeries(np.array([float(Fraction(v, 2 * odd * det)) for v in h])))
+    h_l = LegendreSeries(np.array([float(Fraction(v, 2 * odd * det)) for v in h]))
+    left, right = h_l(-1.0), h_l(1.0)
+    if abs(left - 1.0) > MEMBERSHIP_TOL or abs(right) > MEMBERSHIP_TOL:
+        raise SingularSystemError(f"the solve's h_l in doubles has h_l(-1) = {left:g}, h_l(1) = {right:g}; need 1 and 0")
+    return CorrectionPair(h_l)
 
 
 @cache
@@ -330,7 +337,7 @@ def osfr_iota(h_l: LegendreSeries):
     enters only the last interior row (G_p g is zero above it), so that
     row alone gives the candidate. Membership requires the solve of
     [1, 0, ..., 0, iota] to match every coefficient of h_l within
-    MEMBERSHIP_TOL (a singular solve is not a member). Returns None
+    MEMBERSHIP_TOL (a singular or refused solve is not a member). Returns None
     outside the one-parameter family. Like recover_weights it reads p
     from h_l and takes p in 2..5 only; other orders raise
     UnsupportedOrderError.

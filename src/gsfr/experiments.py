@@ -101,7 +101,7 @@ class SearchReport:
     evaluated: int  # candidates whose order study ran, unstable runs included
     # the fate of every other grid point and of every evaluated candidate but the best
     outside_bounds: int  # outside the sufficient bounds, so never given a limit
-    no_limit: int  # inside the bounds, but a singular system or a failed bisection
+    no_limit: int  # inside the bounds, but a singular or refused solve or a failed bisection
     zero_tau: int  # a limit of 0: unstable for every step
     unstable_runs: int  # order studies refused or diverged (UnstableRunError)
     below_order: int  # order studies that fitted below the threshold
@@ -199,8 +199,8 @@ def step_limit(
 ) -> float:
     """Reference-element step limit of a weight vector, the one path from weights to tau_max.
 
-    nan outside the sufficient bounds and when the correction system is
-    singular or the bisection fails; every other error propagates.
+    nan outside the sufficient bounds, on a singular or refused solve
+    and when the bisection fails; every other error propagates.
     """
     if not sufficient_bounds(params).satisfied:
         return nan

@@ -87,13 +87,23 @@ def test_corr_identify_names_only_the_maps_that_ran(tmp_path, capsys):
         assert result["osfr_iota"] == result["recovered_iota"][-1]
 
 
-def test_corr_solve_refuses_a_pair_off_its_endpoints(tmp_path, capsys):
+def _refuses_a_pair_off_its_endpoints(cmd, tmp_path, capsys):
     # next to the singular iota_2 = -1/45 the exact h_l's huge coefficients cancel; in doubles h_l(-1) = -2
-    path = tmp_path / "c.json"
-    code, out, err = run(["corr", "solve", "--p", "2", "--iota", "1,0,-0.022222222222222223", "--out", str(path)], capsys)
+    path = tmp_path / "out"
+    code, out, err = run(cmd.split() + ["--p", "2", "--iota", "1,0,-0.022222222222222223", "--out", str(path)], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("numerical failure: ") and "h_l(-1) = -2" in err and err.count("\n") == 1
+    assert err == "numerical failure: the solve's h_l in doubles has h_l(-1) = -2, h_l(1) = 2; need 1 and 0\n"
     assert not path.exists()
+
+
+def test_corr_solve_refuses_a_pair_off_its_endpoints(tmp_path, capsys):
+    _refuses_a_pair_off_its_endpoints("corr solve", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("cmd", ["corr identify", "vn cfl", "vn dispersion", "run hetero", "run advect", "run ooa"])
+def test_every_solving_command_refuses_a_pair_off_its_endpoints(cmd, tmp_path, capsys):
+    # the refusal is the solve's, so each command that solves a pair gives the same line and writes nothing
+    _refuses_a_pair_off_its_endpoints(cmd, tmp_path, capsys)
 
 
 def test_vn_cfl_reports_table_value(tmp_path, capsys):
@@ -523,12 +533,22 @@ def test_a_bound_past_the_float_range_reports_no_finite_limit(cmd, rho_tol, caps
         ["vn", "dispersion", "--p", "3", "--iota", "1,0,0,0", "--k-samples", "100000000000000000"],
         ["run", "hetero", "--p", "3", "--iota", "1,0,0,0", "--n-elements", "100000000000000000"],
         ["run", "advect", "--p", "3", "--iota", "1,0,0,0", "--n-elements", "100000000000000000"],
+        # an empty list entry is refused by the option's parser, not dropped
+        ["corr", "solve", "--p", "3", "--iota", "1,,0,0,0"],
+        ["vn", "cfl", "--p", "3", "--iota", "1,0,0,0,"],
+        ["vn", "sweep", "--p", "2", "--magnitudes", ","],
     ],
 )
 def test_invalid_input_exits_one_with_one_line(argv, capsys):
-    code, out, err = run(argv, capsys)
+    try:
+        code = main(argv)
+        prefix = "error: "
+    except SystemExit as exc:  # refused while parsing the options
+        code = exc.code
+        prefix = f"gsfr {argv[0]} {argv[1]}: error: argument {argv[4]}: bad weight list "
+    out, err = capsys.readouterr()
     assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1
     assert "Traceback" not in out + err
 
 

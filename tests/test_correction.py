@@ -14,6 +14,7 @@ from gsfr.correction import (
     CorrectionPair,
     CorrectionParams,
     DegenerateCoefficientError,
+    MEMBERSHIP_TOL,
     SingularSystemError,
     UnsupportedOrderError,
     esfr3_gradient,
@@ -242,7 +243,7 @@ def _oracle_vectors():
 
 
 def test_integer_elimination_matches_fraction_oracle():
-    singular = recovered = 0
+    singular = refused = recovered = 0
     blocks_by_order = {p: coefficient_matrices(p) for p in (2, 3, 4, 5)}
     for params in _oracle_vectors():
         p = params.p
@@ -254,8 +255,19 @@ def test_integer_elimination_matches_fraction_oracle():
             with pytest.raises(SingularSystemError, match=re.escape(str(exc))):
                 solve_correction(params)
             continue
+        coeffs = [float(v) for v in expected]
+        left, right = npleg.legval(-1.0, coeffs), npleg.legval(1.0, coeffs)
+        if abs(left - 1.0) > MEMBERSHIP_TOL or abs(right) > MEMBERSHIP_TOL:
+            # the doubles of the exact h_l miss its endpoints (the float OSFR-singular weight): the solve refuses them
+            refused += 1
+            with pytest.raises(SingularSystemError) as caught:
+                solve_correction(params)
+            message = f"the solve's h_l in doubles has h_l(-1) = {left:g}, h_l(1) = {right:g}; need 1 and 0"
+            assert str(caught.value) == message, params
+            recovered += 1  # the weight-recovery sample of every later vector stays as it was
+            continue
         h_l = solve_correction(params).h_l
-        assert h_l.coeffs.tolist() == [float(v) for v in expected], params
+        assert h_l.coeffs.tolist() == coeffs, params
         if recovered % 10 == 0:
             # weight recovery: the oracle's blocks, applied to the float coefficients, with the weights as unknowns
             blocks = blocks_by_order[p]
@@ -271,7 +283,7 @@ def test_integer_elimination_matches_fraction_oracle():
             else:
                 assert recover_weights(h_l).tolist() == [1.0] + [float(w) for w in weights], params
         recovered += 1
-    assert singular >= 12
+    assert singular >= 12 and refused == 4
 
 
 def test_solve_dg_p2():
