@@ -41,7 +41,6 @@ __all__ = [
     "advect_snapshot",
     "reference_operators",
     "step_limit",
-    "StepMap",
     "step_map",
 ]
 
@@ -107,37 +106,27 @@ class SearchReport:
     below_order: int  # order studies that fitted below the threshold
 
 
-@dataclass(frozen=True)
-class StepMap:
-    """One explicit RK step of a linear right-hand side as a periodic block-tridiagonal matrix.
+def step_map(rhs_fn, state, tau: float, rk: str):
+    """One step of rk_advance(rhs_fn, ., tau, rk), rhs_fn linear, as a periodic block-tridiagonal map.
 
     The step is a degree-s polynomial in the right-hand side (s =
     stage_order(rk)), which couples only adjacent elements, so it couples
     each element to its s neighbours on either side. A group of s
     consecutive elements then couples only to itself and the groups on
-    either side: group g of the stepped solution, elements g*s .. g*s+s-1,
-    is rows[g] applied to the values of the 3s elements (g*s-s, ...,
-    g*s+2s-1) mod n, which sit at the flat positions cols[g] of u. When s
-    does not divide n, the last group runs past element n-1 and repeats
-    elements 0, 1, ...; a call drops those surplus rows, and the in-place
+    either side. The map is the pair (rows, cols), rows of shape
+    (ceil(n/s), s(p+1), 3s(p+1)) and cols of shape (ceil(n/s), 3s(p+1)):
+    group g of the stepped solution, elements g*s .. g*s+s-1, is rows[g]
+    applied to the values of the 3s elements (g*s-s, ..., g*s+2s-1) mod n,
+    which sit at the flat positions cols[g] of u. When s does not divide
+    n, the last group runs past element n-1 and repeats elements 0, 1,
+    ...; those surplus rows are no part of the step, and the in-place
     steps of hetero_energy_study leave them unread.
-    """
 
-    rows: np.ndarray  # (ceil(n/s), s(p+1), 3s(p+1))
-    cols: np.ndarray  # (ceil(n/s), 3s(p+1))
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        n, width = u.shape
-        return np.matmul(self.rows, u.ravel().take(self.cols)[..., None]).reshape(-1, width)[:n]
-
-
-def step_map(rhs_fn, state, tau: float, rk: str) -> StepMap:
-    """Assemble the one-step map of rk_advance(rhs_fn, ., tau, rk) by coloured probing.
-
-    Elements are coloured in runs: each whole run of 2s+1 elements takes
-    colours 0..2s in order, and the n mod (2s+1) elements left over take
-    one new colour each, so elements of one colour are at least 2s+1 apart,
-    also across the periodic wrap. Each probe is a unit value at one local
+    The map is assembled by coloured probing. Elements are coloured in
+    runs: each whole run of 2s+1 elements takes colours 0..2s in order,
+    and the n mod (2s+1) elements left over take one new colour each, so
+    elements of one colour are at least 2s+1 apart, also across the
+    periodic wrap. Each probe is a unit value at one local
     node of every element of one colour; a row element then meets at most
     one probed element within its band, so the probe's response fills
     exactly one of its per-element blocks (p+1 rows by the (2s+1)(p+1)
@@ -170,7 +159,7 @@ def step_map(rhs_fn, state, tau: float, rk: str) -> StepMap:
         packed[:, r, :, r : r + band, :] = blocks[elements[:, r]]
     window = (elements[:, :1] + np.arange(-s, 2 * s)) % n
     cols = (window[..., None] * width + np.arange(width)).reshape(groups, -1)
-    return StepMap(packed.reshape(groups, s * width, -1), cols)
+    return packed.reshape(groups, s * width, -1), cols
 
 
 def reference_operators(pair, alpha: float):
@@ -336,7 +325,7 @@ def hetero_energy_study(
     element = build_reference_element(params.p, pair, node_kind)
     ops = build_scheme_operators(element, alpha, jacobian=1.0 / n_elements)
     state = uniform_mesh(ops, n_elements, -1.0, 1.0, init=lambda x: np.sin(4.0 * np.pi * x))
-    node_spacing = state.element_width / (params.p + 1)
+    node_spacing = 2.0 * ops.jacobian / (params.p + 1)
     tau_target = cfl * node_spacing / 3.0
     # steps are counted in int64: refuse a run longer than that, checked before dividing by a
     # tau_target that may underflow to 0, and again after ceil's rounding
@@ -350,8 +339,8 @@ def hetero_energy_study(
     tau = HETERO_PERIOD / steps_per_period
     record_stride = max(1, steps_per_period // 32)
 
-    step = step_map(make_heterogeneous_rhs(ops, state), state, tau, rk)
-    rows, cols, size = step.rows, step.cols[..., None], state.u.size
+    rows, cols = step_map(make_heterogeneous_rhs(ops, state), state, tau, rk)
+    cols, size = cols[..., None], state.u.size
     buf = np.zeros((_ENERGY_CHUNK + 1,) + rows.shape[:2] + (1,))  # slot 0: the state before the chunk
     buf[0].reshape(-1)[:size] = state.u.ravel()
     total = n_periods * steps_per_period
@@ -400,13 +389,7 @@ def default_search_grid(p: int, magnitudes):
     return [np.concatenate(([1.0], row)) for row in points]
 
 
-def cfl_search(
-    p: int,
-    rk: str,
-    grid,
-    alpha: float = 1.0,
-    element_counts=DEFAULT_ELEMENT_COUNTS,
-) -> SearchReport:
+def cfl_search(p: int, rk: str, grid, alpha: float = 1.0) -> SearchReport:
     """Largest stable step among weight vectors that keep the full order.
 
     Every grid point inside the sufficient bounds gets an analytic step
@@ -426,7 +409,7 @@ def cfl_search(
     unstable_runs = 0
     for evaluated, (tau, params) in enumerate(candidates, start=1):
         try:
-            report = ooa_study(params, alpha, element_counts=element_counts, rk=rk)
+            report = ooa_study(params, alpha, rk=rk)
         except UnstableRunError:
             unstable_runs += 1
             continue

@@ -131,16 +131,11 @@ class SchemeOperators:
 
 @dataclass(frozen=True)
 class MeshState:
-    """Values u at the nodes of a periodic uniform mesh and its geometry; the jacobian is SchemeOperators'."""
+    """Values u at the nodes of a periodic uniform mesh from x_left; its element width is 2 * SchemeOperators.jacobian."""
 
     n_elements: int
     x_left: float
-    x_right: float
     u: np.ndarray
-
-    @property
-    def element_width(self) -> float:
-        return (self.x_right - self.x_left) / self.n_elements
 
 
 def build_reference_element(
@@ -207,25 +202,20 @@ def build_scheme_operators(
 def uniform_mesh(
     ops: SchemeOperators, n_elements: int, x_left: float, x_right: float, init=None
 ) -> MeshState:
-    """Periodic uniform mesh with optional pointwise initial data; its element width is 2 * ops.jacobian."""
+    """Periodic uniform mesh with optional pointwise initial data; x_right only checks that its width is 2 * ops.jacobian."""
     if n_elements < 1 or x_right <= x_left:
         raise ValueError("need n_elements >= 1 and x_right > x_left")
     if not isclose((x_right - x_left) / n_elements, 2.0 * ops.jacobian, rel_tol=1e-12):
         raise ValueError(f"element width {(x_right - x_left) / n_elements!r} is not 2 * jacobian {ops.jacobian!r}")
-    x = _node_coords(ops.element, n_elements, x_left, x_right)
+    x = mesh_nodes(ops, MeshState(n_elements, x_left, None))
     u = np.zeros_like(x) if init is None else np.asarray(init(x), dtype=float)
-    return MeshState(n_elements=n_elements, x_left=x_left, x_right=x_right, u=u)
-
-
-def _node_coords(element, n_elements, x_left, x_right):
-    delta = (x_right - x_left) / n_elements
-    offsets = x_left + delta * np.arange(n_elements)[:, None]
-    return offsets + 0.5 * delta * (element.nodes[None, :] + 1.0)
+    return MeshState(n_elements, x_left, u)
 
 
 def mesh_nodes(ops: SchemeOperators, state: MeshState) -> np.ndarray:
     """Physical coordinates of every solution point, shape (n_elements, p+1)."""
-    return _node_coords(ops.element, state.n_elements, state.x_left, state.x_right)
+    offsets = state.x_left + 2.0 * ops.jacobian * np.arange(state.n_elements)[:, None]
+    return offsets + ops.jacobian * (ops.element.nodes[None, :] + 1.0)
 
 
 def linear_advection_rhs(ops: SchemeOperators, u: np.ndarray) -> np.ndarray:
@@ -255,9 +245,7 @@ def make_heterogeneous_rhs(ops: SchemeOperators, state: MeshState):
     """
     el = ops.element
     a_nodes = wave_speed(mesh_nodes(ops, state))
-    delta = state.element_width
-    x_face = state.x_left + delta * np.arange(state.n_elements)
-    a_face = wave_speed(x_face)
+    a_face = wave_speed(state.x_left + 2.0 * ops.jacobian * np.arange(state.n_elements))
 
     def rhs(u: np.ndarray) -> np.ndarray:
         f = a_nodes * u

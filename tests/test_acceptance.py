@@ -325,7 +325,7 @@ def test_criterion_08_heterogeneous_advection():
     ops = build_scheme_operators(element, 1.0, jacobian=1.0 / n)
     state = uniform_mesh(ops, n, -1.0, 1.0, init=lambda x: np.sin(4 * np.pi * x))
     u0 = state.u.copy()
-    tau = 0.5 * state.element_width / (4 * 3.0)
+    tau = 0.5 * 2 * ops.jacobian / (4 * 3.0)
     steps = ceil(HETERO_PERIOD / tau)
     tau = HETERO_PERIOD / steps
     rhs = make_heterogeneous_rhs(ops, state)

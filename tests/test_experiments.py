@@ -104,6 +104,27 @@ def test_hetero_energy_initial_value_and_window():
     assert report.steps_per_period * report.tau == pytest.approx(HETERO_PERIOD, rel=1e-14)
 
 
+@pytest.fixture
+def rk_calls(monkeypatch):
+    """Every rk_advance call of gsfr.experiments as (the array it stepped, the stepped array)."""
+    calls = []
+
+    def recording(rhs_fn, state, *args, **kwargs):
+        stepped = rk_advance(rhs_fn, state, *args, **kwargs)
+        calls.append((state.u, stepped.u))
+        return stepped
+
+    monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
+    return calls
+
+
+def apply_step(step, u):
+    """u (n, p+1) stepped by the map (rows, cols) of step_map, the surplus rows of a wrapped last group dropped."""
+    rows, cols = step
+    n, width = u.shape
+    return np.matmul(rows, u.ravel().take(cols)[..., None]).reshape(-1, width)[:n]
+
+
 @pytest.mark.parametrize("rk", RK_SCHEMES)
 @pytest.mark.parametrize("rhs_kind", ["advection", "heterogeneous"])
 def test_step_map_matches_stage_form(rk, rhs_kind):
@@ -118,38 +139,31 @@ def test_step_map_matches_stage_form(rk, rhs_kind):
             rhs = lambda s: linear_advection_rhs(ops, s)
         else:
             rhs = make_heterogeneous_rhs(ops, state)
-        tau = 0.05 * state.element_width / 4
+        tau = 0.05 * 2 * ops.jacobian / 4
         step = step_map(rhs, state, tau, rk)
         s = RK_STAGE_ORDER[rk]
-        assert step.rows.shape == (ceil(n / s), 4 * s, 12 * s) and step.cols.shape == (ceil(n / s), 12 * s)
+        assert [array.shape for array in step] == [(ceil(n / s), 4 * s, 12 * s), (ceil(n / s), 12 * s)]
         for _ in range(3):
             u = rng.standard_normal(state.u.shape)
-            gap = np.max(np.abs(step(u) - rk_advance(rhs, replace(state, u=u), tau, rk).u))
+            gap = np.max(np.abs(apply_step(step, u) - rk_advance(rhs, replace(state, u=u), tau, rk).u))
             assert gap <= 1e-14, (n, gap)
 
 
-def test_step_map_probes_one_colour_at_a_time(monkeypatch):
+def test_step_map_probes_one_colour_at_a_time(rk_calls):
     # N=32 rk44: 14 colours (three runs of 9, then 5 leftover elements) x 4 nodes, not 32 x 4, in one stacked step
-    shapes = []
-
-    def recording(rhs_fn, state, *args, **kwargs):
-        shapes.append(state.u.shape)
-        return rk_advance(rhs_fn, state, *args, **kwargs)
-
-    monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
     ops = build_scheme_operators(build_reference_element(3, solve_correction(DG3)), 1.0, jacobian=1.0 / 32)
     state = uniform_mesh(ops, 32, -1.0, 1.0)
     step_map(make_heterogeneous_rhs(ops, state), state, 1e-3, "rk44")
-    assert shapes == [(56, 32, 4)]
+    assert [u.shape for u, _ in rk_calls] == [(56, 32, 4)]
 
 
 def element_blocks(step, n, s):
     """The per-element blocks (n, p+1, (2s+1)(p+1)) that step_map packs into its group rows, as a
     C-contiguous copy; asserts that the rows hold nothing else: zeros off every element's band, and
     the surplus rows of a wrapped last group repeat elements 0, 1, ..."""
-    groups, height, _ = step.rows.shape
+    groups, height, _ = step[0].shape
     width = height // s
-    rows = step.rows.reshape(groups, s, width, 3 * s, width)
+    rows = step[0].reshape(groups, s, width, 3 * s, width)
     band = np.zeros(rows.shape, dtype=bool)
     for r in range(s):
         band[:, r, :, r : r + 2 * s + 1] = True
@@ -160,8 +174,8 @@ def element_blocks(step, n, s):
 
 
 def per_element_apply(step, n, s):
-    """The step applied element by element, blocks[j] times the gathered band of element j, as StepMap
-    applied it before the grouped product; kept as its oracle."""
+    """The step applied element by element, blocks[j] times the gathered band of element j, as the step
+    map was applied before the grouped product; kept as its oracle."""
     blocks = element_blocks(step, n, s)
     neighbours = (np.arange(n)[:, None] + np.arange(-s, s + 1)) % n
     return lambda u: np.matmul(blocks, u[neighbours].reshape(n, -1, 1))[..., 0]
@@ -203,7 +217,7 @@ def test_step_map_matches_per_probe_loop(p, rk):
             for n in (1, 2, 5, 7, 9, 23, 32, 64):
                 ops = build_scheme_operators(element, alpha, jacobian=1.0 / n)
                 state = uniform_mesh(ops, n, -1.0, 1.0)
-                tau = 0.05 * state.element_width / (p + 1)
+                tau = 0.05 * 2 * ops.jacobian / (p + 1)
                 for rhs in (lambda s: linear_advection_rhs(ops, s), make_heterogeneous_rhs(ops, state)):
                     step = step_map(rhs, state, tau, rk)
                     blocks, neighbours = step_map_per_probe(rhs, state, tau, rk)
@@ -211,11 +225,11 @@ def test_step_map_matches_per_probe_loop(p, rk):
                     u = rng.standard_normal(state.u.shape)
                     gathered = np.matmul(blocks, u[neighbours].reshape(n, -1, 1))[..., 0]
                     if p == 3:
-                        assert np.array_equal(step(u), gathered), (node_kind, alpha, n)
+                        assert np.array_equal(apply_step(step, u), gathered), (node_kind, alpha, n)
                     else:
                         scale = np.matmul(np.abs(blocks), np.abs(u[neighbours]).reshape(n, -1, 1))[..., 0]
                         bound = (2 * s + 1) * (p + 1) * eps * scale
-                        assert np.all(np.abs(step(u) - gathered) <= bound), (node_kind, alpha, n)
+                        assert np.all(np.abs(apply_step(step, u) - gathered) <= bound), (node_kind, alpha, n)
 
 
 @pytest.mark.parametrize("rk", RK_SCHEMES)
@@ -229,38 +243,32 @@ def test_grouped_apply_matches_per_element_product(rk, node_kind):
     for n in [*range(1, 41), 64, 127]:
         ops = build_scheme_operators(element, 0.75, jacobian=1.0 / n)
         state = uniform_mesh(ops, n, -1.0, 1.0)
-        step = step_map(make_heterogeneous_rhs(ops, state), state, 0.05 * state.element_width / 4, rk)
+        step = step_map(make_heterogeneous_rhs(ops, state), state, 0.05 * 2 * ops.jacobian / 4, rk)
         per_element = per_element_apply(step, n, s)
         for _ in range(3):
             u = rng.standard_normal(state.u.shape)
-            assert np.array_equal(step(u), per_element(u)), n
+            assert np.array_equal(apply_step(step, u), per_element(u)), n
 
 
-def test_step_map_steps_any_mesh_in_one_bounded_stack(monkeypatch):
+def test_step_map_steps_any_mesh_in_one_bounded_stack(rk_calls):
     # a prime n = 127 rk44 takes 9 + 127 mod 9 = 10 colours x 4 nodes in one call (the oracle's divisor
     # rule gives 127 colours); on every n up to 64 each scheme probes at most (4s+1)(p+1) states at once
-    shapes = []
-
-    def recording(rhs_fn, state, *args, **kwargs):
-        shapes.append(state.u.shape)
-        return rk_advance(rhs_fn, state, *args, **kwargs)
-
     element = build_reference_element(3, solve_correction(DG3))
     ops = build_scheme_operators(element, 0.75, jacobian=1.0 / 127)
     state = uniform_mesh(ops, 127, -1.0, 1.0)
     rhs = make_heterogeneous_rhs(ops, state)
     blocks, _ = step_map_per_probe(rhs, state, 1e-3, "rk44")
-    monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
     step = step_map(rhs, state, 1e-3, "rk44")
-    assert shapes == [(40, 127, 4)]
+    assert [u.shape for u, _ in rk_calls] == [(40, 127, 4)]
     packed = element_blocks(step, 127, RK_STAGE_ORDER["rk44"])
     assert packed.shape == blocks.shape and packed.tobytes() == blocks.tobytes()  # sign bits too
     for rk in RK_SCHEMES:
         for n in range(1, 65):
             ops = build_scheme_operators(element, 1.0, jacobian=1.0 / n)
             state = uniform_mesh(ops, n, -1.0, 1.0)
-            shapes.clear()
+            rk_calls.clear()
             step_map(lambda s: linear_advection_rhs(ops, s), state, 1e-3, rk)
+            shapes = [u.shape for u, _ in rk_calls]
             assert len(shapes) == 1 and shapes[0][0] <= (4 * RK_STAGE_ORDER[rk] + 1) * 4, (rk, n, shapes)
 
 
@@ -310,18 +318,20 @@ def step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk="rk44", node_k
     pair = solve_correction(params)
     ops = build_scheme_operators(build_reference_element(params.p, pair, node_kind), alpha, jacobian=1.0 / n_elements)
     state = uniform_mesh(ops, n_elements, -1.0, 1.0, init=lambda x: np.sin(4.0 * np.pi * x))
-    steps_per_period = max(1, ceil(HETERO_PERIOD / (cfl * state.element_width / (params.p + 1) / 3.0)))
+    steps_per_period = max(1, ceil(HETERO_PERIOD / (cfl * 2 * ops.jacobian / (params.p + 1) / 3.0)))
     tau = HETERO_PERIOD / steps_per_period
     record_stride = max(1, steps_per_period // 32)
     step = step_map(make_heterogeneous_rhs(ops, state), state, tau, rk)
     if per_element:
-        step = per_element_apply(step, n_elements, RK_STAGE_ORDER[rk])
+        apply = per_element_apply(step, n_elements, RK_STAGE_ORDER[rk])
+    else:
+        apply = lambda u: apply_step(step, u)
     u, jac, w = state.u, ops.jacobian, ops.element.weights[None, :]
     times, energy, every = [0.0], [solution_energy(ops, state.u)], [solution_energy(ops, state.u)]
     period_errors, blowup_time = [], None
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_periods * steps_per_period + 1):
-            u = step(u)
+            u = apply(u)
             t = n * tau
             e = float(jac * np.sum(w * u**2))
             every.append(e)
@@ -438,7 +448,7 @@ def step_map_advect(element, alpha, n_elements, t_end, rk, tau_ref):
     step = step_map(lambda s: linear_advection_rhs(ops, s), state, t_end / steps, rk)
     u = state.u
     for _ in range(steps):
-        u = step(u)
+        u = apply_step(step, u)
     return u.ravel(), float(np.mean(np.abs(u - np.cos(WAVENUMBER * (mesh_nodes(ops, state) - t_end)))))
 
 
@@ -459,26 +469,18 @@ def test_advect_cosine_matches_step_map_loop(iota, rk):
 @pytest.mark.parametrize("rk", RK_SCHEMES)
 @pytest.mark.parametrize("alpha", [1.0, 0.75])
 @pytest.mark.parametrize("node_kind", ["gauss", "lobatto"])
-def test_advection_block_is_the_spectral_update_matrix(rk, alpha, node_kind, monkeypatch):
+def test_advection_block_is_the_spectral_update_matrix(rk, alpha, node_kind, rk_calls):
     # one stacked step of the p+1 unit vectors per mesh; its rows, unit vector by unit vector, are the
     # columns of the wave's one-step block
-    responses = []
-
-    def recording(*args, **kwargs):
-        stepped = rk_advance(*args, **kwargs)
-        responses.append(stepped.u)
-        return stepped
-
-    monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
     pair = solve_correction(DG3)
     element = build_reference_element(3, pair, node_kind)
     tau_ref = _reference_tau(pair, alpha, rk)
     for n in (1, 2, 7, 160):
-        responses.clear()
+        rk_calls.clear()
         tau = _advect_cosine(element, alpha, n, pi, rk, tau_ref)[4]
         spectral = update_matrix(bloch_matrix(build_scheme_operators(element, alpha, pi / n), WAVENUMBER), tau, rk)
-        assert len(responses) == 1 and responses[0].shape == (4, 4)
-        gap = np.max(np.abs(responses[0].T - spectral))
+        assert len(rk_calls) == 1 and rk_calls[0][1].shape == (4, 4)
+        gap = np.max(np.abs(rk_calls[0][1].T - spectral))
         assert gap <= 1e-14, (n, gap)
 
 
@@ -494,46 +496,31 @@ def whole_mesh_block(element, alpha, n_elements, tau, rk):
 
 @pytest.mark.parametrize("rk", RK_SCHEMES)
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
-def test_advection_block_matches_whole_mesh_probe(p, rk, monkeypatch):
+def test_advection_block_matches_whole_mesh_probe(p, rk, rk_calls):
     # the block steps Q(k) where the oracle steps every element of the mesh, so the two round differently:
     # within 1e-15 relative (4.0e-16 measured) on meshes below, at and above the 2s+1 elements that reach
     # element 0 in one step
     s = RK_STAGE_ORDER[rk]
-    recorded = []
-
-    def recording(*args, **kwargs):
-        stepped = rk_advance(*args, **kwargs)
-        recorded.append(stepped.u)
-        return stepped
-
-    monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
     pair = solve_correction(CorrectionParams(p, [1.0] + [0.0] * p))
     for alpha in (1.0, 0.5):
         tau_ref = _reference_tau(pair, alpha, rk)
         for node_kind in ("gauss", "lobatto"):
             element = build_reference_element(p, pair, node_kind)
             for n in (1, 2, 2 * s, 2 * s + 1, 2 * s + 2, 160):
-                recorded.clear()
+                rk_calls.clear()
                 tau = _advect_cosine(element, alpha, n, pi, rk, tau_ref)[4]
-                assert len(recorded) == 1 and recorded[0].shape == (p + 1, p + 1)
+                assert len(rk_calls) == 1 and rk_calls[0][1].shape == (p + 1, p + 1)
                 oracle = whole_mesh_block(element, alpha, n, tau, rk)
-                gap = np.max(np.abs(recorded[0].T - oracle)) / np.max(np.abs(oracle))
+                gap = np.max(np.abs(rk_calls[0][1].T - oracle)) / np.max(np.abs(oracle))
                 assert gap <= 1e-15, (alpha, node_kind, n, gap)
 
 
-def test_ooa_study_has_no_time_loop(monkeypatch):
+def test_ooa_study_has_no_time_loop(rk_calls):
     # one stacked step of the p+1 = 4 unit vectors of the wave's 4x4 operator per mesh, whatever the
     # number of time steps (hundreds per mesh here)
-    shapes = []
-
-    def recording(rhs_fn, state, *args, **kwargs):
-        shapes.append(state.u.shape)
-        return rk_advance(rhs_fn, state, *args, **kwargs)
-
-    monkeypatch.setattr(gsfr.experiments, "rk_advance", recording)
     report = ooa_study(DG3, rk="rk33")
     assert min(report.steps) > 100
-    assert shapes == [(4, 4)] * len(DEFAULT_ELEMENT_COUNTS)
+    assert [u.shape for u, _ in rk_calls] == [(4, 4)] * len(DEFAULT_ELEMENT_COUNTS)
 
 
 def test_hetero_upwind_survives_fifteen_periods():
@@ -580,12 +567,7 @@ def test_default_search_grid_shape():
 
 
 def test_cfl_search_degenerate_grid_returns_dg():
-    report = cfl_search(
-        3,
-        "rk44",
-        grid=[np.array([1.0, 0.0, 0.0, 0.0])],
-        element_counts=(40, 50, 60, 70),
-    )
+    report = cfl_search(3, "rk44", grid=[np.array([1.0, 0.0, 0.0, 0.0])])
     assert np.allclose(report.best_iota, [1, 0, 0, 0], atol=0)
     assert report.best_tau == pytest.approx(0.2908, rel=5e-3)
     assert report.ooa_at_best == pytest.approx(4.0, abs=0.15)
@@ -596,7 +578,7 @@ def test_cfl_search_prefers_faster_member():
         np.array([1.0, 0.0, 0.0, 0.0]),
         np.array([1.0, 2.069e-4, 2.336e-3, 2.336e-3]),
     ]
-    report = cfl_search(3, "rk44", grid=grid, element_counts=(40, 50, 60, 70))
+    report = cfl_search(3, "rk44", grid=grid)
     assert np.allclose(report.best_iota, grid[1], atol=0)
     assert report.best_tau >= 2 * 0.2908  # well above the plain-L2 member
     assert 0.5 * report.best_tau == pytest.approx(0.390, rel=0.02)
@@ -620,7 +602,7 @@ def test_cfl_search_counts_unstable_runs_as_evaluated(monkeypatch):
         np.array([1.0, 2.069e-4, 2.336e-3, 2.336e-3]),
         np.array([1.0, 0.0, 0.0, -1e-4]),
     ]
-    report = cfl_search(3, "rk44", grid=grid, element_counts=(40, 50, 60, 70))
+    report = cfl_search(3, "rk44", grid=grid)
     assert report.grid_spec.startswith("3 points, 3 stable")
     assert len(studied) == 2 and np.array_equal(studied[0], grid[1])
     assert np.array_equal(report.best_iota, grid[0])

@@ -236,7 +236,7 @@ def test_hetero_single_step_energy_matches_physical_curvature(dg3):
         state = uniform_mesh(ops, n, -1.0, 1.0, init=lambda x: np.sin(4 * np.pi * x))
         e0 = solution_energy(ops, state.u)
         assert e0 == pytest.approx(1.0, abs=1e-12)
-        tau = 0.05 * state.element_width / 3.0
+        tau = 0.05 * 2 * ops.jacobian / 3.0
         after = rk_advance(make_heterogeneous_rhs(ops, state), state, tau, "rk44")
         delta = solution_energy(ops, after.u) - e0
         assert delta / tau**2 == pytest.approx(curvature, rel=0.01)
@@ -256,7 +256,7 @@ def test_rk_advance_matches_truncated_exponential(element, scheme, order):
     ops = build_scheme_operators(element, 1.0, jacobian=1.0)
     rng = np.random.default_rng(4)
     u0 = rng.standard_normal((n, 4))
-    state = MeshState(n, 0.0, 2.0 * n, u0)
+    state = MeshState(n, 0.0, u0)
     tau = 0.01
     mat = dense_operator(ops, n)
     poly = np.eye(n * 4)
@@ -302,9 +302,10 @@ def test_energy_decays_for_upwind_linear(dg3):
 def test_mesh_state_geometry(element):
     ops = build_scheme_operators(element, 1.0, jacobian=0.1)
     state = uniform_mesh(ops, 10, -1.0, 1.0)
-    assert state.element_width == pytest.approx(0.2, abs=1e-15)
+    assert (state.n_elements, state.x_left) == (10, -1.0)
     x = mesh_nodes(ops, state)
     assert x.shape == (10, 4)
+    assert np.allclose(np.diff(x, axis=0), 0.2, rtol=0.0, atol=1e-15)  # element width 2 * ops.jacobian
     assert x.min() > -1.0 and x.max() < 1.0
     # the jacobian is the operators' alone: a mesh whose element width is not 2 * ops.jacobian is refused
     for n_elements, x_right in ((10, 1.5), (5, 1.0), (20, 1.0), (10, 1.0 + 1e-9)):

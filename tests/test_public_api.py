@@ -34,3 +34,8 @@ def test_removed_names_are_gone():
         assert not hasattr(gsfr.correction, name) and not hasattr(gsfr.legendre, name)
     # a pair is its left function; h_r, g_l and g_r derive from it
     assert [field.name for field in dataclasses.fields(gsfr.CorrectionPair)] == ["h_l"]
+    # the step map is the pair of arrays (rows, cols), and the element width is 2 * SchemeOperators.jacobian alone
+    for name in ("StepMap", "_node_coords"):
+        assert not hasattr(gsfr, name)
+        assert not hasattr(gsfr.experiments, name) and not hasattr(gsfr.operators, name)
+    assert [field.name for field in dataclasses.fields(gsfr.MeshState)] == ["n_elements", "x_left", "u"]
