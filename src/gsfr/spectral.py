@@ -176,12 +176,12 @@ def cfl_limit(
     advection speed.
 
     The default rho_tol 1e-10 treats any true eigenvalue growth as
-    unstable. Weight vectors whose semi-discrete operator carries a tiny
-    positive spectral abscissa (several published optima do; the result
-    reports it) then report a tau_max near 0; passing a looser rho_tol
-    reproduces threshold-style stability verdicts instead. A bracket
-    that passes tau = 1e3 has found no unstable step, so rho_tol is too
-    loose to give a limit: a ConvergenceFailureError.
+    unstable. Weight vectors with a tiny positive spectral abscissa
+    (several published optima; the result reports it) then report their
+    small limit as bisected, about rho_tol / abscissa; a looser rho_tol
+    gives threshold-style verdicts. With no floor, a tau_max of 0 means no
+    stable step at the bisection's resolution (about 1e-16). A bracket
+    passing tau = 1e3 found no unstable step: a ConvergenceFailureError.
     """
     order = stage_order(rk)
     if not 0.0 <= rho_tol < inf:
@@ -191,10 +191,7 @@ def cfl_limit(
     q_mats = bloch_matrix(ops, k_from_k_hat(ops, k_hats[reps]))
     lam = _eigvals(q_mats).ravel()
     coeffs, powers = _excess_coeffs(lam, order), np.arange(1, 2 * order + 1)
-    try:
-        bound = 2.0 * rho_tol + rho_tol**2  # |R| <= 1 + rho_tol, squared, minus 1
-    except OverflowError:  # a bound past the float range is infinite: every probe is stable
-        bound = inf
+    bound = 2.0 * rho_tol + rho_tol * rho_tol  # |R| <= 1 + rho_tol, squared, minus 1; inf past the float range
     probes = 0
 
     def excess(tau: float) -> np.ndarray:
@@ -216,9 +213,6 @@ def cfl_limit(
             lo = mid
         else:
             hi = mid
-        if hi < 1e-9:  # unstable for arbitrarily small steps
-            lo = 0.0
-            break
     # per phase class the two routes' growths differ by at most 5.3e-14
     # relative on the published rows and the p=2..4 weight grids at alpha 1
     # (7.2e-13 at alpha 0.5), so 1e-12 keeps the matrix route's maximum

@@ -87,6 +87,16 @@ def test_corr_identify_names_only_the_maps_that_ran(tmp_path, capsys):
         assert result["osfr_iota"] == result["recovered_iota"][-1]
 
 
+def test_corr_identify_reports_each_degenerate_map(tmp_path, capsys):
+    # 0.4 * 105 = 42 * 1 makes the exact g_4 zero: both maps fail and the command still exits 0
+    out_file = tmp_path / "id.json"
+    code, out, _ = run(["corr", "identify", "--p", "4", "--iota", "105,0,1,0,0", "--out", str(out_file)], capsys)
+    osfr = "degenerate: top Legendre coefficient of h_l vanishes"
+    iota = "degenerate: weight recovery is degenerate: correction system is singular (exact determinant 0)"
+    assert code == 0 and out == f"identify: osfr={osfr}, iota={iota}\n"
+    assert json.loads(out_file.read_text())["result"] == {"osfr_iota": osfr, "recovered_iota": iota}
+
+
 def _refuses_a_pair_off_its_endpoints(cmd, tmp_path, capsys):
     # next to the singular iota_2 = -1/45 the exact h_l's huge coefficients cancel; in doubles h_l(-1) = -2
     path = tmp_path / "out"

@@ -228,7 +228,7 @@ def test_singular_system_reports_exact_determinant(params):
 
 
 def _oracle_vectors():
-    """Seeded weight vectors for p = 2..5: zero, negative and 1e-5..10 weights, iota_0 != 1, singular points."""
+    """Seeded weight vectors for p = 2..5: zero, negative and 1e-5..10 weights, iota_0 != 1, singular points, row swaps."""
     rng = np.random.default_rng(17)
     for p in (2, 3, 4, 5):
         singular = _osfr_singular_iota(p)
@@ -240,6 +240,9 @@ def _oracle_vectors():
             kind = rng.integers(0, 3, p)  # zero, positive, negative
             weights = np.where(kind == 2, -1.0, 1.0) * (kind > 0) * 10.0 ** rng.uniform(-5, 1, p)
             yield CorrectionParams(p, [iota_0] + weights.tolist())
+    # iota_0 + 3 iota_1 = 0 makes G[1][1] = 0 exactly, so the eliminator swaps rows
+    for iota in ([3, -1, 0, 0.01], [3, -1, 0, 0.01, 0.001], [3, -1, 0, 0.01, 0.001, 1e-4]):
+        yield CorrectionParams(len(iota) - 1, iota)
 
 
 def test_integer_elimination_matches_fraction_oracle():
@@ -363,6 +366,17 @@ def test_esfr3_gradient_nodal_dg():
 def test_esfr3_gradient_leading_coefficient():
     for k0, k1 in ((0.3, 0.1), (-0.05, 0.4), (0.0, 1.0)):
         assert esfr3_gradient(k0, k1).coeffs[0] == -0.5
+
+
+@pytest.mark.parametrize(
+    "k0,k1,message",
+    [(-2 / 7, 0.0, "upsilon = 175 k1^2 - 42 k0 - 12 vanishes"), (0.0, -0.4, "5 k1 + 2 vanishes")],
+    ids=["upsilon", "5k1+2"],
+)
+def test_esfr3_gradient_refuses_each_vanishing_denominator(k0, k1, message):
+    # both are exactly 0.0 in doubles: 42 * (-2/7) = -12 and 5 * -0.4 = -2
+    with pytest.raises(SingularSystemError, match=re.escape(message)):
+        esfr3_gradient(k0, k1)
 
 
 def test_esfr3_round_trip():

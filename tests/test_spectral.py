@@ -248,9 +248,6 @@ def _matrix_route_limit(ops, rk, k_samples, rho_tol):
             lo = mid
         else:
             hi = mid
-        if hi < 1e-9:
-            lo = 0.0
-            break
     return lo, float(k_hats[int(np.argmax(radii(hi)))]), probes
 
 
@@ -408,11 +405,17 @@ def _first_loss_of_stability(ops, rk, rho_tol, k_samples=256):
 
 
 def test_cfl_limit_brackets_the_exact_root():
-    for p, rk, weights, _ in PUBLISHED_STEP_LIMITS:
+    # the published rows at a threshold tolerance, and two strict limits
+    # below 1e-9 (roots 3.7605e-10 and 7.9857e-10)
+    cases = [(p, rk, weights, 1e-4) for p, rk, weights, _ in PUBLISHED_STEP_LIMITS]
+    cases += [(3, "rk44", (1, 0.1, -0.01, 0.001), 1e-10), (3, "rk44", (1, 0.1, 0, 0.001), 1e-10)]
+    for p, rk, weights, rho_tol in cases:
         ops = make_ops(weights, 1.0, p=p)
-        root = _first_loss_of_stability(ops, rk, 1e-4)
-        tau = cfl_limit(ops, rk, 256, 1e-4).tau_max
-        assert root * (1.0 - BISECTION_REL_TOL) <= tau <= root, (p, rk, tau, root)
+        root = _first_loss_of_stability(ops, rk, rho_tol)
+        tau = cfl_limit(ops, rk, 256, rho_tol).tau_max
+        assert root * (1.0 - BISECTION_REL_TOL) <= tau <= root, (p, rk, weights, tau, root)
+    # p=3 DG's abscissa is round-off above 0, so at rho_tol 0 no step is stable
+    assert cfl_limit(make_ops([1, 0, 0, 0], 1.0), "rk44", 256, 0.0).tau_max == 0.0
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
