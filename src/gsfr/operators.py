@@ -310,4 +310,5 @@ def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> Me
 
 def solution_energy(ops: SchemeOperators, u: np.ndarray):
     """Domain integral of u^2 by the element quadrature rule, one per state of a stack (..., n, p+1)."""
-    return ops.jacobian * np.sum(ops.element.weights * u**2, axis=(-2, -1))
+    # weights tiled to (n, p+1): broadcasting the p+1 weights runs numpy's inner loop only p+1 long
+    return ops.jacobian * np.sum(u**2 * np.tile(ops.element.weights, (u.shape[-2], 1)), axis=(-2, -1))

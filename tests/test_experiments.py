@@ -244,6 +244,10 @@ def test_grouped_apply_matches_per_element_product(rk, node_kind):
         ops = build_scheme_operators(element, 0.75, jacobian=1.0 / n)
         state = uniform_mesh(ops, n, -1.0, 1.0)
         step = step_map(make_heterogeneous_rhs(ops, state), state, 0.05 * 2 * ops.jacobian / 4, rk)
+        # every column sits inside the solution's n(p+1) values: hetero_energy_study's clip-mode gather
+        # never clips, and the surplus rows of a wrapped last group stay unread
+        cols = step[1]
+        assert 0 <= cols.min() and cols.max() < state.u.size == n * 4, n
         per_element = per_element_apply(step, n, s)
         for _ in range(3):
             u = rng.standard_normal(state.u.shape)
