@@ -14,7 +14,6 @@ success, 1 invalid usage or configuration, 2 numerical failure
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -85,10 +84,11 @@ def _finite_or_null(value):
 
 
 def _json_doc(args, result) -> str:
-    """Every parsed option but the routing and --out as config; a dataclass result as its fields; strict JSON."""
+    """Every parsed option but the routing and --out as config; a record result (a NamedTuple) as its
+    _asdict(), converted before _finite_or_null would write the tuple as an array; strict JSON."""
     config = {k: v for k, v in vars(args).items() if k not in ("group", "cmd", "func", "out")}
-    if dataclasses.is_dataclass(result):
-        result = dataclasses.asdict(result)
+    if hasattr(result, "_asdict"):
+        result = result._asdict()
     doc = _finite_or_null({"config": config, "result": result})
     return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
@@ -148,16 +148,21 @@ def _cmd_vn_dispersion(args):
     return 0
 
 
+def _abscissa_note(abscissa: float, tolerance: str) -> None:
+    """Print a note when the abscissa is true growth, so that a step limit depends on its growth ``tolerance``."""
+    if abscissa > ABSCISSA_TOL:
+        print(
+            f"note: spectral abscissa {abscissa:.3g} > 0, so a mode grows at every step; "
+            f"tau_max depends on {tolerance}"
+        )
+
+
 def _cmd_vn_cfl(args):
     params, ops = _ops_for(args)
     res = cfl_limit(ops, args.rk, args.k_samples, rho_tol=args.rho_tol)
     _write_text(args.out, _json_doc(args, res))
     print(f"tau_max = {FMT % res.tau_max} ({args.rk}, worst k_hat {res.worst_k_hat:.4f})")
-    if res.spectral_abscissa > ABSCISSA_TOL:
-        print(
-            f"note: spectral abscissa {res.spectral_abscissa:.3g} > 0, so a mode grows at every step; "
-            f"tau_max depends on --rho-tol ({args.rho_tol:g} here)"
-        )
+    _abscissa_note(res.spectral_abscissa, f"--rho-tol ({args.rho_tol:g} here)")
     return 0
 
 
@@ -215,6 +220,11 @@ def _cmd_run_ooa(args):
     report = xp.ooa_study(params, args.alpha, args.element_counts, args.t_end, args.rk, args.nodes)
     _write_text(args.out, _json_doc(args, report))
     print(f"ooa: fitted order = {report.fitted_order:.4f} (r^2 = {report.r_squared:.6f})")
+    if report.at_roundoff:
+        print(
+            f"note: smallest error {min(report.errors):.3g} < {xp.ROUNDOFF_FLOOR:g}, at the round-off floor; "
+            "the fitted order may read round-off, not truncation"
+        )
     return 0
 
 
@@ -227,6 +237,7 @@ def _cmd_search_cfl(args):
         + ", ".join(FMT % v for v in report.best_iota)
         + f"], order {report.ooa_at_best:.3f}"
     )
+    _abscissa_note(report.spectral_abscissa, f"the search's rho_tol ({xp.REFERENCE_RHO_TOL:g})")
     return 0
 
 

@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import inf, isfinite, lcm
 from numbers import Rational
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,8 +157,7 @@ class CorrectionPair:
         return self.h_r.derivative()
 
 
-@dataclass(frozen=True)
-class StabilityBounds:
+class StabilityBounds(NamedTuple):
     """Componentwise lower bounds on iota with satisfaction flags."""
 
     lower: np.ndarray

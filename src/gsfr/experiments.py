@@ -10,8 +10,8 @@ vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import ceil, inf, nan, pi, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +57,9 @@ SAFETY = 0.2
 REFERENCE_RHO_TOL = 1e-4
 # the search accepts a fitted order of at least p + ORDER_MARGIN
 ORDER_MARGIN = 0.8
+# an order study whose smallest error is below this fits round-off: at p=3, N=384 (eps_2 about 1.3e-11)
+# two float routes to the same scheme, the Bloch power and a step-map loop, differ by 1.3e-4 relative
+ROUNDOFF_FLOOR = 1e-11
 
 DEFAULT_ELEMENT_COUNTS = (50, 55, 60, 65, 70, 75)
 
@@ -69,18 +72,21 @@ class EmptyFeasibleSetError(NumericalFailure):
     pass
 
 
-@dataclass(frozen=True)
-class OoaReport:
+class OoaReport(NamedTuple):
+    """Errors, steps and step sizes per mesh of an order study, and the order fitted through the errors."""
+
     element_counts: tuple
     errors: np.ndarray
     fitted_order: float
     r_squared: float
     steps: tuple
     tau: tuple
+    at_roundoff: bool  # the smallest error is below ROUNDOFF_FLOOR, so the fit may read round-off
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
+    """Energy history of the variable-speed study, its error at each period end, and its blow-up if any."""
+
     times: np.ndarray
     energy: np.ndarray
     error_at_periods: np.ndarray
@@ -91,8 +97,9 @@ class EnergyReport:
     tau: float
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
+    """The search's winning weight vector with its step limit and order, and the fate of every other grid point."""
+
     best_iota: np.ndarray
     best_tau: float
     ooa_at_best: float
@@ -104,6 +111,7 @@ class SearchReport:
     zero_tau: int  # a limit of 0: unstable for every step
     unstable_runs: int  # order studies refused or diverged (UnstableRunError)
     below_order: int  # order studies that fitted below the threshold
+    spectral_abscissa: float  # the winner's, from its step limit's cfl_limit call
 
 
 def step_map(rhs_fn, state, tau: float, rk: str):
@@ -147,7 +155,7 @@ def step_map(rhs_fn, state, tau: float, rk: str):
     colour = np.where(rows < runs * band, rows % band, rows - max(runs - 1, 0) * band)
     probes = np.zeros((colour.max() + 1, width, n, width))
     probes[colour, :, rows, :] = np.eye(width)
-    responses = rk_advance(rhs_fn, replace(state, u=probes.reshape(-1, n, width)), tau, rk).u.reshape(probes.shape)
+    responses = rk_advance(rhs_fn, state._replace(u=probes.reshape(-1, n, width)), tau, rk).u.reshape(probes.shape)
     neighbours = (rows[:, None] + np.arange(-s, s + 1)) % n
     # blocks[j, :, o, :] is element j's response to the probe of its o-th band element
     blocks = responses[colour[neighbours], :, rows[:, None], :].transpose(0, 3, 1, 2)
@@ -172,11 +180,16 @@ def reference_operators(pair, alpha: float):
     return build_scheme_operators(build_reference_element(pair.p, pair), alpha, 1.0)
 
 
+def _reference_limit(pair, alpha: float, rk: str, k_samples: int = 128, rho_tol: float = REFERENCE_RHO_TOL):
+    """cfl_limit of a pair's reference operators (jacobian 1) for the given scheme."""
+    return cfl_limit(reference_operators(pair, alpha), rk, k_samples, rho_tol=rho_tol)
+
+
 def _reference_tau(
     pair, alpha: float, rk: str, k_samples: int = 128, rho_tol: float = REFERENCE_RHO_TOL
 ) -> float:
     """Stable reference-domain step (jacobian 1) for the given scheme."""
-    return cfl_limit(reference_operators(pair, alpha), rk, k_samples, rho_tol=rho_tol).tau_max
+    return _reference_limit(pair, alpha, rk, k_samples, rho_tol).tau_max
 
 
 def step_limit(
@@ -238,7 +251,7 @@ def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str
     # row i of the step is the image of e_i, so its transpose is the block
     phase = np.exp(1j * WAVENUMBER * (x[:, :1] - x[0, 0]))
     q = bloch_matrix(ops, WAVENUMBER)
-    unit = replace(state, u=np.eye(x.shape[1], dtype=complex))
+    unit = state._replace(u=np.eye(x.shape[1], dtype=complex))
     block = rk_advance(lambda u: u @ q.T, unit, tau, rk).u.T
     # divergence overflows on its way to inf; the finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -266,7 +279,8 @@ def ooa_study(
     so the study is fully discrete and also measures the time integrator:
     with rk33 the third-order temporal error dominates from p=4 on (DG
     fits about 3.04 at p=4 and 3.00 at p=5 on the default meshes).
-    Errors near round-off leave the fit unresolved. At p=3 past about
+    Errors near round-off leave the fit unresolved, and at_roundoff
+    flags a study whose smallest error is below ROUNDOFF_FLOOR. At p=3 past about
     N = 300, eps_2 is about 1e-11 (at N = 384) and two float routes to
     the same scheme differ by 1.3e-4 relative. At p=5 with rk55 the
     default meshes already sit there (1e-12 to 9e-14), and two routes to
@@ -297,6 +311,7 @@ def ooa_study(
         r_squared=r2,
         steps=tuple(steps),
         tau=tuple(taus),
+        at_roundoff=bool(errors.min() < ROUNDOFF_FLOOR),
     )
 
 
@@ -430,6 +445,7 @@ def cfl_search(p: int, rk: str, grid, alpha: float = 1.0) -> SearchReport:
                 zero_tau=taus.count(0.0),
                 unstable_runs=unstable_runs,
                 below_order=evaluated - 1 - unstable_runs,
+                spectral_abscissa=_reference_limit(solve_correction(params), alpha, rk).spectral_abscissa,
             )
     raise EmptyFeasibleSetError(
         f"no grid point reached order {ooa_threshold} among {len(candidates)} stable candidates"

@@ -15,9 +15,9 @@ central). All right-hand sides are linear in the solution values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
 from math import isclose
+from typing import NamedTuple
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
@@ -105,8 +105,7 @@ def _interpolation_vector(nodes: np.ndarray, x: float) -> np.ndarray:
     return terms / np.sum(terms)
 
 
-@dataclass(frozen=True)
-class ReferenceElement:
+class ReferenceElement(NamedTuple):
     """Solution points plus the operators living on [-1, 1]."""
 
     p: int
@@ -119,8 +118,9 @@ class ReferenceElement:
     g_right: np.ndarray
 
 
-@dataclass(frozen=True)
-class SchemeOperators:
+class SchemeOperators(NamedTuple):
+    """The three neighbour-coupling matrices of one element, with the upwinding ratio and jacobian they were built for."""
+
     element: ReferenceElement
     alpha: float
     jacobian: float
@@ -129,8 +129,7 @@ class SchemeOperators:
     C_minus: np.ndarray
 
 
-@dataclass(frozen=True)
-class MeshState:
+class MeshState(NamedTuple):
     """Values u at the nodes of a periodic uniform mesh from x_left; its element width is 2 * SchemeOperators.jacobian."""
 
     n_elements: int
@@ -305,7 +304,7 @@ def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> Me
         for n in range(5, 0, -1):
             acc = u + (tau / n) * rhs_fn(acc)
         new = acc
-    return replace(state, u=new)
+    return state._replace(u=new)
 
 
 def solution_energy(ops: SchemeOperators, u: np.ndarray):

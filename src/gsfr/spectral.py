@@ -17,8 +17,8 @@ i.e. normalised so the grid Nyquist limit sits at pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, gcd, inf
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class ConvergenceFailureError(NumericalFailure):
     """Eigenvalue extraction failed (matrices here are at most 8x8), or a step bisection found no unstable step."""
 
 
-@dataclass(frozen=True)
-class StabilityResult:
+class StabilityResult(NamedTuple):
     """Largest stable time step for a (scheme, RK) pair with sweep evidence."""
 
     tau_max: float

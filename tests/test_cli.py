@@ -245,6 +245,46 @@ def test_run_ooa_json(tmp_path, capsys):
     assert all(n * tau == pytest.approx(np.pi, rel=1e-14) for n, tau in zip(steps, taus))
 
 
+@pytest.mark.parametrize(
+    "argv,flagged",
+    [("--p 5 --iota 1,0,0,0,0,0 --rk rk55", True), ("--p 3 --iota 1,0,0,0", False)],
+    ids=["p5-rk55", "p3-rk44"],
+)
+def test_run_ooa_notes_errors_at_the_roundoff_floor(argv, flagged, tmp_path, capsys):
+    # on the default meshes DG p=5 with rk55 reaches errors of 1e-12 to 9e-14; p=3 with rk44 stays above 1e-11
+    out_file = tmp_path / "ooa.json"
+    code, out, _ = run(["run", "ooa", *argv.split(), "--out", str(out_file)], capsys)
+    assert code == 0
+    result = json.loads(out_file.read_text())["result"]
+    assert result["at_roundoff"] is flagged
+    assert (min(result["errors"]) < gsfr.experiments.ROUNDOFF_FLOOR) is flagged
+    lines = out.splitlines()
+    assert len(lines) == 1 + flagged
+    if flagged:
+        assert lines[1] == (
+            f"note: smallest error {min(result['errors']):.3g} < 1e-11, at the round-off floor; "
+            "the fitted order may read round-off, not truncation"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv,record",
+    [
+        ("vn cfl --p 3 --iota 1,0,0,0 --k-samples 16", gsfr.StabilityResult),
+        ("corr bounds --p 3 --iota 1,0,0,0", gsfr.StabilityBounds),
+        ("run ooa --p 2 --iota 1,0,0 --element-counts 40,50,60,70", gsfr.OoaReport),
+        ("search cfl --p 2 --magnitudes 0", gsfr.SearchReport),
+    ],
+    ids=["vn cfl", "corr bounds", "run ooa", "search cfl"],
+)
+def test_json_result_is_an_object_of_the_record_fields(argv, record, tmp_path, capsys):
+    # a record is a tuple, which _finite_or_null alone would write as an array
+    out_file = tmp_path / "doc.json"
+    assert run(argv.split() + ["--out", str(out_file)], capsys)[0] == 0
+    result = json.loads(out_file.read_text())["result"]
+    assert isinstance(result, dict) and sorted(result) == sorted(record._fields)
+
+
 def test_vn_sweep_parallel_matches_serial(tmp_path, capsys):
     base = ["vn", "sweep", "--p", "2", "--rk", "rk44", "--k-samples", "16", "--magnitudes", "0,1e-3"]
     a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
@@ -295,7 +335,31 @@ def test_search_cfl_reports_each_candidate_fate(tmp_path, capsys):
     result = json.loads(out_file.read_text())["result"]
     fates = ("outside_bounds", "no_limit", "zero_tau", "unstable_runs", "below_order")
     assert {key: result[key] for key in fates} == dict.fromkeys(fates, 0)
-    assert set(result) == {"best_iota", "best_tau", "ooa_at_best", "grid_spec", "evaluated", *fates}
+    assert set(result) == {"best_iota", "best_tau", "ooa_at_best", "grid_spec", "evaluated", *fates, "spectral_abscissa"}
+
+
+@pytest.mark.parametrize("magnitudes,growing", [("0", False), ("0,1e-3", True)], ids=["dg", "grid-1e-3"])
+def test_search_cfl_notes_a_growing_winner(magnitudes, growing, tmp_path, capsys):
+    # the winner's abscissa and step come from the route of vn cfl at 128 wavenumbers and rho_tol 1e-4
+    out_file, cfl_file = tmp_path / "search.json", tmp_path / "cfl.json"
+    argv = ["search", "cfl", "--p", "2", "--rk", "rk44", "--magnitudes", magnitudes, "--out", str(out_file)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    result = json.loads(out_file.read_text())["result"]
+    iota = ",".join(repr(v) for v in result["best_iota"])
+    cfl_argv = ["vn", "cfl", "--p", "2", "--rk", "rk44", "--iota", iota, "--k-samples", "128", "--rho-tol", "1e-4"]
+    assert run(cfl_argv + ["--out", str(cfl_file)], capsys)[0] == 0
+    limit = json.loads(cfl_file.read_text())["result"]
+    assert (result["spectral_abscissa"], result["best_tau"]) == (limit["spectral_abscissa"], limit["tau_max"])
+    lines = out.splitlines()
+    if growing:
+        assert result["spectral_abscissa"] == pytest.approx(5.53e-8, rel=0.01)
+        assert lines[1:] == [
+            "note: spectral abscissa 5.53e-08 > 0, so a mode grows at every step; "
+            "tau_max depends on the search's rho_tol (0.0001)"
+        ]
+    else:
+        assert abs(result["spectral_abscissa"]) <= gsfr.cli.ABSCISSA_TOL and len(lines) == 1
 
 
 def test_validation_errors_exit_one(capsys):

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from math import ceil, pi
 from types import SimpleNamespace
 
@@ -145,7 +144,7 @@ def test_step_map_matches_stage_form(rk, rhs_kind):
         assert [array.shape for array in step] == [(ceil(n / s), 4 * s, 12 * s), (ceil(n / s), 12 * s)]
         for _ in range(3):
             u = rng.standard_normal(state.u.shape)
-            gap = np.max(np.abs(apply_step(step, u) - rk_advance(rhs, replace(state, u=u), tau, rk).u))
+            gap = np.max(np.abs(apply_step(step, u) - rk_advance(rhs, state._replace(u=u), tau, rk).u))
             assert gap <= 1e-14, (n, gap)
 
 
@@ -194,7 +193,7 @@ def step_map_per_probe(rhs_fn, state, tau, rk):
         for i in range(width):
             probe = np.zeros_like(state.u)
             probe[colour::colours, i] = 1.0
-            response = rk_advance(rhs_fn, replace(state, u=probe), tau, rk).u
+            response = rk_advance(rhs_fn, state._replace(u=probe), tau, rk).u
             blocks[rows[near], :, (offset[near] + s) * width + i] = response[near]
     return blocks, (rows[:, None] + np.arange(-s, s + 1)) % n
 
@@ -494,7 +493,7 @@ def whole_mesh_block(element, alpha, n_elements, tau, rk):
     state = uniform_mesh(ops, n_elements, 0.0, 2.0 * pi)
     x = mesh_nodes(ops, state)
     phase = np.exp(1j * WAVENUMBER * (x[:, :1] - x[0, 0]))
-    probes = replace(state, u=phase * np.eye(x.shape[1])[:, None, :])
+    probes = state._replace(u=phase * np.eye(x.shape[1])[:, None, :])
     return rk_advance(lambda s: linear_advection_rhs(ops, s), probes, tau, rk).u[:, 0].T
 
 

@@ -4,6 +4,8 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import gsfr
 
 
@@ -38,4 +40,40 @@ def test_removed_names_are_gone():
     for name in ("StepMap", "_node_coords"):
         assert not hasattr(gsfr, name)
         assert not hasattr(gsfr.experiments, name) and not hasattr(gsfr.operators, name)
-    assert [field.name for field in dataclasses.fields(gsfr.MeshState)] == ["n_elements", "x_left", "u"]
+    assert gsfr.MeshState._fields == ("n_elements", "x_left", "u")
+
+
+RECORD_FIELDS = {
+    "ReferenceElement": ("p", "nodes", "weights", "D", "l_left", "l_right", "g_left", "g_right"),
+    "SchemeOperators": ("element", "alpha", "jacobian", "C_plus", "C_zero", "C_minus"),
+    "MeshState": ("n_elements", "x_left", "u"),
+    "StabilityResult": ("tau_max", "k_samples", "rk", "worst_k_hat", "probes", "spectral_abscissa"),
+    "StabilityBounds": ("lower", "satisfied", "margins"),
+    "OoaReport": ("element_counts", "errors", "fitted_order", "r_squared", "steps", "tau", "at_roundoff"),
+    "EnergyReport": (
+        "times", "energy", "error_at_periods", "blew_up", "blowup_time", "peak_energy", "steps_per_period", "tau",
+    ),
+    "SearchReport": (
+        "best_iota", "best_tau", "ooa_at_best", "grid_spec", "evaluated", "outside_bounds", "no_limit", "zero_tau",
+        "unstable_runs", "below_order", "spectral_abscissa",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_FIELDS)
+def test_each_record_is_a_named_tuple_of_its_fields(name):
+    record = getattr(gsfr, name)
+    assert issubclass(record, tuple) and record._fields == RECORD_FIELDS[name]
+    assert record.__doc__ and not record.__doc__.startswith(name + "(")  # its own docstring, not the generated one
+
+
+def test_only_the_cached_or_validated_classes_are_dataclasses():
+    # a dataclass costs its class generation at every import; a record that only holds fields is a NamedTuple
+    modules = [importlib.import_module(f"gsfr.{info.name}") for info in pkgutil.iter_modules(gsfr.__path__)]
+    found = {
+        name
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, type) and value.__module__ == module.__name__ and dataclasses.is_dataclass(value)
+    }
+    assert found == {"CorrectionParams", "CorrectionPair", "LegendreSeries"}
