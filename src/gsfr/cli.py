@@ -19,7 +19,7 @@ import json
 import os
 import shutil
 import sys
-from math import isfinite, pi
+from math import isfinite, nan, pi
 
 import numpy as np
 
@@ -179,15 +179,13 @@ def _cmd_vn_sweep(args):
         from multiprocessing import Pool
 
         with Pool(args.jobs) as pool:
-            taus = pool.map(limit, points)
+            limits = pool.map(limit, points)
     else:
-        taus = [limit(params) for params in points]
+        limits = [limit(params) for params in points]
+    taus = [nan if res is None else res.tau_max for res in limits]
     header = [f"iota_{i}" for i in range(1, args.p + 1)] + ["tau_max"]
-    cols = list(np.array(grid)[:, 1:].T)
-    cols.append(np.array(taus))
-    _write_csv(args.out, header, cols)
-    finite = np.isfinite(cols[-1])
-    best = np.nanmax(cols[-1]) if finite.any() else float("nan")
+    _write_csv(args.out, header, list(np.array(grid)[:, 1:].T) + [taus])
+    best = max((res.tau_max for res in limits if res is not None), default=nan)
     print(f"sweep: {len(points)} points, best tau_max = {FMT % best}" + (f" -> {args.out}" if args.out else ""))
     return 0
 

@@ -10,7 +10,7 @@ vectors.
 
 from __future__ import annotations
 
-from math import ceil, inf, nan, pi, sqrt
+from math import ceil, inf, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +26,7 @@ from .operators import (
     stage_order,
     uniform_mesh,
 )
-from .spectral import ConvergenceFailureError, bloch_matrix, cfl_limit
+from .spectral import ConvergenceFailureError, StabilityResult, bloch_matrix, cfl_limit
 
 __all__ = [
     "OoaReport",
@@ -185,31 +185,24 @@ def _reference_limit(pair, alpha: float, rk: str, k_samples: int = 128, rho_tol:
     return cfl_limit(reference_operators(pair, alpha), rk, k_samples, rho_tol=rho_tol)
 
 
-def _reference_tau(
-    pair, alpha: float, rk: str, k_samples: int = 128, rho_tol: float = REFERENCE_RHO_TOL
-) -> float:
-    """Stable reference-domain step (jacobian 1) for the given scheme."""
-    return _reference_limit(pair, alpha, rk, k_samples, rho_tol).tau_max
-
-
 def step_limit(
     params: CorrectionParams,
     alpha: float = 1.0,
     rk: str = "rk44",
     k_samples: int = 128,
     rho_tol: float = REFERENCE_RHO_TOL,
-) -> float:
+) -> StabilityResult | None:
     """Reference-element step limit of a weight vector, the one path from weights to tau_max.
 
-    nan outside the sufficient bounds, on a singular or refused solve
+    None outside the sufficient bounds, on a singular or refused solve
     and when the bisection fails; every other error propagates.
     """
     if not sufficient_bounds(params).satisfied:
-        return nan
+        return None
     try:
-        return _reference_tau(solve_correction(params), alpha, rk, k_samples, rho_tol)
+        return _reference_limit(solve_correction(params), alpha, rk, k_samples, rho_tol)
     except (SingularSystemError, ConvergenceFailureError):
-        return nan
+        return None
 
 
 def _advection_setup(
@@ -224,7 +217,7 @@ def _advection_setup(
         raise ValueError(f"need n_elements >= 1 and a finite t_end > 0; got {min(element_counts)}, {t_end}")
     pair = solve_correction(params)
     element = build_reference_element(params.p, pair, node_kind)
-    tau_ref = _reference_tau(pair, alpha, rk)
+    tau_ref = _reference_limit(pair, alpha, rk).tau_max
     if tau_ref <= 0.02:
         # tolerance-dominated or vanishing limits mean the scheme is
         # unusable at study scale (a healthy member sits near 0.1..0.9)
@@ -401,7 +394,7 @@ def hetero_energy_study(
 def default_search_grid(p: int, magnitudes):
     """Every weight vector [1, iota_1, ..., iota_p] with each iota_i in {0, +/-m for m in magnitudes}.
 
-    Points outside the sufficient bounds are kept; step_limit maps them to nan.
+    Points outside the sufficient bounds are kept; step_limit maps them to None.
     """
     axes = sorted({0.0} | {s * m for m in magnitudes for s in (1.0, -1.0)})
     grids = np.meshgrid(*([axes] * p), indexing="ij")
@@ -418,16 +411,18 @@ def cfl_search(p: int, rk: str, grid, alpha: float = 1.0) -> SearchReport:
     """
     ooa_threshold = p + ORDER_MARGIN
     points = [CorrectionParams(p, list(iota)) for iota in grid]
-    taus = [step_limit(params, alpha, rk) for params in points]
+    limits = [step_limit(params, alpha, rk) for params in points]
+    taus = [limit.tau_max for limit in limits if limit is not None]
+    # None does not say why a point has no limit, so the points outside the bounds are counted again
     outside = sum(not sufficient_bounds(params).satisfied for params in points)
-    candidates = [(tau, params) for tau, params in zip(taus, points) if tau > 0.0]
+    candidates = [(limit, params) for limit, params in zip(limits, points) if limit is not None and limit.tau_max > 0.0]
     if not candidates:
         raise EmptyFeasibleSetError(
             f"no stable grid point among {len(grid)} ({outside} outside the bounds)"
         )
-    candidates.sort(key=lambda item: -item[0])
+    candidates.sort(key=lambda item: -item[0].tau_max)
     unstable_runs = 0
-    for evaluated, (tau, params) in enumerate(candidates, start=1):
+    for evaluated, (limit, params) in enumerate(candidates, start=1):
         try:
             report = ooa_study(params, alpha, rk=rk)
         except UnstableRunError:
@@ -436,16 +431,16 @@ def cfl_search(p: int, rk: str, grid, alpha: float = 1.0) -> SearchReport:
         if report.fitted_order >= ooa_threshold:
             return SearchReport(
                 best_iota=params.iota_array,
-                best_tau=tau,
+                best_tau=limit.tau_max,
                 ooa_at_best=report.fitted_order,
                 grid_spec=f"{len(grid)} points, {len(candidates)} stable, threshold {ooa_threshold}",
                 evaluated=evaluated,
                 outside_bounds=outside,
-                no_limit=int(np.isnan(taus).sum()) - outside,
+                no_limit=limits.count(None) - outside,
                 zero_tau=taus.count(0.0),
                 unstable_runs=unstable_runs,
                 below_order=evaluated - 1 - unstable_runs,
-                spectral_abscissa=_reference_limit(solve_correction(params), alpha, rk).spectral_abscissa,
+                spectral_abscissa=limit.spectral_abscissa,
             )
     raise EmptyFeasibleSetError(
         f"no grid point reached order {ooa_threshold} among {len(candidates)} stable candidates"

@@ -147,7 +147,7 @@ def cfl_limit(
     k_samples: int = 256,
     rho_tol: float = RHO_TOL,
 ) -> StabilityResult:
-    """Largest tau with spectral radius <= 1 over the sampled wavenumbers.
+    """Largest tau with spectral radius <= 1 + rho_tol over the sampled wavenumbers.
 
     Bisection to a relative tolerance of 1e-4 on the stability predicate
     max_k rho(R(tau Q(k))) <= 1 + rho_tol, where R is the exponential

@@ -18,7 +18,7 @@ from gsfr.experiments import (
     _ENERGY_CHUNK,
     _advect_cosine,
     _advection_setup,
-    _reference_tau,
+    _reference_limit,
     advect_snapshot,
     cfl_search,
     default_search_grid,
@@ -40,7 +40,14 @@ from gsfr.operators import (
     solution_energy,
     uniform_mesh,
 )
-from gsfr.spectral import PUBLISHED_STEP_LIMITS, bloch_matrix, cfl_limit, update_matrix
+from gsfr.spectral import (
+    PUBLISHED_STEP_LIMITS,
+    ConvergenceFailureError,
+    StabilityResult,
+    bloch_matrix,
+    cfl_limit,
+    update_matrix,
+)
 
 DG3 = CorrectionParams(3, [1, 0, 0, 0])
 
@@ -72,16 +79,22 @@ def test_ooa_study_p2():
     assert report.fitted_order == pytest.approx(3.0, abs=0.2)
 
 
-def test_step_limit_is_nan_off_the_usable_set(monkeypatch):
+def test_step_limit_is_none_off_the_usable_set(monkeypatch):
     pair = solve_correction(DG3)
-    assert step_limit(DG3) == cfl_limit(reference_operators(pair, 1.0), "rk44", 128, rho_tol=1e-4).tau_max > 0.0
-    assert np.isnan(step_limit(CorrectionParams(3, [1, -0.5, 0, 0])))  # outside the sufficient bounds
+    limit = step_limit(DG3)
+    assert limit == cfl_limit(reference_operators(pair, 1.0), "rk44", 128, rho_tol=1e-4) and limit.tau_max > 0.0
+    assert step_limit(CorrectionParams(3, [1, -0.5, 0, 0])) is None  # outside the sufficient bounds
 
     def singular(params):
         raise SingularSystemError("singular")
 
+    def refused(*args, **kwargs):
+        raise ConvergenceFailureError("no unstable step")
+
+    monkeypatch.setattr(gsfr.experiments, "cfl_limit", refused)
+    assert step_limit(DG3) is None
     monkeypatch.setattr(gsfr.experiments, "solve_correction", singular)
-    assert np.isnan(step_limit(DG3))
+    assert step_limit(DG3) is None
 
 
 def test_advect_snapshot():
@@ -435,7 +448,7 @@ def test_advect_snapshot_matches_stage_form(rk):
     pair = solve_correction(DG3)
     ops = build_scheme_operators(build_reference_element(3, pair), 1.0, jacobian=pi / n)
     state = uniform_mesh(ops, n, 0.0, 2.0 * pi, init=np.cos)
-    steps = ceil(t_end / (SAFETY * _reference_tau(pair, 1.0, rk) * ops.jacobian))
+    steps = ceil(t_end / (SAFETY * _reference_limit(pair, 1.0, rk).tau_max * ops.jacobian))
     for _ in range(steps):
         state = rk_advance(lambda s: linear_advection_rhs(ops, s), state, t_end / steps, rk)
     ref = float(np.mean(np.abs(state.u - np.cos(mesh_nodes(ops, state) - t_end))))
@@ -477,7 +490,7 @@ def test_advection_block_is_the_spectral_update_matrix(rk, alpha, node_kind, rk_
     # columns of the wave's one-step block
     pair = solve_correction(DG3)
     element = build_reference_element(3, pair, node_kind)
-    tau_ref = _reference_tau(pair, alpha, rk)
+    tau_ref = _reference_limit(pair, alpha, rk).tau_max
     for n in (1, 2, 7, 160):
         rk_calls.clear()
         tau = _advect_cosine(element, alpha, n, pi, rk, tau_ref)[4]
@@ -506,7 +519,7 @@ def test_advection_block_matches_whole_mesh_probe(p, rk, rk_calls):
     s = RK_STAGE_ORDER[rk]
     pair = solve_correction(CorrectionParams(p, [1.0] + [0.0] * p))
     for alpha in (1.0, 0.5):
-        tau_ref = _reference_tau(pair, alpha, rk)
+        tau_ref = _reference_limit(pair, alpha, rk).tau_max
         for node_kind in ("gauss", "lobatto"):
             element = build_reference_element(p, pair, node_kind)
             for n in (1, 2, 2 * s, 2 * s + 1, 2 * s + 2, 160):
@@ -619,7 +632,12 @@ def test_cfl_search_reports_every_candidate_fate(monkeypatch):
     points = default_search_grid(3, [0.0, 1e-3])
     inside = [iota for iota in points if sufficient_bounds(CorrectionParams(3, iota)).satisfied]
     grid = [np.array([1.0, -0.5, 0.0, 0.0])] + inside[:5]
-    taus = dict(zip(map(tuple, grid), [np.nan, np.nan, 0.0, 0.3, 0.2, 0.1]))
+    # each record carries its own abscissa, so the winner's can only come from its own record
+    limits = [None, None] + [
+        StabilityResult(tau, 128, "rk44", pi, 0, abscissa)
+        for tau, abscissa in [(0.0, 1e-3), (0.3, 2e-3), (0.2, 3e-3), (0.1, 4.25e-9)]
+    ]
+    limits = dict(zip(map(tuple, grid), limits))
     orders = {tuple(grid[4]): 3.0, tuple(grid[5]): 4.0}
 
     def scripted_study(params, *args, **kwargs):
@@ -627,13 +645,35 @@ def test_cfl_search_reports_every_candidate_fate(monkeypatch):
             raise UnstableRunError("divergence")
         return SimpleNamespace(fitted_order=orders[tuple(params.iota_array)])
 
-    monkeypatch.setattr(gsfr.experiments, "step_limit", lambda params, *args: taus[tuple(params.iota_array)])
+    monkeypatch.setattr(gsfr.experiments, "step_limit", lambda params, *args: limits[tuple(params.iota_array)])
     monkeypatch.setattr(gsfr.experiments, "ooa_study", scripted_study)
     report = cfl_search(3, "rk44", grid=grid)
     assert np.array_equal(report.best_iota, grid[5]) and report.best_tau == 0.1
+    assert report.spectral_abscissa == 4.25e-9
     assert report.grid_spec.startswith("6 points, 3 stable")
     fates = (report.outside_bounds, report.no_limit, report.zero_tau, report.unstable_runs, report.below_order)
     assert fates == (1, 1, 1, 1, 1) and report.evaluated == 3
+
+
+def test_cfl_search_solves_and_limits_each_point_once(monkeypatch):
+    # the two points inside the bounds get one solve and one limit each, and the one order study
+    # (the published vector, the faster of the two, reaches the order) one more: the winner's step
+    # limit and abscissa come from its grid record, not from a solve of their own
+    calls = {"solve": 0, "limit": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(gsfr.experiments, "solve_correction", counted("solve", solve_correction))
+    monkeypatch.setattr(gsfr.experiments, "cfl_limit", counted("limit", cfl_limit))
+    grid = [np.array([1.0, 0.0, 0.0, 0.0]), np.array(PUBLISHED_STEP_LIMITS[1][2]), np.array([1.0, -0.5, 0.0, 0.0])]
+    report = cfl_search(3, "rk44", grid=grid)
+    assert np.array_equal(report.best_iota, grid[1]) and report.evaluated == 1
+    assert calls == {"solve": 3, "limit": 3}
 
 
 def test_cfl_search_empty_feasible_set():

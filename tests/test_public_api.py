@@ -40,6 +40,8 @@ def test_removed_names_are_gone():
     for name in ("StepMap", "_node_coords"):
         assert not hasattr(gsfr, name)
         assert not hasattr(gsfr.experiments, name) and not hasattr(gsfr.operators, name)
+    # step_limit returns the StabilityResult itself, so no helper reads tau_max alone
+    assert not hasattr(gsfr, "_reference_tau") and not hasattr(gsfr.experiments, "_reference_tau")
     assert gsfr.MeshState._fields == ("n_elements", "x_left", "u")
 
 
