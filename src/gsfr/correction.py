@@ -25,8 +25,6 @@ MEMBERSHIP_TOL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
 from math import inf, isfinite, lcm
 from numbers import Rational
@@ -34,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .legendre import LegendreSeries, _derivative_coeffs, mass_diagonal, series_derivative
+from .legendre import LegendreSeries, _derivative_coeffs, _Frozen, series_derivative
 
 __all__ = [
     "CorrectionParams",
@@ -79,27 +77,32 @@ class DegenerateCoefficientError(GsfrError):
     pass
 
 
-def _to_fraction(x) -> Fraction:
-    # Fraction(float) is the exact binary value of the double, so the
-    # rational path below is exact for every representable input.
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return Fraction(float(x))
-
-
 def _over_common_denominator(values) -> tuple[int, list[int]]:
-    """(scale, nums) with values[k] = nums[k] / scale exactly, for floats and exact rationals alike."""
-    ratios = [_to_fraction(v).as_integer_ratio() for v in values]
+    """(scale, nums) with values[k] = nums[k] / scale exactly, for floats and exact rationals alike.
+
+    A rational (int, Fraction, numpy integer) gives its numerator and
+    denominator as Python ints, so no product below wraps; anything else
+    is read as a float, whose integer ratio is its exact binary value.
+    """
+    ratios = [
+        (int(v.numerator), int(v.denominator)) if isinstance(v, Rational) else float(v).as_integer_ratio()
+        for v in values
+    ]
     scale = lcm(*(den for _, den in ratios))
     return scale, [num * (scale // den) for num, den in ratios]
 
 
-@dataclass(frozen=True)
-class CorrectionParams:
-    """Order p and derivative weights iota_0..iota_p (iota_0 > 0)."""
+def _ratio(num: int, den: int) -> float:
+    """num / den rounded once to the nearest double (int / int does), over a positive denominator.
 
-    p: int
-    iota: tuple
+    The sign moves to the numerator first, as a Fraction normalises it:
+    0 / -5 is -0.0, while 0 / 5 is 0.0; a ratio that underflows keeps its sign.
+    """
+    return num / den if den > 0 else -num / -den
+
+
+class CorrectionParams(_Frozen):
+    """Order p and derivative weights iota_0..iota_p (iota_0 > 0); equal, and hashed alike, when both are."""
 
     def __init__(self, p: int, iota):
         iota = tuple(iota)
@@ -118,6 +121,14 @@ class CorrectionParams:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "iota", iota)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.p, self.iota) == (other.p, other.iota)
+
+    def __hash__(self):
+        return hash((self.p, self.iota))
+
     @property
     def iota_array(self) -> np.ndarray:
         return np.array([float(v) for v in self.iota])
@@ -133,11 +144,11 @@ class CorrectionParams:
         return scale * den, rows
 
 
-@dataclass(frozen=True)
-class CorrectionPair:
+class CorrectionPair(_Frozen):
     """A left correction function h_l (order p+1); the right function and both gradients derive from it."""
 
-    h_l: LegendreSeries
+    def __init__(self, h_l: LegendreSeries):
+        object.__setattr__(self, "h_l", h_l)
 
     @property
     def p(self) -> int:
@@ -224,7 +235,7 @@ def solve_correction(params: CorrectionParams) -> CorrectionPair:
     odd = lcm(*range(1, 2 * p + 4, 2))
     h = [0] + [g[n - 1] * (odd // (2 * n - 1)) - g[n + 1] * (odd // (2 * n + 3)) for n in range(1, p + 2)]
     h[0] = -sum(h)
-    h_l = LegendreSeries(np.array([float(Fraction(v, 2 * odd * det)) for v in h]))
+    h_l = LegendreSeries(np.array([_ratio(v, 2 * odd * det) for v in h]))
     left, right = h_l(-1.0), h_l(1.0)
     if abs(left - 1.0) > MEMBERSHIP_TOL or abs(right) > MEMBERSHIP_TOL:
         raise SingularSystemError(f"the solve's h_l in doubles has h_l(-1) = {left:g}, h_l(1) = {right:g}; need 1 and 0")
@@ -241,7 +252,7 @@ def _gram_block(p: int, i: int) -> tuple:
     share it.
     """
     den = lcm(*range(1, 2 * p + 2, 2))
-    mass = [int(w * den) for w in mass_diagonal(p)]
+    mass = [2 * den // (2 * j + 1) for j in range(p + 1)]
     derivs = [_derivative_coeffs(i, j) for j in range(p + 1)]
     return den, tuple(tuple(sum(w * x * y for w, x, y in zip(mass, a, b)) for b in derivs) for a in derivs)
 
@@ -346,7 +357,7 @@ def osfr_iota(h_l: LegendreSeries):
     p = len(applied) - 1
     if applied[p][-1] == 0:
         raise DegenerateCoefficientError("top Legendre coefficient of h_l vanishes")
-    iota = float(Fraction(-applied[0][-1], applied[p][-1]))
+    iota = _ratio(-applied[0][-1], applied[p][-1])
     try:
         rebuilt = solve_correction(CorrectionParams(p, [1.0] + [0.0] * (p - 1) + [iota]))
     except SingularSystemError:
@@ -405,9 +416,9 @@ def recover_weights(h_l: LegendreSeries) -> np.ndarray:
     With iota_0 = 1, rows 1..p of G g = -iota_0 psi(-1) with the weights
     as unknowns are the exact p x p system
     sum_{i>=1} iota_i (G_i g)[1..p] = -(G_0 g)[1..p] + (h(1) - (-1)^m h(-1)),
-    g = h' for the coefficients h of h_l as exact fractions. A singular
-    system (h_l admits several weight vectors) raises
-    DegenerateCoefficientError.
+    g = h' for the coefficients h of h_l as integers over a common
+    denominator. A singular system (h_l admits several weight vectors)
+    raises DegenerateCoefficientError.
     """
     applied = _applied_blocks(h_l)
     p = len(applied) - 1
@@ -416,4 +427,4 @@ def recover_weights(h_l: LegendreSeries) -> np.ndarray:
         det, scaled = _solve_rational(rows, [-v for v in applied[0]])
     except SingularSystemError as exc:
         raise DegenerateCoefficientError(f"weight recovery is degenerate: {exc}") from None
-    return np.array([1.0] + [float(Fraction(v, det)) for v in scaled])
+    return np.array([1.0] + [_ratio(v, det) for v in scaled])

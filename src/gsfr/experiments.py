@@ -199,6 +199,11 @@ def step_limit(
     """
     if not sufficient_bounds(params).satisfied:
         return None
+    return _solved_limit(params, alpha, rk, k_samples, rho_tol)
+
+
+def _solved_limit(params, alpha: float, rk: str, k_samples: int = 128, rho_tol: float = REFERENCE_RHO_TOL):
+    """step_limit of a point already inside the sufficient bounds, so each point is checked once."""
     try:
         return _reference_limit(solve_correction(params), alpha, rk, k_samples, rho_tol)
     except (SingularSystemError, ConvergenceFailureError):
@@ -411,11 +416,11 @@ def cfl_search(p: int, rk: str, grid, alpha: float = 1.0) -> SearchReport:
     """
     ooa_threshold = p + ORDER_MARGIN
     points = [CorrectionParams(p, list(iota)) for iota in grid]
-    limits = [step_limit(params, alpha, rk) for params in points]
+    inside = [params for params in points if sufficient_bounds(params).satisfied]
+    outside = len(points) - len(inside)
+    limits = [_solved_limit(params, alpha, rk) for params in inside]
     taus = [limit.tau_max for limit in limits if limit is not None]
-    # None does not say why a point has no limit, so the points outside the bounds are counted again
-    outside = sum(not sufficient_bounds(params).satisfied for params in points)
-    candidates = [(limit, params) for limit, params in zip(limits, points) if limit is not None and limit.tau_max > 0.0]
+    candidates = [(limit, params) for limit, params in zip(limits, inside) if limit is not None and limit.tau_max > 0.0]
     if not candidates:
         raise EmptyFeasibleSetError(
             f"no stable grid point among {len(grid)} ({outside} outside the bounds)"
@@ -436,7 +441,7 @@ def cfl_search(p: int, rk: str, grid, alpha: float = 1.0) -> SearchReport:
                 grid_spec=f"{len(grid)} points, {len(candidates)} stable, threshold {ooa_threshold}",
                 evaluated=evaluated,
                 outside_bounds=outside,
-                no_limit=limits.count(None) - outside,
+                no_limit=limits.count(None),
                 zero_tau=taus.count(0.0),
                 unstable_runs=unstable_runs,
                 below_order=evaluated - 1 - unstable_runs,

@@ -2,8 +2,8 @@
 
 One rule carries all of the calculus: d psi_j/dxi = sum_{i = j-1, j-3,
 ...} (2i+1) psi_i (``series_derivative``) together with orthogonality,
-integral psi_i psi_j = 2/(2j+1) if i = j and 0 otherwise
-(``mass_diagonal``). The correction module's Gram blocks G_i are
+integral psi_i psi_j = 2/(2j+1) if i = j and 0 otherwise. The correction
+module's Gram blocks G_i, integers over a common denominator, are
 mass-weighted inner products of the integer coefficient tuples of
 derivatives (``_derivative_coeffs``): g_l solves G g = -iota_0 psi(-1);
 the solve is singular exactly where det G = 0. Floating point enters
@@ -12,8 +12,6 @@ only when a series is evaluated or handed to the linear algebra layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -21,9 +19,17 @@ import numpy.polynomial.legendre as npleg
 
 __all__ = [
     "LegendreSeries",
-    "mass_diagonal",
     "series_derivative",
 ]
+
+
+class _Frozen:
+    """Attributes are set once, in __init__ through object.__setattr__; setting or deleting one later raises."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 @cache
@@ -35,18 +41,11 @@ def _derivative_coeffs(m: int, n: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def mass_diagonal(p: int) -> list[Fraction]:
-    """Diagonal of the Legendre mass matrix: entry j is 2/(2j+1)."""
-    if p < 0:
-        raise ValueError("order must be non-negative")
-    return [Fraction(2, 2 * j + 1) for j in range(p + 1)]
-
-
 def series_derivative(coeffs):
     """Differentiate a Legendre series given by its coefficient sequence.
 
     Works elementwise on whatever number type the coefficients carry
-    (Fraction stays exact, float stays float). Uses the expansion
+    (integers stay exact, floats stay float). Uses the expansion
     d psi_j / dxi = sum_{i = j-1, j-3, ...} (2i+1) psi_i. A constant
     series maps to the zero series of order 0.
     """
@@ -60,16 +59,11 @@ def series_derivative(coeffs):
     return out
 
 
-@dataclass(frozen=True)
-class LegendreSeries:
+class LegendreSeries(_Frozen):
     """Polynomial in the Legendre basis; ``coeffs[i]`` multiplies psi_i."""
 
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        )
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(coeffs, dtype=float)))
 
     @property
     def order(self) -> int:

@@ -28,19 +28,38 @@ is singular exactly where det G = 0. These are the routes it replaced.
   ``sobolev_norm_squared`` replaces.
 
 ``_dpsi`` evaluates a derivative of psi_n at points, for the quadrature
-oracles of test_legendre.py and the acceptance suite.
+oracles of test_legendre.py and the acceptance suite. ``mass_diagonal``
+(the masses 2/(2j+1) as Fractions) and ``to_fraction`` (an exact
+rational of a weight or coefficient) feed the Fraction oracles; the
+program reads integer masses over a common denominator and converts its
+inputs straight to integer ratios.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from numbers import Rational
 from typing import NamedTuple
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
 
-from gsfr.correction import SingularSystemError, _to_fraction
-from gsfr.legendre import LegendreSeries, _derivative_coeffs, mass_diagonal, series_derivative
+from gsfr.correction import SingularSystemError
+from gsfr.legendre import LegendreSeries, _derivative_coeffs, series_derivative
+
+
+def to_fraction(x) -> Fraction:
+    """x as an exact Fraction: a rational as itself, anything else as the exact binary value of its double."""
+    if isinstance(x, Rational):
+        return Fraction(x)
+    return Fraction(float(x))
+
+
+def mass_diagonal(p: int) -> list[Fraction]:
+    """Diagonal of the Legendre mass matrix: entry j is 2/(2j+1)."""
+    if p < 0:
+        raise ValueError("order must be non-negative")
+    return [Fraction(2, 2 * j + 1) for j in range(p + 1)]
 
 
 def _dpsi(order, n, xs):
@@ -131,7 +150,7 @@ def correction_matrix(params) -> list[list[Fraction]]:
     endpoint term; the last two rows enforce h_l(1) = 0 and h_l(-1) = 1.
     """
     p = params.p
-    iota = [_to_fraction(v) for v in params.iota]
+    iota = [to_fraction(v) for v in params.iota]
     mat = []
     for m in range(1, p + 1):
         row = []
@@ -170,7 +189,7 @@ def osfr_correction(p: int, iota) -> ExactPair:
 
     Raises ZeroDivisionError where 1 + eta_p vanishes.
     """
-    iota = _to_fraction(iota)
+    iota = to_fraction(iota)
     a_p = Fraction(factorial(2 * p), 2**p * factorial(p) ** 2)
     eta = iota * (2 * p + 1) * (a_p * factorial(p)) ** 2
     sign = Fraction((-1) ** p, 2)
@@ -209,8 +228,8 @@ def differentiating_norm(params, u_tilde) -> float:
     Takes a series of any length.
     """
     coeffs = getattr(u_tilde, "coeffs", u_tilde)
-    level = [_to_fraction(c) for c in coeffs]
-    iota = [_to_fraction(v) for v in params.iota]
+    level = [to_fraction(c) for c in coeffs]
+    iota = [to_fraction(v) for v in params.iota]
     total = Fraction(0)
     for i in range(params.p + 1):
         if iota[i] != 0:

@@ -1,4 +1,7 @@
+import pickle
+import random
 import re
+import struct
 import warnings
 from fractions import Fraction as F
 from itertools import permutations
@@ -17,6 +20,7 @@ from gsfr.correction import (
     MEMBERSHIP_TOL,
     SingularSystemError,
     UnsupportedOrderError,
+    _ratio,
     esfr3_gradient,
     esfr3_weights,
     osfr_iota,
@@ -720,3 +724,82 @@ def test_pair_dataclass_order():
     assert pair.p == 3
     assert pair.h_l.order == 4
     assert pair.g_l.order == 3
+
+
+def test_integer_ratio_rounds_as_fraction_does():
+    # the exact layer rounds int / int over a positive denominator, the division float(Fraction(a, b)) makes:
+    # bit for bit, signed zeros and underflowing ratios included, and both overflow past the float range
+    rng = random.Random(36)
+    halfway = 2**1024 - 2**970  # half an ulp above the largest double: from here a ratio rounds to inf
+    cases = [(0, 5), (0, -5), (0, -(2**2000)), (-1, 2**1100), (1, -(2**1100)), (-1, -(2**1100)), (3, -7)]
+    for den in (1, 3, -3, 2**60 + 1, -(2**900)):
+        cases += [(halfway * den + d, den) for d in (-1, 0, 1)]
+        cases += [(-(halfway * den + d), den) for d in (-1, 0, 1)]
+    for _ in range(3000):
+        num = rng.getrandbits(rng.randrange(0, 2200)) * rng.choice((1, -1))
+        den = (rng.getrandbits(rng.randrange(0, 2200)) + 1) * rng.choice((1, -1))
+        cases.append((num, den))
+    overflowed = negative_zeros = 0
+    for num, den in cases:
+        try:
+            want = float(F(num, den))
+        except OverflowError:
+            overflowed += 1
+            with pytest.raises(OverflowError):
+                _ratio(num, den)
+            continue
+        assert struct.pack("<d", _ratio(num, den)) == struct.pack("<d", want), (num, den)
+        negative_zeros += struct.pack("<d", want) == struct.pack("<d", -0.0)
+    assert overflowed > 400 and negative_zeros > 150
+    assert struct.pack("<d", _ratio(0, -5)) == struct.pack("<d", 0.0) != struct.pack("<d", 0 / -5)
+
+
+def test_exact_weight_types_solve_to_the_oracle_bits():
+    # floats, ints, Fractions and numpy integers of one weight vector solve to the exact oracle's h_l, bit for bit;
+    # numpy integers are read as Python ints, so the elimination cannot wrap in int64
+    vectors = [[1, 0, 0], [1, 3, 7], [1, 0, 0, 0, 7], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1]]
+    checked = 0
+    for iota in vectors:
+        p = len(iota) - 1
+        exact = fraction_solve(correction_matrix(CorrectionParams(p, iota)), [F(0)] * (p + 1) + [F(1)])
+        want = reflected_pair(exact).h_l.coeffs.tobytes()
+        for weights in (
+            [float(v) for v in iota], iota, [F(v) for v in iota], np.array(iota), np.array(iota, dtype=np.int32),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an int64 overflow would warn
+                assert solve_correction(CorrectionParams(p, weights)).h_l.coeffs.tobytes() == want, (iota, weights)
+            checked += 1
+    assert checked == 30
+    # an exact non-dyadic weight is held exactly, not as its double
+    params = CorrectionParams(3, [1, 0, 0, F(1, 3000)])
+    exact = fraction_solve(correction_matrix(params), [F(0)] * 4 + [F(1)])
+    assert solve_correction(params).h_l.coeffs.tobytes() == reflected_pair(exact).h_l.coeffs.tobytes()
+
+
+def test_zero_weights_recover_as_positive_zeros():
+    for p in (2, 3, 4, 5):
+        h_l = solve_correction(CorrectionParams(p, [1.0] + [0.0] * p)).h_l
+        assert not np.signbit(recover_weights(h_l)).any()
+        iota = osfr_iota(h_l)
+        assert iota == 0.0 and not np.signbit(iota)
+
+
+def test_correction_classes_are_immutable_pickled_values():
+    params = CorrectionParams(3, [1, 0, 0, 1e-3])
+    pair = solve_correction(params)
+    for obj, name in ((params, "p"), (params, "iota"), (pair, "h_l"), (pair.h_l, "coeffs")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert params == CorrectionParams(3, (1, 0, 0, 1e-3)) and hash(params) == hash(CorrectionParams(3, (1, 0, 0, 1e-3)))
+    assert params != CorrectionParams(3, [1, 0, 0, 2e-3]) and params != (3, (1, 0, 0, 1e-3))
+    # the caches travel with the object and read the same afterwards
+    params._gram, pair.g_r  # noqa: B018
+    params2, pair2 = pickle.loads(pickle.dumps((params, pair)))
+    assert params2 == params and params2._gram == params._gram
+    assert pair2.g_r.coeffs.tobytes() == pair.g_r.coeffs.tobytes()
+    assert pair2.h_l.coeffs.tobytes() == pair.h_l.coeffs.tobytes()
+    with pytest.raises(AttributeError):
+        pair2.h_l = pair.h_l

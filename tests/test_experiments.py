@@ -645,7 +645,7 @@ def test_cfl_search_reports_every_candidate_fate(monkeypatch):
             raise UnstableRunError("divergence")
         return SimpleNamespace(fitted_order=orders[tuple(params.iota_array)])
 
-    monkeypatch.setattr(gsfr.experiments, "step_limit", lambda params, *args: limits[tuple(params.iota_array)])
+    monkeypatch.setattr(gsfr.experiments, "_solved_limit", lambda params, *args: limits[tuple(params.iota_array)])
     monkeypatch.setattr(gsfr.experiments, "ooa_study", scripted_study)
     report = cfl_search(3, "rk44", grid=grid)
     assert np.array_equal(report.best_iota, grid[5]) and report.best_tau == 0.1
@@ -656,10 +656,10 @@ def test_cfl_search_reports_every_candidate_fate(monkeypatch):
 
 
 def test_cfl_search_solves_and_limits_each_point_once(monkeypatch):
-    # the two points inside the bounds get one solve and one limit each, and the one order study
-    # (the published vector, the faster of the two, reaches the order) one more: the winner's step
-    # limit and abscissa come from its grid record, not from a solve of their own
-    calls = {"solve": 0, "limit": 0}
+    # every point gets one bounds check, the two inside the bounds one solve and one limit each, and
+    # the one order study (the published vector, the faster of the two, reaches the order) one more:
+    # the winner's step limit and abscissa come from its grid record, not from a solve of their own
+    calls = {"bounds": 0, "solve": 0, "limit": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -670,10 +670,11 @@ def test_cfl_search_solves_and_limits_each_point_once(monkeypatch):
 
     monkeypatch.setattr(gsfr.experiments, "solve_correction", counted("solve", solve_correction))
     monkeypatch.setattr(gsfr.experiments, "cfl_limit", counted("limit", cfl_limit))
+    monkeypatch.setattr(gsfr.experiments, "sufficient_bounds", counted("bounds", sufficient_bounds))
     grid = [np.array([1.0, 0.0, 0.0, 0.0]), np.array(PUBLISHED_STEP_LIMITS[1][2]), np.array([1.0, -0.5, 0.0, 0.0])]
     report = cfl_search(3, "rk44", grid=grid)
-    assert np.array_equal(report.best_iota, grid[1]) and report.evaluated == 1
-    assert calls == {"solve": 3, "limit": 3}
+    assert np.array_equal(report.best_iota, grid[1]) and report.evaluated == 1 and report.outside_bounds == 1
+    assert calls == {"bounds": 3, "solve": 3, "limit": 3}
 
 
 def test_cfl_search_empty_feasible_set():

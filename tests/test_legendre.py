@@ -6,11 +6,10 @@ import pytest
 
 from gsfr.legendre import (
     LegendreSeries,
-    mass_diagonal,
     series_derivative,
 )
 
-from closed_forms import _dpsi, b_sum_integral, endpoint_derivative, integral_dm_dm1, legendre_b
+from closed_forms import _dpsi, b_sum_integral, endpoint_derivative, integral_dm_dm1, legendre_b, mass_diagonal
 
 
 def test_endpoint_derivative_examples():

@@ -1,7 +1,10 @@
 import ast
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,7 +38,9 @@ def test_removed_names_are_gone():
         assert not hasattr(gsfr, name)
         assert not hasattr(gsfr.correction, name) and not hasattr(gsfr.legendre, name)
     # a pair is its left function; h_r, g_l and g_r derive from it
-    assert [field.name for field in dataclasses.fields(gsfr.CorrectionPair)] == ["h_l"]
+    assert list(vars(gsfr.solve_correction(gsfr.CorrectionParams(3, [1, 0, 0, 0])))) == ["h_l"]
+    # the Fraction masses and input conversion live on as test oracles in closed_forms.py only
+    assert not hasattr(gsfr.legendre, "mass_diagonal") and not hasattr(gsfr.correction, "_to_fraction")
     # the step map is the pair of arrays (rows, cols), and the element width is 2 * SchemeOperators.jacobian alone
     for name in ("StepMap", "_node_coords"):
         assert not hasattr(gsfr, name)
@@ -69,8 +74,9 @@ def test_each_record_is_a_named_tuple_of_its_fields(name):
     assert record.__doc__ and not record.__doc__.startswith(name + "(")  # its own docstring, not the generated one
 
 
-def test_only_the_cached_or_validated_classes_are_dataclasses():
-    # a dataclass costs its class generation at every import; a record that only holds fields is a NamedTuple
+def test_no_class_is_a_dataclass():
+    # a dataclass costs its class generation at every import; a record that only holds fields is a NamedTuple,
+    # and a class with a cache or a validating constructor is a plain class
     modules = [importlib.import_module(f"gsfr.{info.name}") for info in pkgutil.iter_modules(gsfr.__path__)]
     found = {
         name
@@ -78,4 +84,13 @@ def test_only_the_cached_or_validated_classes_are_dataclasses():
         for name, value in vars(module).items()
         if isinstance(value, type) and value.__module__ == module.__name__ and dataclasses.is_dataclass(value)
     }
-    assert found == {"CorrectionParams", "CorrectionPair", "LegendreSeries"}
+    assert found == set()
+
+
+def test_cold_import_loads_no_fractions_decimal_or_dataclasses():
+    # the exact layer keeps its own integers, so a CLI process does not pay for these modules' import
+    src = str(Path(gsfr.__file__).resolve().parent.parent)
+    code = "import sys, gsfr.cli; print(sorted({'fractions', 'decimal', '_decimal', 'dataclasses'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
