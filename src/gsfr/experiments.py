@@ -181,8 +181,9 @@ def reference_operators(pair, alpha: float):
 
 
 def _reference_limit(pair, alpha: float, rk: str, k_samples: int = 128, rho_tol: float = REFERENCE_RHO_TOL):
-    """cfl_limit of a pair's reference operators (jacobian 1) for the given scheme."""
-    return cfl_limit(reference_operators(pair, alpha), rk, k_samples, rho_tol=rho_tol)
+    """(Gauss element, cfl_limit) of a pair's reference operators (jacobian 1) for the given scheme."""
+    ops = reference_operators(pair, alpha)
+    return ops.element, cfl_limit(ops, rk, k_samples, rho_tol=rho_tol)
 
 
 def step_limit(
@@ -195,50 +196,44 @@ def step_limit(
     """Reference-element step limit of a weight vector, the one path from weights to tau_max.
 
     None outside the sufficient bounds, on a singular or refused solve
-    and when the bisection fails; every other error propagates.
+    and when the bisection fails; an unknown scheme raises first, every other error propagates.
     """
+    stage_order(rk)
     if not sufficient_bounds(params).satisfied:
         return None
-    return _solved_limit(params, alpha, rk, k_samples, rho_tol)
+    return _solved_limit(params, alpha, rk, k_samples, rho_tol)[1]
 
 
 def _solved_limit(params, alpha: float, rk: str, k_samples: int = 128, rho_tol: float = REFERENCE_RHO_TOL):
-    """step_limit of a point already inside the sufficient bounds, so each point is checked once."""
+    """(Gauss element, step_limit) of a point already inside the sufficient bounds, (None, None) off the usable set."""
     try:
         return _reference_limit(solve_correction(params), alpha, rk, k_samples, rho_tol)
     except (SingularSystemError, ConvergenceFailureError):
-        return None
+        return None, None
 
 
-def _advection_setup(
-    params: CorrectionParams, alpha: float, rk: str, node_kind: str, element_counts, t_end: float
-):
-    """Reference element and step limit of an advection study.
-
-    Invalid meshes and end times are refused before the solve, and a
-    limit of 0.02 or less is an UnstableRunError.
-    """
+def _advection_setup(params: CorrectionParams, alpha: float, rk: str, node_kind: str, element_counts, t_end: float):
+    """Reference element and step limit of an advection study; bad meshes and end times are refused before the solve."""
     if min(element_counts) < 1 or not 0.0 < t_end < inf:
         raise ValueError(f"need n_elements >= 1 and a finite t_end > 0; got {min(element_counts)}, {t_end}")
     pair = solve_correction(params)
     element = build_reference_element(params.p, pair, node_kind)
-    tau_ref = _reference_limit(pair, alpha, rk).tau_max
-    if tau_ref <= 0.02:
-        # tolerance-dominated or vanishing limits mean the scheme is
-        # unusable at study scale (a healthy member sits near 0.1..0.9)
-        raise UnstableRunError(f"no usable stable time step (reference limit {tau_ref:.3e}); study not run")
-    return element, tau_ref
+    return element, _reference_limit(pair, alpha, rk)[1].tau_max
 
 
 def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str, tau_ref: float):
     """Advect cos(WAVENUMBER x) on [0, 2*pi] to t_end; return (x, u, eps_2, steps, tau).
 
     The step is SAFETY times the stable limit, shrinks like 1/N and is
-    shortened to land exactly on t_end. The wave is one Bloch mode, so the
-    steps are one power of its (p+1)x(p+1) block: rk_advance applied to
-    the wave's semi-discrete operator Q (spectral.bloch_matrix), one
-    stacked step of the p+1 unit vectors.
+    shortened to land exactly on t_end; a limit of 0.02 or less is an UnstableRunError.
+    The wave is one Bloch mode, so the steps are one power of its (p+1)x(p+1) block:
+    rk_advance applied to the wave's semi-discrete operator Q (spectral.bloch_matrix),
+    one stacked step of the p+1 unit vectors.
     """
+    if tau_ref <= 0.02:
+        # tolerance-dominated or vanishing limits mean the scheme is
+        # unusable at study scale (a healthy member sits near 0.1..0.9)
+        raise UnstableRunError(f"no usable stable time step (reference limit {tau_ref:.3e}); study not run")
     ops = build_scheme_operators(element, alpha, jacobian=pi / n_elements)
     state = uniform_mesh(ops, n_elements, 0.0, 2.0 * pi)
     x = mesh_nodes(ops, state)
@@ -287,6 +282,11 @@ def ooa_study(
     if len(set(element_counts)) < 4:
         raise ValueError("need at least four distinct mesh resolutions for a credible fit")
     element, tau_ref = _advection_setup(params, alpha, rk, node_kind, element_counts, t_end)
+    return _fit_order(element, alpha, tau_ref, element_counts, t_end, rk)
+
+
+def _fit_order(element, alpha: float, tau_ref: float, element_counts, t_end: float, rk: str) -> OoaReport:
+    """The order study of ooa_study on an element whose reference limit is already known."""
     errors, steps, taus = [], [], []
     for n in element_counts:
         _, _, err, n_steps, tau = _advect_cosine(element, alpha, n, t_end, rk, tau_ref)
@@ -296,7 +296,7 @@ def ooa_study(
         steps.append(n_steps)
         taus.append(tau)
     errors = np.array(errors)
-    n_points = np.array(element_counts, dtype=float) * (params.p + 1)
+    n_points = np.array(element_counts, dtype=float) * (element.p + 1)
     slope, intercept = np.polyfit(np.log(n_points), np.log(errors), 1)
     fit = slope * np.log(n_points) + intercept
     resid = np.log(errors) - fit
@@ -412,24 +412,26 @@ def cfl_search(p: int, rk: str, grid, alpha: float = 1.0) -> SearchReport:
 
     Every grid point inside the sufficient bounds gets an analytic step
     limit; candidates are then checked in descending step order with the
-    mesh-refinement study until one reaches the order p + ORDER_MARGIN.
+    order study of ooa_study on their grid record until one reaches the order p + ORDER_MARGIN.
     """
+    stage_order(rk)
     ooa_threshold = p + ORDER_MARGIN
     points = [CorrectionParams(p, list(iota)) for iota in grid]
     inside = [params for params in points if sufficient_bounds(params).satisfied]
     outside = len(points) - len(inside)
-    limits = [_solved_limit(params, alpha, rk) for params in inside]
-    taus = [limit.tau_max for limit in limits if limit is not None]
-    candidates = [(limit, params) for limit, params in zip(limits, inside) if limit is not None and limit.tau_max > 0.0]
+    # records (Gauss element, step limit, point): a candidate's order study reads its element and limit
+    records = [(*_solved_limit(params, alpha, rk), params) for params in inside]
+    limited = [record for record in records if record[1] is not None]
+    candidates = [record for record in limited if record[1].tau_max > 0.0]
     if not candidates:
         raise EmptyFeasibleSetError(
             f"no stable grid point among {len(grid)} ({outside} outside the bounds)"
         )
-    candidates.sort(key=lambda item: -item[0].tau_max)
+    candidates.sort(key=lambda item: -item[1].tau_max)
     unstable_runs = 0
-    for evaluated, (limit, params) in enumerate(candidates, start=1):
+    for evaluated, (element, limit, params) in enumerate(candidates, start=1):
         try:
-            report = ooa_study(params, alpha, rk=rk)
+            report = _fit_order(element, alpha, limit.tau_max, DEFAULT_ELEMENT_COUNTS, pi, rk)
         except UnstableRunError:
             unstable_runs += 1
             continue
@@ -441,8 +443,8 @@ def cfl_search(p: int, rk: str, grid, alpha: float = 1.0) -> SearchReport:
                 grid_spec=f"{len(grid)} points, {len(candidates)} stable, threshold {ooa_threshold}",
                 evaluated=evaluated,
                 outside_bounds=outside,
-                no_limit=limits.count(None),
-                zero_tau=taus.count(0.0),
+                no_limit=len(inside) - len(limited),
+                zero_tau=len(limited) - len(candidates),
                 unstable_runs=unstable_runs,
                 below_order=evaluated - 1 - unstable_runs,
                 spectral_abscissa=limit.spectral_abscissa,

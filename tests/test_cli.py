@@ -638,7 +638,7 @@ def test_unusable_step_limit_exits_two(study, capsys):
 def test_advect_divergence_exits_two(monkeypatch, capsys):
     # a step far above the stable limit: the run diverges and is reported, not printed as eps2 = nan;
     # the overflow on the way there is not a warning (turned into an error here so it cannot hide)
-    monkeypatch.setattr(gsfr.experiments, "_reference_limit", lambda *args, **kwargs: SimpleNamespace(tau_max=5.0))
+    monkeypatch.setattr(gsfr.experiments, "_reference_limit", lambda *args, **kwargs: (None, SimpleNamespace(tau_max=5.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(

@@ -448,7 +448,7 @@ def test_advect_snapshot_matches_stage_form(rk):
     pair = solve_correction(DG3)
     ops = build_scheme_operators(build_reference_element(3, pair), 1.0, jacobian=pi / n)
     state = uniform_mesh(ops, n, 0.0, 2.0 * pi, init=np.cos)
-    steps = ceil(t_end / (SAFETY * _reference_limit(pair, 1.0, rk).tau_max * ops.jacobian))
+    steps = ceil(t_end / (SAFETY * _reference_limit(pair, 1.0, rk)[1].tau_max * ops.jacobian))
     for _ in range(steps):
         state = rk_advance(lambda s: linear_advection_rhs(ops, s), state, t_end / steps, rk)
     ref = float(np.mean(np.abs(state.u - np.cos(mesh_nodes(ops, state) - t_end))))
@@ -490,7 +490,7 @@ def test_advection_block_is_the_spectral_update_matrix(rk, alpha, node_kind, rk_
     # columns of the wave's one-step block
     pair = solve_correction(DG3)
     element = build_reference_element(3, pair, node_kind)
-    tau_ref = _reference_limit(pair, alpha, rk).tau_max
+    tau_ref = _reference_limit(pair, alpha, rk)[1].tau_max
     for n in (1, 2, 7, 160):
         rk_calls.clear()
         tau = _advect_cosine(element, alpha, n, pi, rk, tau_ref)[4]
@@ -519,7 +519,7 @@ def test_advection_block_matches_whole_mesh_probe(p, rk, rk_calls):
     s = RK_STAGE_ORDER[rk]
     pair = solve_correction(CorrectionParams(p, [1.0] + [0.0] * p))
     for alpha in (1.0, 0.5):
-        tau_ref = _reference_limit(pair, alpha, rk).tau_max
+        tau_ref = _reference_limit(pair, alpha, rk)[1].tau_max
         for node_kind in ("gauss", "lobatto"):
             element = build_reference_element(p, pair, node_kind)
             for n in (1, 2, 2 * s, 2 * s + 1, 2 * s + 2, 160):
@@ -565,6 +565,11 @@ UNKNOWN_SCHEME_CALLS = {
     "cfl_limit": lambda ops, state: cfl_limit(ops, "rk99"),
     "step_map": lambda ops, state: step_map(make_heterogeneous_rhs(ops, state), state, 0.1, "rk99"),
     "hetero_energy_study": lambda ops, state: hetero_energy_study(DG3, n_elements=4, n_periods=1, rk="rk99"),
+    # refused before the bounds filter, so a point outside the bounds cannot hide the scheme
+    "step_limit": lambda ops, state: step_limit(CorrectionParams(3, [1, -0.5, 0, 0]), rk="rk99"),
+    "cfl_search": lambda ops, state: cfl_search(3, "rk99", [np.array([1.0, -0.5, 0.0, 0.0])]),
+    "ooa_study": lambda ops, state: ooa_study(DG3, rk="rk99"),
+    "advect_snapshot": lambda ops, state: advect_snapshot(DG3, n_elements=4, rk="rk99"),
 }
 
 
@@ -604,15 +609,15 @@ def test_cfl_search_prefers_faster_member():
 def test_cfl_search_counts_unstable_runs_as_evaluated(monkeypatch):
     # three stable candidates: the fastest one's order study fails, the plain-L2 member
     # is the second one evaluated and reaches the order, the slowest one is never studied
-    studied = []
+    studied, fit = [], gsfr.experiments._fit_order
 
-    def first_run_unstable(params, *args, **kwargs):
-        studied.append(params.iota_array)
+    def first_run_unstable(element, alpha, tau_ref, *args):
+        studied.append(tau_ref)
         if len(studied) == 1:
             raise UnstableRunError("divergence")
-        return ooa_study(params, *args, **kwargs)
+        return fit(element, alpha, tau_ref, *args)
 
-    monkeypatch.setattr(gsfr.experiments, "ooa_study", first_run_unstable)
+    monkeypatch.setattr(gsfr.experiments, "_fit_order", first_run_unstable)
     grid = [
         np.array([1.0, 0.0, 0.0, 0.0]),
         np.array([1.0, 2.069e-4, 2.336e-3, 2.336e-3]),
@@ -620,7 +625,7 @@ def test_cfl_search_counts_unstable_runs_as_evaluated(monkeypatch):
     ]
     report = cfl_search(3, "rk44", grid=grid)
     assert report.grid_spec.startswith("3 points, 3 stable")
-    assert len(studied) == 2 and np.array_equal(studied[0], grid[1])
+    assert studied == [step_limit(CorrectionParams(3, list(grid[1]))).tau_max, step_limit(DG3).tau_max]
     assert np.array_equal(report.best_iota, grid[0])
     assert report.evaluated == 2
     assert (report.unstable_runs, report.below_order) == (1, 0)
@@ -628,27 +633,29 @@ def test_cfl_search_counts_unstable_runs_as_evaluated(monkeypatch):
 
 def test_cfl_search_reports_every_candidate_fate(monkeypatch):
     # one point outside the bounds, one without a limit, one with a zero limit; the
-    # order studies run fastest first: unstable, below the order, then the best
+    # order studies run fastest first: below the order, unstable, then the best
     points = default_search_grid(3, [0.0, 1e-3])
     inside = [iota for iota in points if sufficient_bounds(CorrectionParams(3, iota)).satisfied]
     grid = [np.array([1.0, -0.5, 0.0, 0.0])] + inside[:5]
     # each record carries its own abscissa, so the winner's can only come from its own record
+    element = build_reference_element(3, solve_correction(DG3))
     limits = [None, None] + [
         StabilityResult(tau, 128, "rk44", pi, 0, abscissa)
-        for tau, abscissa in [(0.0, 1e-3), (0.3, 2e-3), (0.2, 3e-3), (0.1, 4.25e-9)]
+        for tau, abscissa in [(0.0, 1e-3), (0.3, 2e-3), (0.01, 3e-3), (0.005, 4.25e-9)]
     ]
-    limits = dict(zip(map(tuple, grid), limits))
-    orders = {tuple(grid[4]): 3.0, tuple(grid[5]): 4.0}
+    records = dict(zip(map(tuple, grid), [(element, limit) for limit in limits]))
+    # the 0.01 limit runs the real order study, whose 0.02 check refuses it
+    orders, fit = {0.3: 3.0, 0.005: 4.0}, gsfr.experiments._fit_order
 
-    def scripted_study(params, *args, **kwargs):
-        if tuple(params.iota_array) not in orders:
-            raise UnstableRunError("divergence")
-        return SimpleNamespace(fitted_order=orders[tuple(params.iota_array)])
+    def scripted_fit(element, alpha, tau_ref, *args):
+        if tau_ref not in orders:
+            return fit(element, alpha, tau_ref, *args)
+        return SimpleNamespace(fitted_order=orders[tau_ref])
 
-    monkeypatch.setattr(gsfr.experiments, "_solved_limit", lambda params, *args: limits[tuple(params.iota_array)])
-    monkeypatch.setattr(gsfr.experiments, "ooa_study", scripted_study)
+    monkeypatch.setattr(gsfr.experiments, "_solved_limit", lambda params, *args: records[tuple(params.iota_array)])
+    monkeypatch.setattr(gsfr.experiments, "_fit_order", scripted_fit)
     report = cfl_search(3, "rk44", grid=grid)
-    assert np.array_equal(report.best_iota, grid[5]) and report.best_tau == 0.1
+    assert np.array_equal(report.best_iota, grid[5]) and report.best_tau == 0.005
     assert report.spectral_abscissa == 4.25e-9
     assert report.grid_spec.startswith("6 points, 3 stable")
     fates = (report.outside_bounds, report.no_limit, report.zero_tau, report.unstable_runs, report.below_order)
@@ -656,10 +663,10 @@ def test_cfl_search_reports_every_candidate_fate(monkeypatch):
 
 
 def test_cfl_search_solves_and_limits_each_point_once(monkeypatch):
-    # every point gets one bounds check, the two inside the bounds one solve and one limit each, and
-    # the one order study (the published vector, the faster of the two, reaches the order) one more:
-    # the winner's step limit and abscissa come from its grid record, not from a solve of their own
-    calls = {"bounds": 0, "solve": 0, "limit": 0}
+    # every point gets one bounds check, and the two inside the bounds one solve, one Gauss element and
+    # one limit each; the order study of the published vector (the faster of the two, and it reaches the
+    # order) reads its grid record, as do the winner's step limit and abscissa
+    calls = {"bounds": 0, "solve": 0, "element": 0, "limit": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -671,10 +678,23 @@ def test_cfl_search_solves_and_limits_each_point_once(monkeypatch):
     monkeypatch.setattr(gsfr.experiments, "solve_correction", counted("solve", solve_correction))
     monkeypatch.setattr(gsfr.experiments, "cfl_limit", counted("limit", cfl_limit))
     monkeypatch.setattr(gsfr.experiments, "sufficient_bounds", counted("bounds", sufficient_bounds))
+    monkeypatch.setattr(gsfr.experiments, "build_reference_element", counted("element", build_reference_element))
     grid = [np.array([1.0, 0.0, 0.0, 0.0]), np.array(PUBLISHED_STEP_LIMITS[1][2]), np.array([1.0, -0.5, 0.0, 0.0])]
     report = cfl_search(3, "rk44", grid=grid)
     assert np.array_equal(report.best_iota, grid[1]) and report.evaluated == 1 and report.outside_bounds == 1
-    assert calls == {"bounds": 3, "solve": 3, "limit": 3}
+    assert calls == {"bounds": 3, "solve": 2, "element": 2, "limit": 2}
+
+
+def test_cfl_search_order_route_matches_the_public_route():
+    # the search fits each candidate on its grid record; the public study of the winner solves and limits
+    # it again, and both routes give the same bits (15 of the 16 candidates fit below the order here)
+    report = cfl_search(4, "rk33", default_search_grid(4, [0.0, 1e-3, 1e-2]))
+    winner = CorrectionParams(4, list(report.best_iota))
+    assert report.evaluated == 16 and report.below_order == 15
+    assert report.ooa_at_best == ooa_study(winner, rk="rk33").fitted_order
+    assert report.best_tau == step_limit(winner, rk="rk33").tau_max
+    with pytest.raises(EmptyFeasibleSetError, match=re.escape("no grid point reached order 4.8 among 16 stable")):
+        cfl_search(4, "rk33", default_search_grid(4, [0.0, 1e-3]))
 
 
 def test_cfl_search_empty_feasible_set():
