@@ -249,32 +249,28 @@ _OPTIONS = {
 }
 
 
-def _command(group, name, func, help, shared="", own=()):
-    """Add ``name``: --p, ``shared`` _OPTIONS, --out, ``own`` {flag: (type, default)}."""
-    sub = group.add_parser(name, help=help)
-    sub.add_argument("--p", type=int, required=True, help="polynomial order")
-    for flag in shared.split():
-        sub.add_argument(flag, **_OPTIONS[flag])
-    sub.add_argument("--out", default=None, help="output file path")
-    for flag, (kind, default) in dict(own).items():
-        sub.add_argument(flag, type=kind, default=default)
-    sub.set_defaults(func=func)
-
-
-def _build_parser(argv=()) -> _Parser:
-    """The parser for ``argv``: when it starts with a group and one of that group's commands, only the three
-    parsers on that path, since no help screen, prog or one-line error depends on a sibling; else the whole tree."""
+def _formatter():
     # one terminal-size read for every parser built (argparse reads it per formatter)
-    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = _Parser(prog="gsfr", description=__doc__.splitlines()[0], formatter_class=fmt)
-    sub = functools.partial(_Parser, formatter_class=fmt)
-    top = parser.add_subparsers(dest="group", required=True, parser_class=sub)
-    groups = dict(corr="correction functions", vn="wavenumber analysis", run="time-domain studies",
-                  search="coupled CFL/order search")
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def _command(parser, group, name, func, shared="", own=()):
+    """``parser`` as command ``group name``: --p, ``shared`` _OPTIONS, --out, ``own`` {flag: (type, default)}."""
+    parser.add_argument("--p", type=int, required=True, help="polynomial order")
+    for flag in shared.split():
+        parser.add_argument(flag, **_OPTIONS[flag])
+    parser.add_argument("--out", default=None, help="output file path")
+    for flag, (kind, default) in dict(own).items():
+        parser.add_argument(flag, type=kind, default=default)
+    parser.set_defaults(group=group, cmd=name, func=func)
+    return parser
+
+
+def _commands() -> dict:
+    """(group, command) -> (its _cmd_* function as it is at call time, its help, then _command's options)."""
     # node kind cannot change a linear-advection spectrum (see xp.reference_operators)
     spectral, study = "--alpha --k-samples", "--iota --alpha --nodes --rk"
-    # (group, command) -> the arguments of _command after its name
-    commands = {
+    return {
         ("corr", "solve"): (_cmd_corr_solve, "solve for a correction pair", "--iota"),
         ("corr", "bounds"): (_cmd_corr_bounds, "check the sufficient stability bounds", "--iota"),
         ("corr", "identify"): (_cmd_corr_identify, "OSFR/ESFR membership and weight recovery", "--iota"),
@@ -296,19 +292,41 @@ def _build_parser(argv=()) -> _Parser:
             "--magnitudes": (_iota_list, [0.0, 1e-4, 1e-3, 1e-2]),
         }),
     }
-    path = tuple(argv[:2])
-    if path in commands:
-        commands, groups = {path: commands[path]}, {path[0]: groups[path[0]]}
+
+
+def _build_parser() -> _Parser:
+    """The whole tree: the top-level parser, one per group and one per command (15)."""
+    fmt = _formatter()
+    parser = _Parser(prog="gsfr", description=__doc__.splitlines()[0], formatter_class=fmt)
+    sub = functools.partial(_Parser, formatter_class=fmt)
+    top = parser.add_subparsers(dest="group", required=True, parser_class=sub)
+    groups = dict(corr="correction functions", vn="wavenumber analysis", run="time-domain studies",
+                  search="coupled CFL/order search")
     cmds = {group: top.add_parser(group, help=help).add_subparsers(dest="cmd", required=True, parser_class=sub)
             for group, help in groups.items()}
-    for (group, name), row in commands.items():
-        _command(cmds[group], name, *row)
+    for (group, name), (func, help, *options) in _commands().items():
+        _command(cmds[group].add_parser(name, help=help), group, name, func, *options)
     return parser
+
+
+def _parse(argv):
+    """The whole tree's namespace for ``argv``, from the command's parser alone when ``argv`` starts with a group and
+    one of its commands (no help screen, prog or error line depends on another parser), else from the whole tree."""
+    path = tuple(argv[:2])
+    commands = _commands()
+    if path not in commands:
+        return _build_parser().parse_args(argv)
+    func, _, *options = commands[path]
+    parser = _command(_Parser(prog="gsfr " + " ".join(path), formatter_class=_formatter()), *path, func, *options)
+    args, extras = parser.parse_known_args(argv[2:])
+    if extras:  # the whole tree reports a command's leftovers from its top-level parser
+        parser.exit(1, f"gsfr: error: unrecognized arguments: {' '.join(extras)}\n")
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except corr.NumericalFailure as exc:

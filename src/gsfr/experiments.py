@@ -17,6 +17,7 @@ import numpy as np
 
 from .correction import CorrectionParams, NumericalFailure, SingularSystemError, solve_correction, sufficient_bounds
 from .operators import (
+    MeshState,
     build_reference_element,
     build_scheme_operators,
     make_heterogeneous_rhs,
@@ -217,8 +218,10 @@ def _advection_setup(params: CorrectionParams, alpha: float, rk: str, node_kind:
     if min(element_counts) < 1 or not 0.0 < t_end < inf:
         raise ValueError(f"need n_elements >= 1 and a finite t_end > 0; got {min(element_counts)}, {t_end}")
     pair = solve_correction(params)
-    element = build_reference_element(params.p, pair, node_kind)
-    return element, _reference_limit(pair, alpha, rk)[1].tau_max
+    # the limit's own element is the Gauss one; any other node kind is built (and refused) before the limit
+    element = None if node_kind == "gauss" else build_reference_element(params.p, pair, node_kind)
+    gauss, limit = _reference_limit(pair, alpha, rk)
+    return element or gauss, limit.tau_max
 
 
 def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str, tau_ref: float):
@@ -235,8 +238,8 @@ def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str
         # unusable at study scale (a healthy member sits near 0.1..0.9)
         raise UnstableRunError(f"no usable stable time step (reference limit {tau_ref:.3e}); study not run")
     ops = build_scheme_operators(element, alpha, jacobian=pi / n_elements)
-    state = uniform_mesh(ops, n_elements, 0.0, 2.0 * pi)
-    x = mesh_nodes(ops, state)
+    unit = MeshState(n_elements, 0.0, np.eye(element.nodes.size, dtype=complex))
+    x = mesh_nodes(ops, unit)
     tau = SAFETY * tau_ref * ops.jacobian
     steps = max(1, ceil(t_end / tau))
     tau = t_end / steps
@@ -244,7 +247,6 @@ def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str
     # row i of the step is the image of e_i, so its transpose is the block
     phase = np.exp(1j * WAVENUMBER * (x[:, :1] - x[0, 0]))
     q = bloch_matrix(ops, WAVENUMBER)
-    unit = state._replace(u=np.eye(x.shape[1], dtype=complex))
     block = rk_advance(lambda u: u @ q.T, unit, tau, rk).u.T
     # divergence overflows on its way to inf; the finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):

@@ -539,6 +539,25 @@ def test_ooa_study_has_no_time_loop(rk_calls):
     assert [u.shape for u, _ in rk_calls] == [(4, 4)] * len(DEFAULT_ELEMENT_COUNTS)
 
 
+@pytest.mark.parametrize("node_kind,builds", [("gauss", 1), ("lobatto", 2)])
+def test_advection_studies_build_one_element_per_node_kind(node_kind, builds, monkeypatch):
+    # the reference limit's Gauss element is the study's own when the study runs on Gauss points
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return build_reference_element(*args)
+
+    monkeypatch.setattr(gsfr.experiments, "build_reference_element", counted)
+    for study in (
+        lambda: ooa_study(DG3, element_counts=(8, 10, 12, 14), t_end=0.5, node_kind=node_kind),
+        lambda: advect_snapshot(DG3, n_elements=8, t_end=0.5, node_kind=node_kind),
+    ):
+        built.clear()
+        study()
+        assert len(built) == builds
+
+
 def test_hetero_upwind_survives_fifteen_periods():
     report = hetero_energy_study(
         CorrectionParams(3, [1, 0, 0, 0]), alpha=1.0, n_elements=32, n_periods=15, cfl=0.12
