@@ -278,45 +278,39 @@ def sobolev_norm_squared(params: CorrectionParams, u_tilde) -> float:
         return inf if total > 0 else -inf
 
 
-# Row i holds the coefficients of iota_0..iota_{i-1} in the bound on iota_i,
-# before the scale -1/G_i[i][i].
-_BOUND_ROWS = {1: (2.0 / 3.0,), 2: (0.4, 6), 3: (2.0 / 7.0, 8, 150), 4: (2.0 / 9.0, 11, 290, 7350)}
+# The bound on iota_i weighs each earlier iota_j by G_j[i][i], its u_i^2 factor in the norm, except
+# these entries, which the published sum-of-squares split moves in part into cross terms.
+_SPLIT = {(3, 1): 8, (4, 1): 11, (4, 2): 290}
 
 
 def sufficient_bounds(params: CorrectionParams) -> StabilityBounds:
-    """Componentwise sufficient lower bounds for norm positivity, p in {2,3,4}.
+    """Componentwise sufficient lower bounds for norm positivity, p in {2,3,4}, decided exactly.
 
     Derived from expanding the weighted norm in Legendre coefficients:
     the bound on the last weight of each diagonal entry makes that entry
     positive, while the weights entering squared cross terms (iota_1 for
     p=3; iota_1, iota_2 for p=4) only need to be non-negative. Exceeding
     every bound is sufficient for positivity; violating one proves
-    nothing (the condition is one-sided). A row whose left-to-right sum
-    overflows is summed again from its terms scaled by 1/G_i[i][i] first,
-    which cannot overflow (each row's scaled coefficients sum to less
-    than 1/2), so every bound is finite; a margin beyond the float range
-    is inf.
+    nothing (the condition is one-sided). At p=2, G is diagonal and the
+    bounds are exactly its positive-definiteness. The verdict compares
+    integers; each bound, the exact -sum_{j<i} w_j iota_j / G_i[i][i]
+    (w_j = G_j[i][i] or its _SPLIT entry), is rounded once and finite
+    (each row's weights over G_i[i][i] sum to less than 1/2); a margin
+    beyond the float range is inf.
     """
     p = params.p
-    if p not in _BOUND_ROWS:
+    if not 2 <= p <= 4:
         raise UnsupportedOrderError(f"sufficient bounds are only tabulated for p in 2..4, got p={p}")
-    # Python floats: a sum that overflows becomes inf without a warning
-    weights = params.iota_array.tolist()
+    scale, nums = _over_common_denominator(params.iota)
+    den = _gram_block(p, 0)[0]
     lower = [0.0] * (p + 1)
+    ok = all(v >= 0 for v in nums[1 : p - 1])
     for i in (p - 1, p):
-        row = _BOUND_ROWS[i]
-        den, gram = _gram_block(p, i)
-        # summed left to right as first written, so each finite row keeps its double
-        acc = row[0] * weights[0]
-        for coeff, value in zip(row[1:], weights[1:]):
-            acc += coeff * value
-        if isfinite(acc):
-            lower[i] = -(den / gram[i][i]) * acc  # 1 / G_i[i][i], rounded once
-        else:  # summed again from its terms scaled first
-            lower[i] = -sum(coeff * den / gram[i][i] * value for coeff, value in zip(row, weights))
-    margins = [value - bound for value, bound in zip(weights, lower)]
-    ok = weights[0] > 0.0 and all(v >= 0.0 for v in weights[1 : p - 1])
-    ok = ok and all(weights[i] > lower[i] for i in (p - 1, p))
+        weights = [_SPLIT[i, j] * den if (i, j) in _SPLIT else _gram_block(p, j)[1][i][i] for j in range(i + 1)]
+        below = sum(w * v for w, v in zip(weights, nums[:i]))
+        lower[i] = _ratio(-below, scale * weights[i])
+        ok = ok and below + weights[i] * nums[i] > 0  # iota_i > lower_i, both sides times scale * weights[i] > 0
+    margins = [float(value) - bound for value, bound in zip(params.iota, lower)]
     return StabilityBounds(lower=np.array(lower), satisfied=ok, margins=np.array(margins))
 
 

@@ -52,10 +52,11 @@ BLOWUP_ENERGY = 1e3
 # steps of the hetero study per energy reduction; its buffer holds their products and the state before them
 _ENERGY_CHUNK = 128
 
-# advection studies: wave cos(WAVENUMBER x), step SAFETY times the limit at REFERENCE_RHO_TOL
+# advection studies: wave cos(WAVENUMBER x), step SAFETY times the limit at REFERENCE_RHO_TOL over REFERENCE_K_SAMPLES
 WAVENUMBER = 1.0
 SAFETY = 0.2
 REFERENCE_RHO_TOL = 1e-4
+REFERENCE_K_SAMPLES = 128
 # the search accepts a fitted order of at least p + ORDER_MARGIN
 ORDER_MARGIN = 0.8
 # an order study whose smallest error is below this fits round-off: at p=3, N=384 (eps_2 about 1.3e-11)
@@ -181,7 +182,7 @@ def reference_operators(pair, alpha: float):
     return build_scheme_operators(build_reference_element(pair.p, pair), alpha, 1.0)
 
 
-def _reference_limit(pair, alpha: float, rk: str, k_samples: int = 128, rho_tol: float = REFERENCE_RHO_TOL):
+def _reference_limit(pair, alpha: float, rk: str, k_samples: int = REFERENCE_K_SAMPLES, rho_tol: float = REFERENCE_RHO_TOL):
     """(Gauss element, cfl_limit) of a pair's reference operators (jacobian 1) for the given scheme."""
     ops = reference_operators(pair, alpha)
     return ops.element, cfl_limit(ops, rk, k_samples, rho_tol=rho_tol)
@@ -191,7 +192,7 @@ def step_limit(
     params: CorrectionParams,
     alpha: float = 1.0,
     rk: str = "rk44",
-    k_samples: int = 128,
+    k_samples: int = REFERENCE_K_SAMPLES,
     rho_tol: float = REFERENCE_RHO_TOL,
 ) -> StabilityResult | None:
     """Reference-element step limit of a weight vector, the one path from weights to tau_max.
@@ -205,7 +206,7 @@ def step_limit(
     return _solved_limit(params, alpha, rk, k_samples, rho_tol)[1]
 
 
-def _solved_limit(params, alpha: float, rk: str, k_samples: int = 128, rho_tol: float = REFERENCE_RHO_TOL):
+def _solved_limit(params, alpha: float, rk: str, k_samples: int = REFERENCE_K_SAMPLES, rho_tol: float = REFERENCE_RHO_TOL):
     """(Gauss element, step_limit) of a point already inside the sufficient bounds, (None, None) off the usable set."""
     try:
         return _reference_limit(solve_correction(params), alpha, rk, k_samples, rho_tol)

@@ -26,6 +26,11 @@ is singular exactly where det G = 0. These are the routes it replaced.
 - ``differentiating_norm``: the Sobolev norm by repeated series
   differentiation on every call, which the Gram quadratic form of
   ``sobolev_norm_squared`` replaces.
+- ``BOUND_ROWS`` and ``exact_bound``: the published sufficient-bound
+  table (row i holds the weights of iota_0..iota_{i-1} in the bound on
+  iota_i, before the scale -1/G_i[i][i]) and its bound in Fractions,
+  which ``sufficient_bounds`` reads as Gram diagonals plus three split
+  entries.
 
 ``_dpsi`` evaluates a derivative of psi_n at points, for the quadrature
 oracles of test_legendre.py and the acceptance suite. ``mass_diagonal``
@@ -53,6 +58,21 @@ def to_fraction(x) -> Fraction:
     if isinstance(x, Rational):
         return Fraction(x)
     return Fraction(float(x))
+
+
+BOUND_ROWS = {
+    1: (Fraction(2, 3),),
+    2: (Fraction(2, 5), 6),
+    3: (Fraction(2, 7), 8, 150),
+    4: (Fraction(2, 9), 11, 290, 7350),
+}
+# G_i[i][i], the scale of row i
+BOUND_TOPS = {1: 2, 2: 18, 3: 450, 4: 22050}
+
+
+def exact_bound(i: int, iota) -> Fraction:
+    """The exact lower bound on iota_i from the published row i."""
+    return -sum(w * to_fraction(v) for w, v in zip(BOUND_ROWS[i], iota)) / BOUND_TOPS[i]
 
 
 def mass_diagonal(p: int) -> list[Fraction]:

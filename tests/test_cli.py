@@ -60,6 +60,14 @@ def test_corr_bounds_writes_strict_json(tmp_path, capsys):
     assert doc["result"]["satisfied"] is True
 
 
+def test_corr_bounds_refuses_a_weight_vector_within_rounding_of_its_bound(capsys):
+    # the exact G[2][2] of this vector is -5.0e-17, so its norm is indefinite and its solve fails
+    iota = "1,-0.0666666,-2.2222222222861234e-08"
+    code, out, _ = run(["corr", "bounds", "--p", "2", "--iota", iota], capsys)
+    assert code == 0 and out.startswith("sufficient bounds NOT satisfied;")
+    assert run(["corr", "identify", "--p", "2", "--iota", iota], capsys)[0] == 2
+
+
 def test_corr_identify_unique_member(capsys):
     code, out, _ = run(["corr", "identify", "--p", "3", "--iota", "1,0.01,0.01,0.1"], capsys)
     assert code == 0

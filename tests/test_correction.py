@@ -12,7 +12,7 @@ import numpy.polynomial.legendre as npleg
 import pytest
 
 from gsfr.correction import (
-    _BOUND_ROWS,
+    _SPLIT,
     _gram_block,
     CorrectionPair,
     CorrectionParams,
@@ -33,7 +33,17 @@ from gsfr.experiments import default_search_grid, step_limit
 from gsfr.legendre import LegendreSeries, series_derivative
 from gsfr.spectral import PUBLISHED_STEP_LIMITS
 
-from closed_forms import correction_matrix, differentiating_norm, fraction_solve, osfr_correction, reflected_pair
+from closed_forms import (
+    BOUND_ROWS,
+    BOUND_TOPS,
+    correction_matrix,
+    differentiating_norm,
+    exact_bound,
+    fraction_solve,
+    osfr_correction,
+    reflected_pair,
+    to_fraction,
+)
 
 
 def coefficient_matrices(p):
@@ -550,9 +560,9 @@ def test_violating_bounds_is_not_asserted_indefinite():
 
 
 def test_overflowing_bound_is_not_met():
-    # a bound row whose float sum overflows is summed again from its pre-scaled terms; the last
-    # weight is below that finite bound, so it is not met and there is no step limit: these three
-    # norms are indefinite
+    # a bound row whose terms are beyond the float range is still a finite bound (its weights over
+    # G_i[i][i] sum to less than 1/2); the last weight is below it, so it is not met and there is no
+    # step limit: these three norms are indefinite
     for iota in ([1, 1e308, -1e308], [1, 0, 1e308, -1e308], [1, 1e308, 0, -1e308]):
         params = CorrectionParams(len(iota) - 1, iota)
         with warnings.catch_warnings():
@@ -565,8 +575,8 @@ def test_overflowing_bound_is_not_met():
 
 
 def test_overflowing_bound_row_is_decided_by_its_pre_scaled_terms():
-    # 0.4 + 6e308 overflows, but the row scaled by 1/G_2[2][2] = 1/18 first is -3.33e307: these two
-    # positive-definite (diagonal) Gram matrices meet the bounds and have a step limit
+    # 0.4 + 6e308 is beyond the float range, but the bound, that row over G_2[2][2] = 18, is -3.33e307:
+    # these two positive-definite (diagonal) Gram matrices meet the bounds and have a step limit
     for iota in ([1, 1e308, 0], [1, 1e308, 1e308]):
         params = CorrectionParams(2, iota)
         with warnings.catch_warnings():
@@ -583,24 +593,41 @@ def test_overflowing_bound_row_is_decided_by_its_pre_scaled_terms():
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
-def test_finite_bound_rows_keep_their_left_to_right_double(p):
-    # a row that does not overflow is the left-to-right sum scaled once, bit for bit as before the
-    # overflow rule, on the vn sweep grid and on wide seeded vectors
+def test_bounds_are_the_published_rows_rounded_once(p):
+    # each bound is the published row evaluated exactly and rounded once, bit for bit, and the verdict
+    # is the exact comparison, on the vn sweep grid and on wide seeded vectors
     rng = np.random.default_rng(p)
     signed = rng.choice([-1.0, 1.0], (300, p)) * 10 ** rng.uniform(-12, 308, (300, p))
     grid = [list(iota) for iota in default_search_grid(p, [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])]
-    finite = 0
+    verdicts = set()
     for iota in grid + [[1.0] + list(row) for row in signed]:
-        lower = sufficient_bounds(CorrectionParams(p, iota)).lower
-        for i in (p - 1, p):
-            acc = _BOUND_ROWS[i][0] * float(iota[0])
-            for coeff, value in zip(_BOUND_ROWS[i][1:], iota[1:]):
-                acc += coeff * float(value)
-            if np.isfinite(acc):
-                den, rows = _gram_block(p, i)
-                assert lower[i].tobytes() == np.float64(-(den / rows[i][i]) * acc).tobytes(), (iota, i)
-                finite += 1
-    assert finite > 500
+        bounds = sufficient_bounds(CorrectionParams(p, iota))
+        exact = {i: exact_bound(i, iota) for i in (p - 1, p)}
+        for i, bound in exact.items():
+            assert bounds.lower[i].tobytes() == np.float64(float(bound)).tobytes(), (iota, i)
+        met = all(v >= 0 for v in iota[1 : p - 1]) and all(to_fraction(iota[i]) > b for i, b in exact.items())
+        assert bounds.satisfied == met, iota
+        verdicts.add(met)
+    assert verdicts == {True, False}
+
+
+def test_p2_bounds_are_exactly_positive_definiteness():
+    # at p=2 G is diagonal and the two bounds are its diagonal entries' signs, so the verdict is the
+    # exact LDL^T one, also within rounding of a bound: G[2][2] is -5.0e-17 for the first boundary
+    # vector and positive for the second (the double -1/15 is above -1/15)
+    rng = np.random.default_rng(15)
+    signed = rng.choice([-1.0, 1.0], (300, 2)) * 10 ** rng.uniform(-12, 308, (300, 2))
+    boundary = [[1, -0.0666666, -2.2222222222861234e-08], [1, -1 / 15, -0.0]]
+    cases = [list(iota) for iota in default_search_grid(2, [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])]
+    cases += [[1.0] + list(row) for row in signed] + boundary
+    blocks = [_gram_block(2, i)[1] for i in range(3)]
+    verdicts = []
+    for iota in cases:
+        weights = [to_fraction(v) for v in iota]
+        gram = [[sum(w * g[j][k] for w, g in zip(weights, blocks)) for k in range(3)] for j in range(3)]
+        verdicts.append(sufficient_bounds(CorrectionParams(2, iota)).satisfied)
+        assert verdicts[-1] == positive_definite(gram), iota
+    assert verdicts[-2:] == [False, True] and len(set(verdicts)) == 2
 
 
 def test_exact_weight_beyond_the_float_range_is_not_finite():
@@ -670,17 +697,18 @@ def test_sufficient_bounds_imply_positive_definite_gram(p, magnitudes, counts):
 
 
 def test_bound_rows_are_gram_diagonals():
-    # row i, entry j is G_j[i][i], the u_i^2 factor of iota_j, except the three
-    # entries the published sum-of-squares split moves into cross terms
-    split = {(3, 1): (8, 12), (4, 1): (11, 20), (4, 2): (290, 690)}
-    for i, row in _BOUND_ROWS.items():
-        for j, entry in enumerate(row):
+    # row i, entry j of the published table is G_j[i][i], the u_i^2 factor of iota_j, except the three
+    # entries the published sum-of-squares split moves into cross terms, which _SPLIT holds
+    split = {(3, 1): 12, (4, 1): 20, (4, 2): 690}
+    assert set(_SPLIT) == set(split)
+    for i, row in BOUND_ROWS.items():
+        for j, entry in enumerate(row + (BOUND_TOPS[i],)):
             den, rows = _gram_block(i, j)
             diagonal = F(rows[i][i], den)
             if (i, j) in split:
-                assert (entry, diagonal) == split[(i, j)]
+                assert (entry, diagonal) == (_SPLIT[i, j], split[i, j])
             else:
-                assert entry == float(diagonal), (i, j)
+                assert entry == diagonal, (i, j)
     tops = []
     for i in range(1, 6):
         den, rows = _gram_block(i, i)
