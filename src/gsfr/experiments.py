@@ -183,9 +183,9 @@ def reference_operators(pair, alpha: float):
 
 
 def _reference_limit(pair, alpha: float, rk: str, k_samples: int = REFERENCE_K_SAMPLES, rho_tol: float = REFERENCE_RHO_TOL):
-    """(Gauss element, cfl_limit) of a pair's reference operators (jacobian 1) for the given scheme."""
+    """(reference_operators, cfl_limit) of a pair (Gauss, jacobian 1) for the given scheme."""
     ops = reference_operators(pair, alpha)
-    return ops.element, cfl_limit(ops, rk, k_samples, rho_tol=rho_tol)
+    return ops, cfl_limit(ops, rk, k_samples, rho_tol=rho_tol)
 
 
 def step_limit(
@@ -207,7 +207,7 @@ def step_limit(
 
 
 def _solved_limit(params, alpha: float, rk: str, k_samples: int = REFERENCE_K_SAMPLES, rho_tol: float = REFERENCE_RHO_TOL):
-    """(Gauss element, step_limit) of a point already inside the sufficient bounds, (None, None) off the usable set."""
+    """(Gauss operators, step_limit) of a point already inside the sufficient bounds, (None, None) off the usable set."""
     try:
         return _reference_limit(solve_correction(params), alpha, rk, k_samples, rho_tol)
     except (SingularSystemError, ConvergenceFailureError):
@@ -215,17 +215,17 @@ def _solved_limit(params, alpha: float, rk: str, k_samples: int = REFERENCE_K_SA
 
 
 def _advection_setup(params: CorrectionParams, alpha: float, rk: str, node_kind: str, element_counts, t_end: float):
-    """Reference element and step limit of an advection study; bad meshes and end times are refused before the solve."""
+    """Operators (jacobian 1) and step limit of an advection study; bad meshes and end times are refused before the solve."""
     if min(element_counts) < 1 or not 0.0 < t_end < inf:
         raise ValueError(f"need n_elements >= 1 and a finite t_end > 0; got {min(element_counts)}, {t_end}")
     pair = solve_correction(params)
-    # the limit's own element is the Gauss one; any other node kind is built (and refused) before the limit
-    element = None if node_kind == "gauss" else build_reference_element(params.p, pair, node_kind)
+    # the limit's own operators are the Gauss ones; any other node kind is built (and refused) before the limit
+    ops = None if node_kind == "gauss" else build_scheme_operators(build_reference_element(params.p, pair, node_kind), alpha)
     gauss, limit = _reference_limit(pair, alpha, rk)
-    return element or gauss, limit.tau_max
+    return ops or gauss, limit.tau_max
 
 
-def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str, tau_ref: float):
+def _advect_cosine(ops, n_elements: int, t_end: float, rk: str, tau_ref: float):
     """Advect cos(WAVENUMBER x) on [0, 2*pi] to t_end; return (x, u, eps_2, steps, tau).
 
     The step is SAFETY times the stable limit, shrinks like 1/N and is
@@ -238,8 +238,8 @@ def _advect_cosine(element, alpha: float, n_elements: int, t_end: float, rk: str
         # tolerance-dominated or vanishing limits mean the scheme is
         # unusable at study scale (a healthy member sits near 0.1..0.9)
         raise UnstableRunError(f"no usable stable time step (reference limit {tau_ref:.3e}); study not run")
-    ops = build_scheme_operators(element, alpha, jacobian=pi / n_elements)
-    unit = MeshState(n_elements, 0.0, np.eye(element.nodes.size, dtype=complex))
+    ops = ops._replace(jacobian=pi / n_elements)  # C_plus, C_zero and C_minus do not depend on the jacobian
+    unit = MeshState(n_elements, 0.0, np.eye(ops.element.nodes.size, dtype=complex))
     x = mesh_nodes(ops, unit)
     tau = SAFETY * tau_ref * ops.jacobian
     steps = max(1, ceil(t_end / tau))
@@ -284,22 +284,22 @@ def ooa_study(
     """
     if len(set(element_counts)) < 4:
         raise ValueError("need at least four distinct mesh resolutions for a credible fit")
-    element, tau_ref = _advection_setup(params, alpha, rk, node_kind, element_counts, t_end)
-    return _fit_order(element, alpha, tau_ref, element_counts, t_end, rk)
+    ops, tau_ref = _advection_setup(params, alpha, rk, node_kind, element_counts, t_end)
+    return _fit_order(ops, tau_ref, element_counts, t_end, rk)
 
 
-def _fit_order(element, alpha: float, tau_ref: float, element_counts, t_end: float, rk: str) -> OoaReport:
-    """The order study of ooa_study on an element whose reference limit is already known."""
+def _fit_order(ops, tau_ref: float, element_counts, t_end: float, rk: str) -> OoaReport:
+    """The order study of ooa_study on operators whose reference limit is already known."""
     errors, steps, taus = [], [], []
     for n in element_counts:
-        _, _, err, n_steps, tau = _advect_cosine(element, alpha, n, t_end, rk, tau_ref)
+        _, _, err, n_steps, tau = _advect_cosine(ops, n, t_end, rk, tau_ref)
         if not np.isfinite(err) or err > BLOWUP_ENERGY:
             raise UnstableRunError(f"error {err:.3e} at N={n}; run reported, not fitted")
         errors.append(err)
         steps.append(n_steps)
         taus.append(tau)
     errors = np.array(errors)
-    n_points = np.array(element_counts, dtype=float) * (element.p + 1)
+    n_points = np.array(element_counts, dtype=float) * (ops.element.p + 1)
     slope, intercept = np.polyfit(np.log(n_points), np.log(errors), 1)
     fit = slope * np.log(n_points) + intercept
     resid = np.log(errors) - fit
@@ -422,7 +422,7 @@ def cfl_search(p: int, rk: str, grid, alpha: float = 1.0) -> SearchReport:
     points = [CorrectionParams(p, list(iota)) for iota in grid]
     inside = [params for params in points if sufficient_bounds(params).satisfied]
     outside = len(points) - len(inside)
-    # records (Gauss element, step limit, point): a candidate's order study reads its element and limit
+    # records (Gauss operators, step limit, point): a candidate's order study reads its operators and limit
     records = [(*_solved_limit(params, alpha, rk), params) for params in inside]
     limited = [record for record in records if record[1] is not None]
     candidates = [record for record in limited if record[1].tau_max > 0.0]
@@ -432,9 +432,9 @@ def cfl_search(p: int, rk: str, grid, alpha: float = 1.0) -> SearchReport:
         )
     candidates.sort(key=lambda item: -item[1].tau_max)
     unstable_runs = 0
-    for evaluated, (element, limit, params) in enumerate(candidates, start=1):
+    for evaluated, (ops, limit, params) in enumerate(candidates, start=1):
         try:
-            report = _fit_order(element, alpha, limit.tau_max, DEFAULT_ELEMENT_COUNTS, pi, rk)
+            report = _fit_order(ops, limit.tau_max, DEFAULT_ELEMENT_COUNTS, pi, rk)
         except UnstableRunError:
             unstable_runs += 1
             continue
@@ -466,5 +466,5 @@ def advect_snapshot(
     node_kind: str = "gauss",
 ):
     """Advect a cosine wave and return (x, u, eps_2) at t_end."""
-    element, tau_ref = _advection_setup(params, alpha, rk, node_kind, (n_elements,), t_end)
-    return _advect_cosine(element, alpha, n_elements, t_end, rk, tau_ref)[:3]
+    ops, tau_ref = _advection_setup(params, alpha, rk, node_kind, (n_elements,), t_end)
+    return _advect_cosine(ops, n_elements, t_end, rk, tau_ref)[:3]

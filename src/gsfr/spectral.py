@@ -92,9 +92,9 @@ def update_matrix(Q: np.ndarray, tau: float, rk: str = "rk44") -> np.ndarray:
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
     out = np.eye(Q.shape[-1], dtype=complex)
-    power = np.eye(Q.shape[-1], dtype=complex)
+    power, step = out, tau * Q
     for n in range(1, stage_order(rk) + 1):
-        power = power @ (tau * Q)
+        power = power @ step
         out = out + power / factorial(n)
     return out
 

@@ -92,3 +92,18 @@ def test_working_tree_exports_the_files_on_disk_and_leaves_the_repository_as_it_
         ".gitignore": "ignored.txt\n", "kept.txt": "kept\n", "sub/modified.txt": "after\n", "untracked.txt": "new\n"
     }
     assert git("status", "--porcelain") == status and git("rev-parse", "HEAD") == head
+
+
+def test_unknown_workload_is_refused_before_any_export(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a tree was exported")
+
+    monkeypatch.setattr(bench_pair, "export", refuse)
+    monkeypatch.setattr(bench_pair, "working_tree", refuse)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pair.main(["--workloads", "hetero,nope", "--out", str(tmp_path / "out.json")])
+    assert exit_info.value.code == 2
+    # the prog name in the error line is sys.argv[0]'s, so only the message after it is pinned
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.endswith(": error: --workloads: nope not in BENCHMARK.json; expected some of hetero,vn_sweep,ooa_fine")
+    assert not (tmp_path / "out.json").exists()

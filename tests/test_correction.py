@@ -672,18 +672,20 @@ def positive_definite(mat):
 @pytest.mark.parametrize(
     "p, magnitudes, counts",
     [
-        (2, [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1], (121, 101, 101, 0)),
-        (3, [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1], (1331, 471, 788, 0)),
-        (4, [0.0, 1e-3, 1e-2], (625, 98, 227, 0)),
+        (2, [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1], (121, 101, 101, 0, 0)),
+        (3, [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1], (1331, 471, 788, 0, 0)),
+        (4, [0.0, 1e-3, 1e-2], (625, 98, 227, 0, 0)),
     ],
 )
 def test_sufficient_bounds_imply_positive_definite_gram(p, magnitudes, counts):
     # the norm is c^T G c with G = sum_i iota_i G_i; (points, sufficient, PD,
-    # sufficient but not PD) on the vn sweep grids. The bounds guarantee a
-    # norm but are not necessary: many PD points fail them. The blocks of one
-    # order share a positive denominator, which does not change definiteness.
+    # sufficient but not PD, sufficient but refused by solve_correction) on the
+    # vn sweep grids. The bounds guarantee a norm but are not necessary: many PD
+    # points fail them. The blocks of one order share a positive denominator,
+    # which does not change definiteness. No point inside the bounds is refused,
+    # so on these grids the SingularSystemError branch of experiments._solved_limit never fires.
     blocks = [_gram_block(p, i)[1] for i in range(p + 1)]
-    points = sufficient = definite = unsound = 0
+    points = sufficient = definite = unsound = refused = 0
     for iota in default_search_grid(p, magnitudes):
         weights = [F(float(v)) for v in iota]
         gram = [[sum(w * g[j][k] for w, g in zip(weights, blocks)) for k in range(p + 1)] for j in range(p + 1)]
@@ -693,7 +695,12 @@ def test_sufficient_bounds_imply_positive_definite_gram(p, magnitudes, counts):
         sufficient += ok
         definite += pd
         unsound += ok and not pd
-    assert (points, sufficient, definite, unsound) == counts
+        if ok:
+            try:
+                solve_correction(CorrectionParams(p, iota))
+            except SingularSystemError:
+                refused += 1
+    assert (points, sufficient, definite, unsound, refused) == counts
 
 
 def test_bound_rows_are_gram_diagonals():

@@ -474,10 +474,10 @@ def step_map_advect(element, alpha, n_elements, t_end, rk, tau_ref):
 def test_advect_cosine_matches_step_map_loop(iota, rk):
     # the Bloch power and the step-map loop round differently over thousands of steps; eps_2 is a
     # mean of errors near 1e-10, so it keeps fewer digits of agreement than u
-    element, tau_ref = _advection_setup(CorrectionParams(3, list(iota)), 1.0, rk, "gauss", (160, 256), pi)
+    ops, tau_ref = _advection_setup(CorrectionParams(3, list(iota)), 1.0, rk, "gauss", (160, 256), pi)
     for n in (160, 256):
-        _, u, eps, _, _ = _advect_cosine(element, 1.0, n, pi, rk, tau_ref)
-        ref_u, ref_eps = step_map_advect(element, 1.0, n, pi, rk, tau_ref)
+        _, u, eps, _, _ = _advect_cosine(ops, n, pi, rk, tau_ref)
+        ref_u, ref_eps = step_map_advect(ops.element, 1.0, n, pi, rk, tau_ref)
         assert np.max(np.abs(u - ref_u)) <= 1e-12, n
         assert eps == pytest.approx(ref_eps, rel=1e-5), n
 
@@ -493,7 +493,7 @@ def test_advection_block_is_the_spectral_update_matrix(rk, alpha, node_kind, rk_
     tau_ref = _reference_limit(pair, alpha, rk)[1].tau_max
     for n in (1, 2, 7, 160):
         rk_calls.clear()
-        tau = _advect_cosine(element, alpha, n, pi, rk, tau_ref)[4]
+        tau = _advect_cosine(build_scheme_operators(element, alpha), n, pi, rk, tau_ref)[4]
         spectral = update_matrix(bloch_matrix(build_scheme_operators(element, alpha, pi / n), WAVENUMBER), tau, rk)
         assert len(rk_calls) == 1 and rk_calls[0][1].shape == (4, 4)
         gap = np.max(np.abs(rk_calls[0][1].T - spectral))
@@ -524,7 +524,7 @@ def test_advection_block_matches_whole_mesh_probe(p, rk, rk_calls):
             element = build_reference_element(p, pair, node_kind)
             for n in (1, 2, 2 * s, 2 * s + 1, 2 * s + 2, 160):
                 rk_calls.clear()
-                tau = _advect_cosine(element, alpha, n, pi, rk, tau_ref)[4]
+                tau = _advect_cosine(build_scheme_operators(element, alpha), n, pi, rk, tau_ref)[4]
                 assert len(rk_calls) == 1 and rk_calls[0][1].shape == (p + 1, p + 1)
                 oracle = whole_mesh_block(element, alpha, n, tau, rk)
                 gap = np.max(np.abs(rk_calls[0][1].T - oracle)) / np.max(np.abs(oracle))
@@ -541,21 +541,26 @@ def test_ooa_study_has_no_time_loop(rk_calls):
 
 @pytest.mark.parametrize("node_kind,builds", [("gauss", 1), ("lobatto", 2)])
 def test_advection_studies_build_one_element_per_node_kind(node_kind, builds, monkeypatch):
-    # the reference limit's Gauss element is the study's own when the study runs on Gauss points
-    built = []
+    # the reference limit's Gauss element and operators are the study's own when the study runs on Gauss
+    # points; every mesh rescales those operators (jacobian 1) rather than building its own
+    built = {"element": 0, "operators": 0}
 
-    def counted(*args):
-        built.append(args)
-        return build_reference_element(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            built[name] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(gsfr.experiments, "build_reference_element", counted)
+        return wrapper
+
+    monkeypatch.setattr(gsfr.experiments, "build_reference_element", counted("element", build_reference_element))
+    monkeypatch.setattr(gsfr.experiments, "build_scheme_operators", counted("operators", build_scheme_operators))
     for study in (
         lambda: ooa_study(DG3, element_counts=(8, 10, 12, 14), t_end=0.5, node_kind=node_kind),
         lambda: advect_snapshot(DG3, n_elements=8, t_end=0.5, node_kind=node_kind),
     ):
-        built.clear()
+        built.update(element=0, operators=0)
         study()
-        assert len(built) == builds
+        assert built == {"element": builds, "operators": builds}
 
 
 def test_hetero_upwind_survives_fifteen_periods():
@@ -630,11 +635,11 @@ def test_cfl_search_counts_unstable_runs_as_evaluated(monkeypatch):
     # is the second one evaluated and reaches the order, the slowest one is never studied
     studied, fit = [], gsfr.experiments._fit_order
 
-    def first_run_unstable(element, alpha, tau_ref, *args):
+    def first_run_unstable(ops, tau_ref, *args):
         studied.append(tau_ref)
         if len(studied) == 1:
             raise UnstableRunError("divergence")
-        return fit(element, alpha, tau_ref, *args)
+        return fit(ops, tau_ref, *args)
 
     monkeypatch.setattr(gsfr.experiments, "_fit_order", first_run_unstable)
     grid = [
@@ -657,18 +662,18 @@ def test_cfl_search_reports_every_candidate_fate(monkeypatch):
     inside = [iota for iota in points if sufficient_bounds(CorrectionParams(3, iota)).satisfied]
     grid = [np.array([1.0, -0.5, 0.0, 0.0])] + inside[:5]
     # each record carries its own abscissa, so the winner's can only come from its own record
-    element = build_reference_element(3, solve_correction(DG3))
+    ops = reference_operators(solve_correction(DG3), 1.0)
     limits = [None, None] + [
         StabilityResult(tau, 128, "rk44", pi, 0, abscissa)
         for tau, abscissa in [(0.0, 1e-3), (0.3, 2e-3), (0.01, 3e-3), (0.005, 4.25e-9)]
     ]
-    records = dict(zip(map(tuple, grid), [(element, limit) for limit in limits]))
+    records = dict(zip(map(tuple, grid), [(ops, limit) for limit in limits]))
     # the 0.01 limit runs the real order study, whose 0.02 check refuses it
     orders, fit = {0.3: 3.0, 0.005: 4.0}, gsfr.experiments._fit_order
 
-    def scripted_fit(element, alpha, tau_ref, *args):
+    def scripted_fit(ops, tau_ref, *args):
         if tau_ref not in orders:
-            return fit(element, alpha, tau_ref, *args)
+            return fit(ops, tau_ref, *args)
         return SimpleNamespace(fitted_order=orders[tau_ref])
 
     monkeypatch.setattr(gsfr.experiments, "_solved_limit", lambda params, *args: records[tuple(params.iota_array)])
@@ -682,10 +687,10 @@ def test_cfl_search_reports_every_candidate_fate(monkeypatch):
 
 
 def test_cfl_search_solves_and_limits_each_point_once(monkeypatch):
-    # every point gets one bounds check, and the two inside the bounds one solve, one Gauss element and
-    # one limit each; the order study of the published vector (the faster of the two, and it reaches the
-    # order) reads its grid record, as do the winner's step limit and abscissa
-    calls = {"bounds": 0, "solve": 0, "element": 0, "limit": 0}
+    # every point gets one bounds check, and the two inside the bounds one solve, one Gauss element, one
+    # set of operators and one limit each; the order study of the published vector (the faster of the two,
+    # and it reaches the order) reads its grid record, as do the winner's step limit and abscissa
+    calls = {"bounds": 0, "solve": 0, "element": 0, "operators": 0, "limit": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -698,10 +703,11 @@ def test_cfl_search_solves_and_limits_each_point_once(monkeypatch):
     monkeypatch.setattr(gsfr.experiments, "cfl_limit", counted("limit", cfl_limit))
     monkeypatch.setattr(gsfr.experiments, "sufficient_bounds", counted("bounds", sufficient_bounds))
     monkeypatch.setattr(gsfr.experiments, "build_reference_element", counted("element", build_reference_element))
+    monkeypatch.setattr(gsfr.experiments, "build_scheme_operators", counted("operators", build_scheme_operators))
     grid = [np.array([1.0, 0.0, 0.0, 0.0]), np.array(PUBLISHED_STEP_LIMITS[1][2]), np.array([1.0, -0.5, 0.0, 0.0])]
     report = cfl_search(3, "rk44", grid=grid)
     assert np.array_equal(report.best_iota, grid[1]) and report.evaluated == 1 and report.outside_bounds == 1
-    assert calls == {"bounds": 3, "solve": 2, "element": 2, "limit": 2}
+    assert calls == {"bounds": 3, "solve": 2, "element": 2, "operators": 2, "limit": 2}
 
 
 def test_cfl_search_order_route_matches_the_public_route():

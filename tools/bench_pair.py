@@ -117,7 +117,11 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    names = [w["name"] for w in spec["workloads"]]
+    workloads = args.workloads.split(",") if args.workloads else names
+    unknown = [w for w in workloads if w not in names]
+    if unknown:
+        parser.error(f"--workloads: {','.join(unknown)} not in BENCHMARK.json; expected some of {','.join(names)}")
     numpy_version = subprocess.run(
         [sys.executable, "-c", "import numpy; print(numpy.__version__)"], check=True, capture_output=True, text=True
     ).stdout.strip()
