@@ -23,8 +23,8 @@ from .operators import (
     make_heterogeneous_rhs,
     mesh_nodes,
     rk_advance,
+    rk_divisors,
     solution_energy,
-    stage_order,
     uniform_mesh,
 )
 from .spectral import ConvergenceFailureError, StabilityResult, bloch_matrix, cfl_limit
@@ -119,8 +119,8 @@ class SearchReport(NamedTuple):
 def step_map(rhs_fn, state, tau: float, rk: str):
     """One step of rk_advance(rhs_fn, ., tau, rk), rhs_fn linear, as a periodic block-tridiagonal map.
 
-    The step is a degree-s polynomial in the right-hand side (s =
-    stage_order(rk)), which couples only adjacent elements, so it couples
+    The step is the degree-s polynomial of rk's RK_DIVISORS entry in the
+    right-hand side, which couples only adjacent elements, so it couples
     each element to its s neighbours on either side. A group of s
     consecutive elements then couples only to itself and the groups on
     either side. The map is the pair (rows, cols), rows of shape
@@ -151,7 +151,7 @@ def step_map(rhs_fn, state, tau: float, rk: str):
     r .. r+2s, and the rest of the row is zero.
     """
     n, width = state.u.shape
-    s = stage_order(rk)
+    s = len(rk_divisors(rk)) - 1
     band = 2 * s + 1
     runs, rows = n // band, np.arange(n)
     colour = np.where(rows < runs * band, rows % band, rows - max(runs - 1, 0) * band)
@@ -200,7 +200,7 @@ def step_limit(
     None outside the sufficient bounds, on a singular or refused solve
     and when the bisection fails; an unknown scheme raises first, every other error propagates.
     """
-    stage_order(rk)
+    rk_divisors(rk)
     if not sufficient_bounds(params).satisfied:
         return None
     return _solved_limit(params, alpha, rk, k_samples, rho_tol)[1]
@@ -417,7 +417,7 @@ def cfl_search(p: int, rk: str, grid, alpha: float = 1.0) -> SearchReport:
     limit; candidates are then checked in descending step order with the
     order study of ooa_study on their grid record until one reaches the order p + ORDER_MARGIN.
     """
-    stage_order(rk)
+    rk_divisors(rk)
     ooa_threshold = p + ORDER_MARGIN
     points = [CorrectionParams(p, list(iota)) for iota in grid]
     inside = [params for params in points if sufficient_bounds(params).satisfied]

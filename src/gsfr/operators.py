@@ -40,21 +40,21 @@ __all__ = [
     "wave_speed",
     "rk_advance",
     "solution_energy",
-    "RK_STAGE_ORDER",
+    "RK_DIVISORS",
     "RK_SCHEMES",
-    "stage_order",
+    "rk_divisors",
 ]
 
-# truncation order of each scheme's one-step polynomial (see rk_advance)
-RK_STAGE_ORDER = {"rk33": 3, "rk44": 4, "rk55": 5}
-RK_SCHEMES = tuple(RK_STAGE_ORDER)
+# each scheme's stability polynomial R(z) = sum_{n<=s} z^n / d_n as its integer divisors d_n, here Taylor's n!
+RK_DIVISORS = {"rk33": (1, 1, 2, 6), "rk44": (1, 1, 2, 6, 24), "rk55": (1, 1, 2, 6, 24, 120)}
+RK_SCHEMES = tuple(RK_DIVISORS)
 
 
-def stage_order(rk: str) -> int:
-    """RK_STAGE_ORDER[rk], with a ValueError naming RK_SCHEMES for an unknown scheme."""
-    if rk not in RK_STAGE_ORDER:
+def rk_divisors(rk: str) -> tuple:
+    """RK_DIVISORS[rk], with a ValueError naming RK_SCHEMES for an unknown scheme."""
+    if rk not in RK_DIVISORS:
         raise ValueError(f"unknown scheme {rk!r}; expected one of {RK_SCHEMES}")
-    return RK_STAGE_ORDER[rk]
+    return RK_DIVISORS[rk]
 
 
 def gauss_nodes(p: int):
@@ -268,12 +268,11 @@ def make_heterogeneous_rhs(ops: SchemeOperators, state: MeshState):
 def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> MeshState:
     """One explicit Runge-Kutta step of the semi-discrete system.
 
-    Every right-hand side in this package is linear in u, so each scheme
-    realises the truncated-exponential one-step map of its order: rk33
-    (Shu-Osher SSP) and rk44 (classic four-stage) do so through their
-    standard stage forms, and rk55 applies the order-5 Taylor update in
-    Horner form (a six-stage fifth-order scheme would append a spurious
-    sixth-power term relative to the spectral update matrix).
+    Every right-hand side in this package is linear in u, so a scheme is
+    its stability polynomial of RK_DIVISORS: rk33 (Shu-Osher SSP) and rk44
+    (classic four-stage) realise it through their standard stage forms,
+    and rk55 as its degree-s Taylor update in Horner form (a six-stage
+    fifth-order scheme would append a spurious sixth-power term).
 
     rhs_fn maps a solution array to du/dt and is called once per stage.
     This stage form defines every time step in the package and is the
@@ -285,7 +284,7 @@ def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> Me
     """
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
-    stage_order(scheme)  # rejects an unknown scheme, also at tau 0
+    degree = len(rk_divisors(scheme)) - 1  # rejects an unknown scheme, also at tau 0
     if tau == 0.0:
         return state
     u = state.u
@@ -301,7 +300,7 @@ def rk_advance(rhs_fn, state: MeshState, tau: float, scheme: str = "rk44") -> Me
         new = u + tau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     else:  # rk55
         acc = u.copy()
-        for n in range(5, 0, -1):
+        for n in range(degree, 0, -1):
             acc = u + (tau / n) * rhs_fn(acc)
         new = acc
     return state._replace(u=new)

@@ -17,13 +17,13 @@ i.e. normalised so the grid Nyquist limit sits at pi.
 
 from __future__ import annotations
 
-from math import factorial, gcd, inf
+from math import gcd, inf
 from typing import NamedTuple
 
 import numpy as np
 
 from .correction import NumericalFailure
-from .operators import SchemeOperators, stage_order
+from .operators import SchemeOperators, rk_divisors
 
 __all__ = [
     "StabilityResult",
@@ -88,14 +88,14 @@ def _eigvals(mat: np.ndarray) -> np.ndarray:
 
 
 def update_matrix(Q: np.ndarray, tau: float, rk: str = "rk44") -> np.ndarray:
-    """Fully-discrete one-step map (exponential truncated at the scheme order); stacks map to stacks."""
+    """Fully-discrete one-step map R(tau Q), R the scheme's polynomial sum_n z^n / d_n of RK_DIVISORS; stacks map to stacks."""
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
     out = np.eye(Q.shape[-1], dtype=complex)
     power, step = out, tau * Q
-    for n in range(1, stage_order(rk) + 1):
+    for divisor in rk_divisors(rk)[1:]:
         power = power @ step
-        out = out + power / factorial(n)
+        out = out + power / divisor
     return out
 
 
@@ -128,16 +128,17 @@ def _phase_classes(p: int, k_samples: int) -> np.ndarray:
     return np.array([*range(period // 2), period - 1])
 
 
-def _excess_coeffs(lam: np.ndarray, order: int) -> np.ndarray:
+def _excess_coeffs(lam: np.ndarray, divisors: tuple) -> np.ndarray:
     """Rows c_1..c_2s of |R(tau lambda)|^2 - 1 = sum_j c_j tau^j, one row per eigenvalue.
 
-    R(z) = sum_{n<=s} z^n / n!, so c_j = Re sum_{m+n=j} lambda^m conj(lambda)^n / (m! n!);
-    the exact constant c_0 = 1 is dropped rather than cancelled.
+    R(z) = sum_{n<=s} z^n / d_n, d_0 = 1, with a scheme's divisors of RK_DIVISORS, so c_j = Re sum_{m+n=j}
+    lambda^m conj(lambda)^n / (d_m d_n); the exact constant c_0 = 1 is dropped rather than cancelled.
     """
-    terms = lam[:, None] ** np.arange(order + 1) / [factorial(n) for n in range(order + 1)]
-    sq = np.zeros((lam.size, 2 * order + 1))
-    for m in range(order + 1):
-        sq[:, m : m + order + 1] += (terms[:, m : m + 1] * terms.conj()).real
+    size = len(divisors)
+    terms = lam[:, None] ** np.arange(size) / divisors
+    sq = np.zeros((lam.size, 2 * size - 1))
+    for m in range(size):
+        sq[:, m : m + size] += (terms[:, m : m + 1] * terms.conj()).real
     return sq[:, 1:]
 
 
@@ -150,8 +151,8 @@ def cfl_limit(
     """Largest tau with spectral radius <= 1 + rho_tol over the sampled wavenumbers.
 
     Bisection to a relative tolerance of 1e-4 on the stability predicate
-    max_k rho(R(tau Q(k))) <= 1 + rho_tol, where R is the exponential
-    truncated at the scheme order s. By spectral mapping,
+    max_k rho(R(tau Q(k))) <= 1 + rho_tol, where R is the scheme's
+    degree-s polynomial of RK_DIVISORS. By spectral mapping,
     eig(R(tau Q)) = R(tau eig(Q)) (Vermeire & Vincent, CMAME 2017), so
     the eigenvalues are solved once, and with them the coefficients of
     |R(tau lambda)|^2 - 1, a real polynomial of degree 2s in tau with no
@@ -182,14 +183,14 @@ def cfl_limit(
     stable step at the bisection's resolution (about 1e-16). A bracket
     passing tau = 1e3 found no unstable step: a ConvergenceFailureError.
     """
-    order = stage_order(rk)
+    divisors = rk_divisors(rk)
     if not 0.0 <= rho_tol < inf:
         raise ValueError(f"rho_tol must be finite and non-negative, got {rho_tol!r}")
     k_hats = _k_hat_grid(k_samples)
     reps = _phase_classes(ops.element.p, k_samples)
     q_mats = bloch_matrix(ops, k_from_k_hat(ops, k_hats[reps]))
     lam = _eigvals(q_mats).ravel()
-    coeffs, powers = _excess_coeffs(lam, order), np.arange(1, 2 * order + 1)
+    coeffs, powers = _excess_coeffs(lam, divisors), np.arange(1, 2 * len(divisors) - 1)
     bound = 2.0 * rho_tol + rho_tol * rho_tol  # |R| <= 1 + rho_tol, squared, minus 1; inf past the float range
     probes = 0
 

@@ -23,7 +23,7 @@ from gsfr.correction import (
 from gsfr.experiments import HETERO_PERIOD, hetero_energy_study, ooa_study
 from gsfr.legendre import LegendreSeries, series_derivative
 from gsfr.operators import (
-    RK_STAGE_ORDER,
+    RK_DIVISORS,
     build_reference_element,
     build_scheme_operators,
     make_heterogeneous_rhs,
@@ -182,7 +182,7 @@ def _eigenvalue_route_limit(ops, rk, rho_tol, k_samples=256):
     def stable(tau):
         z = np.multiply.outer(tau, lam)
         term = total = np.ones_like(z)
-        for n in range(1, RK_STAGE_ORDER[rk] + 1):
+        for n in range(1, len(RK_DIVISORS[rk])):
             term = term * z / n
             total = total + term
         return np.max(np.abs(total), axis=-1) <= 1.0 + rho_tol

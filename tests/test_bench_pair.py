@@ -2,6 +2,7 @@
 export, on a throwaway repository (no benchmark runs)."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -106,4 +107,31 @@ def test_unknown_workload_is_refused_before_any_export(tmp_path, monkeypatch, ca
     # the prog name in the error line is sys.argv[0]'s, so only the message after it is pinned
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.endswith(": error: --workloads: nope not in BENCHMARK.json; expected some of hetero,vn_sweep,ooa_fine")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_a_failed_run_is_reported_in_one_line(tmp_path, monkeypatch, capsys):
+    # the first pair runs before then after; the second runs after first, and that run fails
+    benchmark_runs = []
+    document = {"metrics": {"wall_s": {"value": 0.5}}, "failed": 0, "attempted": 1}
+
+    def run(cmd, **kwargs):
+        if cmd[1:2] != ["benchmarks/run.py"]:  # git and the numpy version
+            return subprocess.CompletedProcess(cmd, 0, stdout="v\n", stderr="")
+        benchmark_runs.append(kwargs["cwd"].name)
+        if len(benchmark_runs) == 3:
+            failure = "Traceback (most recent call last):\nValueError: boom\n"
+            return subprocess.CompletedProcess(cmd, 1, stdout="", stderr=failure)
+        return subprocess.CompletedProcess(cmd, 0, stdout="progress\n" + json.dumps(document) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pair, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pair, "working_tree", lambda: "tree")
+    monkeypatch.setattr(bench_pair.subprocess, "run", run)
+    assert bench_pair.main(["--workloads", "hetero", "--out", str(tmp_path / "out.json")]) == 1
+    assert benchmark_runs == ["before", "after", "after"]
+    assert capsys.readouterr().err.splitlines() == [
+        "hetero pair 1/10 before: wall_s 0.5",
+        "hetero pair 1/10 after: wall_s 0.5",
+        "hetero pair 2/10 after: exit 1: ValueError: boom",
+    ]
     assert not (tmp_path / "out.json").exists()

@@ -203,6 +203,21 @@ def test_vn_sweep_csv(tmp_path, capsys):
     assert len(lines) == 10  # 3^2 grid points
 
 
+def test_sweep_and_search_give_no_limit_where_the_float_solve_refuses_a_point_inside_the_bounds(tmp_path, capsys):
+    # (-0.3333333333333333, 0.3333333333333333) and (-0.3333333333333333, 1) pass the exact bounds, but
+    # solve_correction refuses them (h_l(-1) = 0 in doubles): the sweep writes nan and the search counts them as no_limit
+    magnitudes = ["--magnitudes", "0.3333333333333333,1"]
+    sweep, search = tmp_path / "sweep.csv", tmp_path / "search.json"
+    assert run(["vn", "sweep", "--p", "2", *magnitudes, "--out", str(sweep)], capsys)[0] == 0
+    rows = [line.split(",") for line in sweep.read_text().splitlines()[1:]]
+    refused = [row for row in rows if row[0] == "-0.33333333333333331" and row[1] in ("0.33333333333333331", "1")]
+    assert refused == [["-0.33333333333333331", "0.33333333333333331", "nan"], ["-0.33333333333333331", "1", "nan"]]
+    for row in refused:
+        assert gsfr.correction.sufficient_bounds(gsfr.CorrectionParams(2, [1.0, float(row[0]), float(row[1])])).satisfied
+    assert run(["search", "cfl", "--p", "2", *magnitudes, "--out", str(search)], capsys)[0] == 0
+    assert json.loads(search.read_text())["result"]["no_limit"] == 2
+
+
 def test_run_advect_csv(tmp_path, capsys):
     out_file = tmp_path / "u.csv"
     code, out, _ = run(

@@ -684,6 +684,8 @@ def test_sufficient_bounds_imply_positive_definite_gram(p, magnitudes, counts):
     # points fail them. The blocks of one order share a positive denominator,
     # which does not change definiteness. No point inside the bounds is refused,
     # so on these grids the SingularSystemError branch of experiments._solved_limit never fires.
+    # Off these grids it does: p=2 [1, -0.3333333333333333, 1] is inside the bounds and exactly PD,
+    # yet its h_l(-1) is 0 in doubles, so the solve refuses it (test_experiments pins that case).
     blocks = [_gram_block(p, i)[1] for i in range(p + 1)]
     points = sufficient = definite = unsound = refused = 0
     for iota in default_search_grid(p, magnitudes):

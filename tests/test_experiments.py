@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction as F
 from math import ceil, pi
 from types import SimpleNamespace
 
@@ -29,14 +30,15 @@ from gsfr.experiments import (
     step_map,
 )
 from gsfr.operators import (
+    RK_DIVISORS,
     RK_SCHEMES,
-    RK_STAGE_ORDER,
     build_reference_element,
     build_scheme_operators,
     linear_advection_rhs,
     make_heterogeneous_rhs,
     mesh_nodes,
     rk_advance,
+    rk_divisors,
     solution_energy,
     uniform_mesh,
 )
@@ -50,6 +52,11 @@ from gsfr.spectral import (
 )
 
 DG3 = CorrectionParams(3, [1, 0, 0, 0])
+
+
+def degree(rk):
+    """The degree s of the scheme's stability polynomial: one less than its RK_DIVISORS entry's length."""
+    return len(RK_DIVISORS[rk]) - 1
 
 
 def test_period_constant():
@@ -84,6 +91,17 @@ def test_step_limit_is_none_off_the_usable_set(monkeypatch):
     limit = step_limit(DG3)
     assert limit == cfl_limit(reference_operators(pair, 1.0), "rk44", 128, rho_tol=1e-4) and limit.tau_max > 0.0
     assert step_limit(CorrectionParams(3, [1, -0.5, 0, 0])) is None  # outside the sufficient bounds
+    # inside the bounds, yet refused by the solve: the double nearest -1/3 lies 2^-54 / 3 above it, so
+    # i0 + 3 i1 = 2^-54 > 0 exactly, and at p=2 the bounds are exactly the positive definiteness of the diagonal
+    # Gram matrix. Next to that singular edge the exact h_l's huge coefficients cancel at -1 and their doubles do
+    # not: h_l(-1) = 0 in doubles, so _solved_limit's SingularSystemError branch gives None
+    assert F(-0.3333333333333333) - F(-1, 3) == F(1, 3 * 2**54)
+    for iota_2 in (0.3333333333333333, 1.0):
+        params = CorrectionParams(2, [1.0, -0.3333333333333333, iota_2])
+        assert sufficient_bounds(params).satisfied
+        with pytest.raises(SingularSystemError, match=re.escape("h_l(-1) = 0,")):
+            solve_correction(params)
+        assert step_limit(params) is None
 
     def singular(params):
         raise SingularSystemError("singular")
@@ -153,7 +171,7 @@ def test_step_map_matches_stage_form(rk, rhs_kind):
             rhs = make_heterogeneous_rhs(ops, state)
         tau = 0.05 * 2 * ops.jacobian / 4
         step = step_map(rhs, state, tau, rk)
-        s = RK_STAGE_ORDER[rk]
+        s = degree(rk)
         assert [array.shape for array in step] == [(ceil(n / s), 4 * s, 12 * s), (ceil(n / s), 12 * s)]
         for _ in range(3):
             u = rng.standard_normal(state.u.shape)
@@ -196,7 +214,7 @@ def per_element_apply(step, n, s):
 def step_map_per_probe(rhs_fn, state, tau, rk):
     """(blocks, neighbours) of step_map by one rk_advance call per probe, as before the stacked probe; its oracle."""
     n, width = state.u.shape
-    s = RK_STAGE_ORDER[rk]
+    s = degree(rk)
     colours = next(c for c in range(min(2 * s + 1, n), n + 1) if n % c == 0)
     rows = np.arange(n)
     blocks = np.zeros((n, width, (2 * s + 1) * width))
@@ -219,7 +237,7 @@ def test_step_map_matches_per_probe_loop(p, rk):
     # divisor rule gives it 23 colours). The grouped product applies them as the per-element one did, bit
     # for bit at p = 3; at other p the node width is not a multiple of 4, so BLAS sums the shifted rows
     # of a group in other lanes, and each entry may move by a dot product's rounding bound
-    s = RK_STAGE_ORDER[rk]
+    s = degree(rk)
     eps = np.finfo(float).eps
     rng = np.random.default_rng(p)
     pair = solve_correction(CorrectionParams(p, [1.0] + [0.0] * p))
@@ -249,7 +267,7 @@ def test_step_map_matches_per_probe_loop(p, rk):
 def test_grouped_apply_matches_per_element_product(rk, node_kind):
     # bit for bit at p = 3, over every group remainder: n < s, a wrapped last group (s does not divide n),
     # the band wrapping onto itself (n < 3s), and the mesh sizes the studies use
-    s = RK_STAGE_ORDER[rk]
+    s = degree(rk)
     rng = np.random.default_rng(5)
     element = build_reference_element(3, solve_correction(DG3), node_kind)
     for n in [*range(1, 41), 64, 127]:
@@ -276,7 +294,7 @@ def test_step_map_steps_any_mesh_in_one_bounded_stack(rk_calls):
     blocks, _ = step_map_per_probe(rhs, state, 1e-3, "rk44")
     step = step_map(rhs, state, 1e-3, "rk44")
     assert [u.shape for u, _ in rk_calls] == [(40, 127, 4)]
-    packed = element_blocks(step, 127, RK_STAGE_ORDER["rk44"])
+    packed = element_blocks(step, 127, degree("rk44"))
     assert packed.shape == blocks.shape and packed.tobytes() == blocks.tobytes()  # sign bits too
     for rk in RK_SCHEMES:
         for n in range(1, 65):
@@ -285,7 +303,7 @@ def test_step_map_steps_any_mesh_in_one_bounded_stack(rk_calls):
             rk_calls.clear()
             step_map(lambda s: linear_advection_rhs(ops, s), state, 1e-3, rk)
             shapes = [u.shape for u, _ in rk_calls]
-            assert len(shapes) == 1 and shapes[0][0] <= (4 * RK_STAGE_ORDER[rk] + 1) * 4, (rk, n, shapes)
+            assert len(shapes) == 1 and shapes[0][0] <= (4 * degree(rk) + 1) * 4, (rk, n, shapes)
 
 
 def test_studies_hand_their_right_hand_sides_arrays(monkeypatch):
@@ -339,7 +357,7 @@ def step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk="rk44", node_k
     record_stride = max(1, steps_per_period // 32)
     step = step_map(make_heterogeneous_rhs(ops, state), state, tau, rk)
     if per_element:
-        apply = per_element_apply(step, n_elements, RK_STAGE_ORDER[rk])
+        apply = per_element_apply(step, n_elements, degree(rk))
     else:
         apply = lambda u: apply_step(step, u)
     u, jac, w = state.u, ops.jacobian, ops.element.weights[None, :]
@@ -395,7 +413,7 @@ def test_hetero_study_matches_per_step_loop(p, alpha, n_elements, n_periods, cfl
     if case == "period-off-stride":
         assert report.steps_per_period % max(1, report.steps_per_period // 32) != 0
     if case.endswith("surplus-rows"):
-        assert n_elements % RK_STAGE_ORDER[rk] != 0  # the last group of s elements runs past element n-1
+        assert n_elements % degree(rk) != 0  # the last group of s elements runs past element n-1
     assert report.blew_up == (blowup_time is not None) == case.startswith("blowup")
     assert np.array_equal(report.times, times)
     assert np.array_equal(report.energy, energy)
@@ -516,7 +534,7 @@ def test_advection_block_matches_whole_mesh_probe(p, rk, rk_calls):
     # the block steps Q(k) where the oracle steps every element of the mesh, so the two round differently:
     # within 1e-15 relative (4.0e-16 measured) on meshes below, at and above the 2s+1 elements that reach
     # element 0 in one step
-    s = RK_STAGE_ORDER[rk]
+    s = degree(rk)
     pair = solve_correction(CorrectionParams(p, [1.0] + [0.0] * p))
     for alpha in (1.0, 0.5):
         tau_ref = _reference_limit(pair, alpha, rk)[1].tau_max
@@ -583,6 +601,8 @@ def test_hetero_central_blows_up():
 
 # every entry point that takes a scheme name, called with an unknown one
 UNKNOWN_SCHEME_CALLS = {
+    # every other entry refuses through this lookup of the scheme table, with its message
+    "rk_divisors": lambda ops, state: rk_divisors("rk99"),
     "rk_advance-tau0": lambda ops, state: rk_advance(lambda s: linear_advection_rhs(ops, s), state, 0.0, "rk99"),
     "rk_advance-tau>0": lambda ops, state: rk_advance(lambda s: linear_advection_rhs(ops, s), state, 0.1, "rk99"),
     "update_matrix": lambda ops, state: update_matrix(np.zeros((4, 4)), 0.1, "rk99"),
@@ -601,8 +621,9 @@ UNKNOWN_SCHEME_CALLS = {
 def test_unknown_scheme_is_one_value_error(entry):
     ops = build_scheme_operators(build_reference_element(3, solve_correction(DG3)), 1.0, jacobian=0.25)
     state = uniform_mesh(ops, 4, -1.0, 1.0)
-    with pytest.raises(ValueError, match=re.escape(f"unknown scheme 'rk99'; expected one of {RK_SCHEMES}")):
+    with pytest.raises(ValueError) as refusal:
         UNKNOWN_SCHEME_CALLS[entry](ops, state)
+    assert str(refusal.value) == f"unknown scheme 'rk99'; expected one of {RK_SCHEMES}"
 
 
 def test_default_search_grid_shape():

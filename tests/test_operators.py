@@ -1,11 +1,15 @@
+import argparse
 from math import factorial, pi
 
 import numpy as np
 import pytest
 
+import gsfr.cli
 from gsfr.correction import CorrectionParams, solve_correction
 from gsfr.operators import (
     _element_base,
+    RK_DIVISORS,
+    RK_SCHEMES,
     MeshState,
     build_reference_element,
     build_scheme_operators,
@@ -240,6 +244,25 @@ def test_hetero_single_step_energy_matches_physical_curvature(dg3):
         after = rk_advance(make_heterogeneous_rhs(ops, state), state, tau, "rk44")
         delta = solution_energy(ops, after.u) - e0
         assert delta / tau**2 == pytest.approx(curvature, rel=0.01)
+
+
+def test_scheme_table_holds_the_taylor_divisors_of_each_degree():
+    # the degrees and n! are this test's own, so a wrong entry fails here and in every n! oracle of the tests
+    degrees = {"rk33": 3, "rk44": 4, "rk55": 5}
+    assert RK_DIVISORS == {rk: tuple(factorial(n) for n in range(s + 1)) for rk, s in degrees.items()}
+    assert all(type(d) is int for divisors in RK_DIVISORS.values() for d in divisors)  # integer divisions keep their bits
+    assert RK_SCHEMES == tuple(RK_DIVISORS) == tuple(degrees)
+    # every command with an --rk option offers exactly the table's schemes
+    commands = [gsfr.cli._build_parser()]
+    choices = []
+    while commands:
+        parser = commands.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                commands.extend(action.choices.values())
+            elif "--rk" in action.option_strings:
+                choices.append(action.choices)
+    assert len(choices) == 6 and all(c is RK_SCHEMES for c in choices), choices
 
 
 def test_rk_advance_zero_step(element):

@@ -9,7 +9,7 @@ import pytest
 import gsfr.spectral
 from gsfr.correction import CorrectionParams, solve_correction, sufficient_bounds
 from gsfr.experiments import default_search_grid
-from gsfr.operators import RK_STAGE_ORDER, build_reference_element, build_scheme_operators
+from gsfr.operators import RK_DIVISORS, build_reference_element, build_scheme_operators
 from gsfr.spectral import (
     BISECTION_REL_TOL,
     PUBLISHED_STEP_LIMITS,
@@ -78,7 +78,7 @@ def test_upwind_physical_mode_never_grows(dg3_up):
 
 def test_update_matrix_zero_step_identity():
     q = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    for rk in RK_STAGE_ORDER:
+    for rk in RK_DIVISORS:
         assert np.allclose(update_matrix(q, 0.0, rk), np.eye(2), atol=0)
 
 
@@ -94,9 +94,10 @@ def test_update_matrix_nilpotent_exact():
 def test_update_matrix_orders():
     q = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     tau = 0.3
-    for rk, order in RK_STAGE_ORDER.items():
+    for rk, divisors in RK_DIVISORS.items():
+        order = len(divisors) - 1
         expected = sum(np.linalg.matrix_power(tau * q, n) / factorial(n) for n in range(order + 1))
-        assert np.allclose(update_matrix(q, tau, rk), expected, atol=1e-15)
+        assert np.allclose(update_matrix(q, tau, rk), expected, rtol=0.0, atol=1e-15)  # a wrong divisor moves ~1e-7
 
 
 def test_spectral_radius_examples():
@@ -363,8 +364,9 @@ def test_tie_break_window_holds_the_two_routes_per_class_gap(alpha):
         reps = _phase_classes(p, 256)
         q_mats = bloch_matrix(ops, k_from_k_hat(ops, np.pi * (reps + 1) / 256))
         lam = np.linalg.eigvals(q_mats).ravel()
-        for rk, order in RK_STAGE_ORDER.items():
-            coeffs = _excess_coeffs(lam, order)
+        for rk, divisors in RK_DIVISORS.items():
+            order = len(divisors) - 1
+            coeffs = _excess_coeffs(lam, divisors)
             for rho_tol in (1e-10, 1e-4):
                 tau = cfl_limit(ops, rk, 256, rho_tol).tau_max * (1.0 + BISECTION_REL_TOL)
                 eigen = np.sqrt(1.0 + (coeffs @ tau ** np.arange(1, 2 * order + 1)).reshape(len(reps), -1).max(axis=1))
@@ -395,7 +397,7 @@ def _first_loss_of_stability(ops, rk, rho_tol, k_samples=256):
     lams = np.linalg.eigvals(bloch_matrix(ops, k_from_k_hat(ops, k_hats))).ravel()
     first = np.inf
     for lam in lams:
-        poly = _squared_modulus(lam, RK_STAGE_ORDER[rk])
+        poly = _squared_modulus(lam, len(RK_DIVISORS[rk]) - 1)
         poly[0] -= (1.0 + rho_tol) ** 2
         roots = np.roots(poly[::-1])
         real = roots[(np.abs(roots.imag) <= 1e-9 * np.abs(roots)) & (roots.real > 0.0)].real
@@ -425,8 +427,9 @@ def test_excess_coeffs_match_the_convolved_polynomial(p):
     # rounding of that sum, measured against the convolution of |terms|
     ops = make_ops([1] + [1e-3] * p, 1.0, p=p)
     lams = np.linalg.eigvals(bloch_matrix(ops, k_from_k_hat(ops, np.pi * np.arange(1, 65) / 64))).ravel()
-    for rk, order in RK_STAGE_ORDER.items():
-        coeffs = _excess_coeffs(lams, order)
+    for rk, divisors in RK_DIVISORS.items():
+        order = len(divisors) - 1
+        coeffs = _excess_coeffs(lams, divisors)
         assert coeffs.shape == (lams.size, 2 * order)
         for lam, row in zip(lams, coeffs):
             poly = _squared_modulus(lam, order)
@@ -446,7 +449,7 @@ def _exact_excess(ops, rk, rho_tol, tau, k_samples=256):
     for lam in lams:
         z_re, z_im = t * Fraction(lam.real), t * Fraction(lam.imag)
         term_re, term_im = r_re, r_im = Fraction(1), Fraction(0)
-        for n in range(1, RK_STAGE_ORDER[rk] + 1):  # term = z^n / n!
+        for n in range(1, len(RK_DIVISORS[rk])):  # term = z^n / n!
             term_re, term_im = (term_re * z_re - term_im * z_im) / n, (term_re * z_im + term_im * z_re) / n
             r_re, r_im = r_re + term_re, r_im + term_im
         excess = r_re**2 + r_im**2 - (1 + Fraction(rho_tol)) ** 2

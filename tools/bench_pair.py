@@ -9,7 +9,10 @@ which the working tree was better, and the Python and numpy versions and
 core count of the machine. A metric is flagged ``regressed`` when its
 after-median is worse than its before-median by more than the metric's
 relative ``bound`` in BENCHMARK.json, and a workload ``more_failed`` when
-the working tree failed more calls than the base. Standard library only.
+the working tree failed more calls than the base. A benchmark run that
+exits non-zero stops the tool with one line naming its workload, pair,
+side, exit code and last stderr line, and exit code 1. Standard library
+only.
 
     python tools/bench_pair.py --base HEAD --pairs 10 --seconds 10 --out BENCH_N.json
 
@@ -65,14 +68,13 @@ def working_tree() -> str:
         return git("write-tree", env=env)
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; the JSON document it prints last."""
-    proc = subprocess.run(
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> subprocess.CompletedProcess:
+    """One benchmark run; a run that exits 0 prints its JSON document last."""
+    return subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", repr(seconds), "--trace", "0"],
-        cwd=tree, check=True, capture_output=True, text=True,
+        cwd=tree, capture_output=True, text=True,
     )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def quartiles(values: list) -> list:
@@ -146,11 +148,15 @@ def main(argv=None) -> int:
             for pair in range(args.pairs):
                 order = ("before", "after") if pair % 2 == 0 else ("after", "before")
                 for side in order:
-                    tree = trees[side]
-                    result = bench(tree, workload, args.seed, args.seconds)
+                    run = f"{workload} pair {pair + 1}/{args.pairs} {side}"
+                    proc = bench(trees[side], workload, args.seed, args.seconds)
+                    if proc.returncode:
+                        last = (proc.stderr.strip().splitlines() or [""])[-1]
+                        print(f"{run}: exit {proc.returncode}: {last}", file=sys.stderr)
+                        return 1
+                    result = json.loads(proc.stdout.strip().splitlines()[-1])
                     runs[side].append(result)
-                    wall = result["metrics"]["wall_s"]["value"]
-                    print(f"{workload} pair {pair + 1}/{args.pairs} {side}: wall_s {wall:.4g}", file=sys.stderr)
+                    print(f"{run}: wall_s {result['metrics']['wall_s']['value']:.4g}", file=sys.stderr)
             entry = {
                 metric["name"]: summary(
                     metric,
