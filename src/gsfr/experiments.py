@@ -10,6 +10,7 @@ vectors.
 
 from __future__ import annotations
 
+from itertools import product
 from math import ceil, inf, pi, sqrt
 from typing import NamedTuple
 
@@ -405,9 +406,7 @@ def default_search_grid(p: int, magnitudes):
     Points outside the sufficient bounds are kept; step_limit maps them to None.
     """
     axes = sorted({0.0} | {s * m for m in magnitudes for s in (1.0, -1.0)})
-    grids = np.meshgrid(*([axes] * p), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    return [np.concatenate(([1.0], row)) for row in points]
+    return [np.array([1.0, *row]) for row in product(axes, repeat=p)]
 
 
 def cfl_search(p: int, rk: str, grid, alpha: float = 1.0) -> SearchReport:

@@ -233,9 +233,9 @@ def cfl_limit(
 def dispersion_sweep(ops: SchemeOperators, k_samples: int = 256):
     """Dispersion/dissipation curves over k_hat in (0, pi].
 
-    Returns (k_hats, omega_re, omega_im) with mode columns kept
-    continuous in k by nearest-neighbour matching between consecutive
-    wavenumbers; column 0 starts from the physical mode at small k_hat.
+    Returns (k_hats, omega_re, omega_im); column 0 starts from the physical mode at the first k_hat. At each
+    later k_hat the columns, in column order, greedily take the untaken candidate nearest their previous speed
+    (complex modulus), ties to the lowest index of the candidates ordered by (-Re, Im).
     """
     k_hats = _k_hat_grid(k_samples)
     ks = k_from_k_hat(ops, k_hats)
@@ -244,22 +244,14 @@ def dispersion_sweep(ops: SchemeOperators, k_samples: int = 256):
     # modes by descending real part, imaginary part as tie-break
     ordered = np.take_along_axis(raw, np.lexsort((raw.imag, -raw.real), axis=-1), axis=-1)
     speeds = np.empty((k_samples, n_modes), dtype=complex)
-    for row, c in enumerate(ordered):
-        if row == 0:
-            # start from the physical mode, then deterministic order
-            first = int(np.argmin(np.abs(c - 1.0)))
-            idx = [first] + [i for i in range(n_modes) if i != first]
-            c = c[idx]
-        else:
-            taken = np.zeros(n_modes, dtype=bool)
-            matched = np.empty(n_modes, dtype=complex)
-            for col in range(n_modes):
-                dist = np.abs(c - speeds[row - 1, col])
-                dist[taken] = np.inf
-                j = int(np.argmin(dist))
-                taken[j] = True
-                matched[col] = c[j]
-            c = matched
-        speeds[row] = c
+    # start from the physical mode, then the rest in order
+    first = int(np.argmin(np.abs(ordered[0] - 1.0)))
+    speeds[0] = ordered[0, [first, *(i for i in range(n_modes) if i != first)]]
+    for row in range(1, k_samples):
+        dist = np.abs(ordered[row] - speeds[row - 1][:, None])  # [column, candidate]
+        for col in range(n_modes):
+            j = int(np.argmin(dist[col]))
+            speeds[row, col] = ordered[row, j]
+            dist[:, j] = np.inf
     omega = speeds * k_hats[:, None]
     return k_hats, omega.real, omega.imag

@@ -2,9 +2,12 @@
 given text to its --out file (no git export, no benchmark runs)."""
 
 import importlib.util
+import shlex
 from pathlib import Path
 
 import pytest
+
+from gsfr.cli import _commands
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("same_outputs", _PATH)
@@ -41,3 +44,7 @@ def test_a_changed_output_names_its_command(work_text, code, monkeypatch, capsys
     # both sides print the same relative --out path, so only the file's bytes differ
     assert out.splitlines() == ([f"differs in --out file: {COMMAND}"] if code else [])
     assert err == f"{1 - code} of 1 command lines identical\n"
+
+
+def test_every_command_is_gated():
+    assert {tuple(shlex.split(line)[:2]) for line in same_outputs.COMMANDS} == set(_commands())

@@ -493,3 +493,42 @@ def test_dispersion_sweep_shapes_and_continuity(dg3_up):
     # matched columns move smoothly
     jumps = np.abs(np.diff(om_re + 1j * om_im, axis=0))
     assert np.max(jumps) < 0.5
+
+
+def _dispersion_by_per_column_loop(ops, k_samples):
+    """dispersion_sweep's tracking rule as a plain per-column loop: distances recomputed per column, a taken mask."""
+    k_hats = gsfr.spectral._k_hat_grid(k_samples)
+    ks = k_from_k_hat(ops, k_hats)
+    n_modes = ops.element.p + 1
+    raw = (1j / ks)[:, None] * np.linalg.eigvals(bloch_matrix(ops, ks))
+    ordered = np.take_along_axis(raw, np.lexsort((raw.imag, -raw.real), axis=-1), axis=-1)
+    speeds = np.empty((k_samples, n_modes), dtype=complex)
+    for row, c in enumerate(ordered):
+        if row == 0:
+            first = int(np.argmin(np.abs(c - 1.0)))
+            c = c[[first] + [i for i in range(n_modes) if i != first]]
+        else:
+            taken = np.zeros(n_modes, dtype=bool)
+            matched = np.empty(n_modes, dtype=complex)
+            for col in range(n_modes):
+                dist = np.abs(c - speeds[row - 1, col])
+                dist[taken] = np.inf
+                j = int(np.argmin(dist))
+                taken[j] = True
+                matched[col] = c[j]
+            c = matched
+        speeds[row] = c
+    omega = speeds * k_hats[:, None]
+    return k_hats, omega.real, omega.imag
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["dg", "osfr", "gsfr"])
+def test_dispersion_sweep_tracks_modes_as_the_per_column_loop(p, kind):
+    iota = {"dg": [0.0] * p, "osfr": [0.0] * (p - 1) + [1e-3], "gsfr": [1e-2] * p}[kind]
+    for alpha in (1.0, 0.5):
+        ops = make_ops([1.0, *iota], alpha, p=p)
+        for k_samples in (1, 7, 64):
+            got = dispersion_sweep(ops, k_samples)
+            want = _dispersion_by_per_column_loop(ops, k_samples)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (alpha, k_samples)

@@ -35,13 +35,22 @@ _SPEC.loader.exec_module(bench_pair)
 
 MAIN = "import sys; from gsfr.cli import main; sys.exit(main(sys.argv[1:]))"
 
-# the bounds with huge weights, the step limit of each scheme, the sweeps and searches over weight grids, and the
-# fully discrete studies of each scheme and node kind, one failing on purpose (exit 2)
+# every subcommand: the solve and the OSFR/ESFR identification, the bounds with huge weights, the tracked
+# dispersion curves, the step limit of each scheme, the sweeps and searches over weight grids, and the fully
+# discrete studies of each scheme and node kind, two failing on purpose (exit 2)
 COMMANDS = (
+    "corr solve --p 3 --iota 1,0.01,0.01,0.1 --out solve.json",
+    # an OSFR and ESFR member, neither, and an OSFR member at p=5
+    "corr identify --p 3 --iota 1,0,0,0.001 --out identify.json",
+    "corr identify --p 3 --iota 1,0.01,0.01,0.1 --out identify.json",
+    "corr identify --p 5 --iota 1,0,0,0,0,1e-3 --out identify.json",
     "corr bounds --p 3 --iota 1,0,0,0 --out bounds.json",
     "corr bounds --p 2 --iota 1,1.5e308,1.5e308 --out bounds.json",
     "corr bounds --p 2 --iota 1,1e308,0 --out bounds.json",
     "corr bounds --p 3 --iota 1,1e308,0,-1e308 --out bounds.json",
+    "vn dispersion --p 3 --iota 1,0,0,0 --out dispersion.csv",
+    "vn dispersion --p 4 --iota 1,0.01,0.01,0.01,0.01 --alpha 0.5 --out dispersion.csv",
+    "vn dispersion --p 2 --iota 1,0,0 --k-samples 1 --out dispersion.csv",
     # published optima (spectral.PUBLISHED_STEP_LIMITS)
     "vn cfl --p 3 --iota 1,2.069e-4,2.336e-3,2.336e-3 --out cfl.json",
     "vn cfl --p 4 --rk rk55 --iota 1,1.624e-3,1.274e-5,-2.637e-4,8.859e-4 --out cfl.json",
@@ -62,6 +71,8 @@ COMMANDS = (
     "run advect --p 3 --iota 1,0,0,0 --out advect.csv",
     "run advect --p 3 --iota 1,0,0,0 --nodes lobatto --rk rk55 --out advect.csv",
     "run advect --p 3 --iota 1,-0.3,0,0 --t-end 0.01 --out advect.csv",
+    "run hetero --p 3 --iota 1,0,0,0 --periods 1 --out hetero.csv",
+    "run hetero --p 3 --iota 1,0,0,0 --alpha 0.5 --out hetero.csv",  # energy blow-up, partial CSV
     "run hetero --p 3 --iota 1,0,0,0 --rk rk33 --out hetero.csv",
     "run hetero --p 3 --iota 1,0,0,0 --rk rk55 --out hetero.csv",
     "run ooa --p 3 --iota 1,0,0,0 --rk rk33 --element-counts 160,192,224,256 --out ooa.json",
