@@ -7,7 +7,7 @@ of the physical-mode curves.
 
 import numpy as np
 
-from gsfr import CorrectionParams, dispersion_sweep, solve_correction
+from gsfr import CorrectionParams, dispersion_sweep
 from gsfr.experiments import reference_operators
 
 SCHEMES = {
@@ -19,7 +19,7 @@ SCHEMES = {
 
 curves = {}
 for name, weights in SCHEMES.items():
-    ops = reference_operators(solve_correction(CorrectionParams(3, weights)), 1.0)
+    ops = reference_operators(CorrectionParams(3, weights), 1.0)
     k_hats, om_re, om_im = dispersion_sweep(ops, 256)
     curves[name] = (k_hats, om_re, om_im)
     header = "k_hat," + ",".join(f"re_omega_mode_{m},im_omega_mode_{m}" for m in range(4))

@@ -26,7 +26,7 @@ import numpy as np
 from . import correction as corr
 from . import experiments as xp
 from .operators import NODE_KINDS, RK_SCHEMES
-from .spectral import RHO_TOL, cfl_limit, dispersion_sweep
+from .spectral import K_SAMPLES, RHO_TOL, cfl_limit, dispersion_sweep
 
 FMT = "%.17g"
 # an abscissa above this is true growth, not eigen-solver round-off (~1e-15)
@@ -130,21 +130,16 @@ def _cmd_corr_identify(args):
     return 0
 
 
-def _ops_for(args):
-    params = _params(args)
-    return params, xp.reference_operators(corr.solve_correction(params), args.alpha)
-
-
 def _cmd_vn_dispersion(args):
-    params, ops = _ops_for(args)
+    ops = xp.reference_operators(_params(args), args.alpha)
     k_hats, om_re, om_im = dispersion_sweep(ops, args.k_samples)
     header = ["k_hat"]
     cols = [k_hats]
-    for mode in range(params.p + 1):
+    for mode in range(args.p + 1):
         header += [f"re_omega_mode_{mode}", f"im_omega_mode_{mode}"]
         cols += [om_re[:, mode], om_im[:, mode]]
     _write_csv(args.out, header, cols)
-    print(f"dispersion: {args.k_samples} wavenumbers, {params.p + 1} modes" + (f" -> {args.out}" if args.out else ""))
+    print(f"dispersion: {args.k_samples} wavenumbers, {args.p + 1} modes" + (f" -> {args.out}" if args.out else ""))
     return 0
 
 
@@ -158,7 +153,7 @@ def _abscissa_note(abscissa: float, tolerance: str) -> None:
 
 
 def _cmd_vn_cfl(args):
-    params, ops = _ops_for(args)
+    ops = xp.reference_operators(_params(args), args.alpha)
     res = cfl_limit(ops, args.rk, args.k_samples, rho_tol=args.rho_tol)
     _write_text(args.out, _json_doc(args, res))
     print(f"tau_max = {FMT % res.tau_max} ({args.rk}, worst k_hat {res.worst_k_hat:.4f})")
@@ -171,7 +166,6 @@ def _cmd_vn_sweep(args):
     if not 1 <= args.jobs <= cpus:
         raise ValueError(f"--jobs must be between 1 and the {cpus} CPUs, got {args.jobs}")
     grid = xp.default_search_grid(args.p, magnitudes=args.magnitudes)
-    points = [corr.CorrectionParams(args.p, iota) for iota in grid]
     limit = functools.partial(
         xp.step_limit, alpha=args.alpha, rk=args.rk, k_samples=args.k_samples, rho_tol=args.rho_tol
     )
@@ -179,14 +173,14 @@ def _cmd_vn_sweep(args):
         from multiprocessing import Pool
 
         with Pool(args.jobs) as pool:
-            limits = pool.map(limit, points)
+            limits = pool.map(limit, grid)
     else:
-        limits = [limit(params) for params in points]
+        limits = [limit(params) for params in grid]
     taus = [nan if res is None else res.tau_max for res in limits]
     header = [f"iota_{i}" for i in range(1, args.p + 1)] + ["tau_max"]
-    _write_csv(args.out, header, list(np.array(grid)[:, 1:].T) + [taus])
+    _write_csv(args.out, header, list(np.array([params.iota[1:] for params in grid]).T) + [taus])
     best = max((res.tau_max for res in limits if res is not None), default=nan)
-    print(f"sweep: {len(points)} points, best tau_max = {FMT % best}" + (f" -> {args.out}" if args.out else ""))
+    print(f"sweep: {len(grid)} points, best tau_max = {FMT % best}" + (f" -> {args.out}" if args.out else ""))
     return 0
 
 
@@ -228,7 +222,7 @@ def _cmd_run_ooa(args):
 
 def _cmd_search_cfl(args):
     grid = xp.default_search_grid(args.p, magnitudes=args.magnitudes)
-    report = xp.cfl_search(args.p, args.rk, grid, args.alpha)
+    report = xp.cfl_search(args.rk, grid, args.alpha)
     _write_text(args.out, _json_doc(args, report))
     print(
         f"search: best tau = {FMT % report.best_tau} at iota = ["
@@ -244,7 +238,7 @@ _OPTIONS = {
     "--alpha": dict(type=float, default=1.0, help="interface upwinding ratio (1 upwind, 0.5 central)"),
     "--nodes": dict(choices=tuple(NODE_KINDS), default="gauss"),
     "--rk": dict(choices=RK_SCHEMES, default="rk44"),
-    "--k-samples": dict(type=int, default=256),
+    "--k-samples": dict(type=int, default=K_SAMPLES),
     "--rho-tol": dict(type=float, default=RHO_TOL),
 }
 

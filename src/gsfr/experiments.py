@@ -173,20 +173,14 @@ def step_map(rhs_fn, state, tau: float, rk: str):
     return packed.reshape(groups, s * width, -1), cols
 
 
-def reference_operators(pair, alpha: float):
-    """Scheme operators of a correction pair on one Gauss reference element (jacobian 1).
+def reference_operators(params: CorrectionParams, alpha: float, node_kind: str = "gauss"):
+    """Scheme operators (jacobian 1) of a weight vector's solved correction pair on one reference element.
 
-    On linear advection the nodal operators of any node kind are
-    similarity transforms of one modal operator, so the node kind cannot
-    change a spectrum; the wavenumber analysis uses Gauss points only.
+    On linear advection the nodal operators of any node kind are similarity
+    transforms of one modal operator, so the node kind cannot change a
+    spectrum: a study reads its step limit from its own operators.
     """
-    return build_scheme_operators(build_reference_element(pair.p, pair), alpha, 1.0)
-
-
-def _reference_limit(pair, alpha: float, rk: str, k_samples: int = REFERENCE_K_SAMPLES, rho_tol: float = REFERENCE_RHO_TOL):
-    """(reference_operators, cfl_limit) of a pair (Gauss, jacobian 1) for the given scheme."""
-    ops = reference_operators(pair, alpha)
-    return ops, cfl_limit(ops, rk, k_samples, rho_tol=rho_tol)
+    return build_scheme_operators(build_reference_element(params.p, solve_correction(params), node_kind), alpha, 1.0)
 
 
 def step_limit(
@@ -210,7 +204,8 @@ def step_limit(
 def _solved_limit(params, alpha: float, rk: str, k_samples: int = REFERENCE_K_SAMPLES, rho_tol: float = REFERENCE_RHO_TOL):
     """(Gauss operators, step_limit) of a point already inside the sufficient bounds, (None, None) off the usable set."""
     try:
-        return _reference_limit(solve_correction(params), alpha, rk, k_samples, rho_tol)
+        ops = reference_operators(params, alpha)
+        return ops, cfl_limit(ops, rk, k_samples, rho_tol=rho_tol)
     except (SingularSystemError, ConvergenceFailureError):
         return None, None
 
@@ -219,11 +214,8 @@ def _advection_setup(params: CorrectionParams, alpha: float, rk: str, node_kind:
     """Operators (jacobian 1) and step limit of an advection study; bad meshes and end times are refused before the solve."""
     if min(element_counts) < 1 or not 0.0 < t_end < inf:
         raise ValueError(f"need n_elements >= 1 and a finite t_end > 0; got {min(element_counts)}, {t_end}")
-    pair = solve_correction(params)
-    # the limit's own operators are the Gauss ones; any other node kind is built (and refused) before the limit
-    ops = None if node_kind == "gauss" else build_scheme_operators(build_reference_element(params.p, pair, node_kind), alpha)
-    gauss, limit = _reference_limit(pair, alpha, rk)
-    return ops or gauss, limit.tau_max
+    ops = reference_operators(params, alpha, node_kind)
+    return ops, cfl_limit(ops, rk, REFERENCE_K_SAMPLES, rho_tol=REFERENCE_RHO_TOL).tau_max
 
 
 def _advect_cosine(ops, n_elements: int, t_end: float, rk: str, tau_ref: float):
@@ -339,9 +331,7 @@ def hetero_energy_study(
     """
     if n_elements < 1 or n_periods < 1 or not 0.0 < cfl < inf:
         raise ValueError(f"need n_elements >= 1, n_periods >= 1, a finite cfl > 0; got {n_elements}, {n_periods}, {cfl}")
-    pair = solve_correction(params)
-    element = build_reference_element(params.p, pair, node_kind)
-    ops = build_scheme_operators(element, alpha, jacobian=1.0 / n_elements)
+    ops = reference_operators(params, alpha, node_kind)._replace(jacobian=1.0 / n_elements)
     state = uniform_mesh(ops, n_elements, -1.0, 1.0, init=lambda x: np.sin(4.0 * np.pi * x))
     node_spacing = 2.0 * ops.jacobian / (params.p + 1)
     tau_target = cfl * node_spacing / 3.0
@@ -401,37 +391,35 @@ def hetero_energy_study(
 
 
 def default_search_grid(p: int, magnitudes):
-    """Every weight vector [1, iota_1, ..., iota_p] with each iota_i in {0, +/-m for m in magnitudes}.
+    """CorrectionParams of every [1, iota_1, ..., iota_p] with each iota_i in {0, +/-m for m in magnitudes}.
 
-    Points outside the sufficient bounds are kept; step_limit maps them to None.
+    Points outside the sufficient bounds are kept; step_limit maps them to None. The first point refuses a p
+    outside 2..5 before any other is built (a negative p repeats no axis, so its grid is one point).
     """
     axes = sorted({0.0} | {s * m for m in magnitudes for s in (1.0, -1.0)})
-    return [np.array([1.0, *row]) for row in product(axes, repeat=p)]
+    return [CorrectionParams(p, [1.0, *row]) for row in product(*[axes] * p)]
 
 
-def cfl_search(p: int, rk: str, grid, alpha: float = 1.0) -> SearchReport:
+def cfl_search(rk: str, grid, alpha: float = 1.0) -> SearchReport:
     """Largest stable step among weight vectors that keep the full order.
 
-    Every grid point inside the sufficient bounds gets an analytic step
-    limit; candidates are then checked in descending step order with the
-    order study of ooa_study on their grid record until one reaches the order p + ORDER_MARGIN.
+    Every grid point (CorrectionParams) inside the sufficient bounds gets an analytic step
+    limit; candidates are then checked in descending step order with the order study of
+    ooa_study on their grid record until one reaches the order p + ORDER_MARGIN of its own p.
     """
     rk_divisors(rk)
-    ooa_threshold = p + ORDER_MARGIN
-    points = [CorrectionParams(p, list(iota)) for iota in grid]
-    inside = [params for params in points if sufficient_bounds(params).satisfied]
-    outside = len(points) - len(inside)
+    inside = [params for params in grid if sufficient_bounds(params).satisfied]
+    outside = len(grid) - len(inside)
     # records (Gauss operators, step limit, point): a candidate's order study reads its operators and limit
     records = [(*_solved_limit(params, alpha, rk), params) for params in inside]
     limited = [record for record in records if record[1] is not None]
     candidates = [record for record in limited if record[1].tau_max > 0.0]
     if not candidates:
-        raise EmptyFeasibleSetError(
-            f"no stable grid point among {len(grid)} ({outside} outside the bounds)"
-        )
+        raise EmptyFeasibleSetError(f"no stable grid point among {len(grid)} ({outside} outside the bounds)")
     candidates.sort(key=lambda item: -item[1].tau_max)
     unstable_runs = 0
     for evaluated, (ops, limit, params) in enumerate(candidates, start=1):
+        ooa_threshold = params.p + ORDER_MARGIN
         try:
             report = _fit_order(ops, limit.tau_max, DEFAULT_ELEMENT_COUNTS, pi, rk)
         except UnstableRunError:
@@ -451,9 +439,7 @@ def cfl_search(p: int, rk: str, grid, alpha: float = 1.0) -> SearchReport:
                 below_order=evaluated - 1 - unstable_runs,
                 spectral_abscissa=limit.spectral_abscissa,
             )
-    raise EmptyFeasibleSetError(
-        f"no grid point reached order {ooa_threshold} among {len(candidates)} stable candidates"
-    )
+    raise EmptyFeasibleSetError(f"no grid point reached order {ooa_threshold} among {len(candidates)} stable candidates")
 
 
 def advect_snapshot(

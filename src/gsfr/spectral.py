@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 RHO_TOL = 1e-10
+K_SAMPLES = 256
 BISECTION_REL_TOL = 1e-4
 
 # The paper's peak stable steps (per element width) with their weight vectors,
@@ -145,7 +146,7 @@ def _excess_coeffs(lam: np.ndarray, divisors: tuple) -> np.ndarray:
 def cfl_limit(
     ops: SchemeOperators,
     rk: str = "rk44",
-    k_samples: int = 256,
+    k_samples: int = K_SAMPLES,
     rho_tol: float = RHO_TOL,
 ) -> StabilityResult:
     """Largest tau with spectral radius <= 1 + rho_tol over the sampled wavenumbers.
@@ -230,7 +231,7 @@ def cfl_limit(
     )
 
 
-def dispersion_sweep(ops: SchemeOperators, k_samples: int = 256):
+def dispersion_sweep(ops: SchemeOperators, k_samples: int = K_SAMPLES):
     """Dispersion/dissipation curves over k_hat in (0, pi].
 
     Returns (k_hats, omega_re, omega_im); column 0 starts from the physical mode at the first k_hat. At each

@@ -654,6 +654,10 @@ def test_a_bound_past_the_float_range_reports_no_finite_limit(cmd, rho_tol, caps
         ["corr", "solve", "--p", "3", "--iota", "1,,0,0,0"],
         ["vn", "cfl", "--p", "3", "--iota", "1,0,0,0,"],
         ["vn", "sweep", "--p", "2", "--magnitudes", ","],
+        # the first grid point refuses a p outside 2..5, before any other point is built
+        ["vn", "sweep", "--p", "-1", "--magnitudes", "0"],
+        ["search", "cfl", "--p", "-1"],
+        ["search", "cfl", "--p", "7"],
     ],
 )
 def test_invalid_input_exits_one_with_one_line(argv, capsys):
@@ -667,6 +671,9 @@ def test_invalid_input_exits_one_with_one_line(argv, capsys):
     assert code == 1
     assert err.startswith(prefix) and err.count("\n") == 1
     assert "Traceback" not in out + err
+    p = int(argv[argv.index("--p") + 1])
+    if not 2 <= p <= 5:
+        assert err == f"error: order p={p} outside supported range 2..5\n"
 
 
 @pytest.mark.parametrize("study", ["advect", "ooa"])
@@ -680,11 +687,7 @@ def test_unusable_step_limit_exits_two(study, capsys):
 def test_advect_divergence_exits_two(monkeypatch, capsys):
     # a step far above the stable limit: the run diverges and is reported, not printed as eps2 = nan;
     # the overflow on the way there is not a warning (turned into an error here so it cannot hide)
-    # the study runs on the element its limit hands out
-    real = gsfr.experiments._reference_limit
-    monkeypatch.setattr(
-        gsfr.experiments, "_reference_limit", lambda *args: (real(*args)[0], SimpleNamespace(tau_max=5.0))
-    )
+    monkeypatch.setattr(gsfr.experiments, "cfl_limit", lambda *args, **kwargs: SimpleNamespace(tau_max=5.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(

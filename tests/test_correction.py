@@ -598,7 +598,7 @@ def test_bounds_are_the_published_rows_rounded_once(p):
     # is the exact comparison, on the vn sweep grid and on wide seeded vectors
     rng = np.random.default_rng(p)
     signed = rng.choice([-1.0, 1.0], (300, p)) * 10 ** rng.uniform(-12, 308, (300, p))
-    grid = [list(iota) for iota in default_search_grid(p, [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])]
+    grid = [list(params.iota) for params in default_search_grid(p, [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])]
     verdicts = set()
     for iota in grid + [[1.0] + list(row) for row in signed]:
         bounds = sufficient_bounds(CorrectionParams(p, iota))
@@ -618,7 +618,7 @@ def test_p2_bounds_are_exactly_positive_definiteness():
     rng = np.random.default_rng(15)
     signed = rng.choice([-1.0, 1.0], (300, 2)) * 10 ** rng.uniform(-12, 308, (300, 2))
     boundary = [[1, -0.0666666, -2.2222222222861234e-08], [1, -1 / 15, -0.0]]
-    cases = [list(iota) for iota in default_search_grid(2, [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])]
+    cases = [list(params.iota) for params in default_search_grid(2, [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])]
     cases += [[1.0] + list(row) for row in signed] + boundary
     blocks = [_gram_block(2, i)[1] for i in range(3)]
     verdicts = []
@@ -688,10 +688,10 @@ def test_sufficient_bounds_imply_positive_definite_gram(p, magnitudes, counts):
     # yet its h_l(-1) is 0 in doubles, so the solve refuses it (test_experiments pins that case).
     blocks = [_gram_block(p, i)[1] for i in range(p + 1)]
     points = sufficient = definite = unsound = refused = 0
-    for iota in default_search_grid(p, magnitudes):
-        weights = [F(float(v)) for v in iota]
+    for params in default_search_grid(p, magnitudes):
+        weights = [F(float(v)) for v in params.iota]
         gram = [[sum(w * g[j][k] for w, g in zip(weights, blocks)) for k in range(p + 1)] for j in range(p + 1)]
-        ok = sufficient_bounds(CorrectionParams(p, iota)).satisfied
+        ok = sufficient_bounds(params).satisfied
         pd = positive_definite(gram)
         points += 1
         sufficient += ok
@@ -699,7 +699,7 @@ def test_sufficient_bounds_imply_positive_definite_gram(p, magnitudes, counts):
         unsound += ok and not pd
         if ok:
             try:
-                solve_correction(CorrectionParams(p, iota))
+                solve_correction(params)
             except SingularSystemError:
                 refused += 1
     assert (points, sufficient, definite, unsound, refused) == counts

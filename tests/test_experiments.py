@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import gsfr.experiments
-from gsfr.correction import CorrectionParams, SingularSystemError, solve_correction, sufficient_bounds
+from gsfr.correction import (
+    CorrectionParams,
+    SingularSystemError,
+    UnsupportedOrderError,
+    solve_correction,
+    sufficient_bounds,
+)
 from gsfr.experiments import (
     BLOWUP_ENERGY,
     DEFAULT_ELEMENT_COUNTS,
@@ -19,7 +25,6 @@ from gsfr.experiments import (
     _ENERGY_CHUNK,
     _advect_cosine,
     _advection_setup,
-    _reference_limit,
     advect_snapshot,
     cfl_search,
     default_search_grid,
@@ -59,6 +64,11 @@ def degree(rk):
     return len(RK_DIVISORS[rk]) - 1
 
 
+def reference_tau(params, alpha, rk):
+    """The step limit an advection study reads (128 samples, rho_tol 1e-4); unlike step_limit, no bounds check, so p=5 too."""
+    return cfl_limit(reference_operators(params, alpha), rk, 128, rho_tol=1e-4).tau_max
+
+
 def test_period_constant():
     assert HETERO_PERIOD == pytest.approx(2.0 / np.sqrt(3.0), abs=1e-15)
 
@@ -87,9 +97,8 @@ def test_ooa_study_p2():
 
 
 def test_step_limit_is_none_off_the_usable_set(monkeypatch):
-    pair = solve_correction(DG3)
     limit = step_limit(DG3)
-    assert limit == cfl_limit(reference_operators(pair, 1.0), "rk44", 128, rho_tol=1e-4) and limit.tau_max > 0.0
+    assert limit == cfl_limit(reference_operators(DG3, 1.0), "rk44", 128, rho_tol=1e-4) and limit.tau_max > 0.0
     assert step_limit(CorrectionParams(3, [1, -0.5, 0, 0])) is None  # outside the sufficient bounds
     # inside the bounds, yet refused by the solve: the double nearest -1/3 lies 2^-54 / 3 above it, so
     # i0 + 3 i1 = 2^-54 > 0 exactly, and at p=2 the bounds are exactly the positive definiteness of the diagonal
@@ -463,10 +472,9 @@ def test_hetero_study_matches_stage_form(alpha, cfl):
 def test_advect_snapshot_matches_stage_form(rk):
     n, t_end = 30, 1.0
     _, u, eps = advect_snapshot(DG3, n_elements=n, t_end=t_end, rk=rk)
-    pair = solve_correction(DG3)
-    ops = build_scheme_operators(build_reference_element(3, pair), 1.0, jacobian=pi / n)
+    ops = build_scheme_operators(build_reference_element(3, solve_correction(DG3)), 1.0, jacobian=pi / n)
     state = uniform_mesh(ops, n, 0.0, 2.0 * pi, init=np.cos)
-    steps = ceil(t_end / (SAFETY * _reference_limit(pair, 1.0, rk)[1].tau_max * ops.jacobian))
+    steps = ceil(t_end / (SAFETY * reference_tau(DG3, 1.0, rk) * ops.jacobian))
     for _ in range(steps):
         state = rk_advance(lambda s: linear_advection_rhs(ops, s), state, t_end / steps, rk)
     ref = float(np.mean(np.abs(state.u - np.cos(mesh_nodes(ops, state) - t_end))))
@@ -506,9 +514,8 @@ def test_advect_cosine_matches_step_map_loop(iota, rk):
 def test_advection_block_is_the_spectral_update_matrix(rk, alpha, node_kind, rk_calls):
     # one stacked step of the p+1 unit vectors per mesh; its rows, unit vector by unit vector, are the
     # columns of the wave's one-step block
-    pair = solve_correction(DG3)
-    element = build_reference_element(3, pair, node_kind)
-    tau_ref = _reference_limit(pair, alpha, rk)[1].tau_max
+    element = build_reference_element(3, solve_correction(DG3), node_kind)
+    tau_ref = reference_tau(DG3, alpha, rk)
     for n in (1, 2, 7, 160):
         rk_calls.clear()
         tau = _advect_cosine(build_scheme_operators(element, alpha), n, pi, rk, tau_ref)[4]
@@ -535,9 +542,10 @@ def test_advection_block_matches_whole_mesh_probe(p, rk, rk_calls):
     # within 1e-15 relative (4.0e-16 measured) on meshes below, at and above the 2s+1 elements that reach
     # element 0 in one step
     s = degree(rk)
-    pair = solve_correction(CorrectionParams(p, [1.0] + [0.0] * p))
+    params = CorrectionParams(p, [1.0] + [0.0] * p)
+    pair = solve_correction(params)
     for alpha in (1.0, 0.5):
-        tau_ref = _reference_limit(pair, alpha, rk)[1].tau_max
+        tau_ref = reference_tau(params, alpha, rk)
         for node_kind in ("gauss", "lobatto"):
             element = build_reference_element(p, pair, node_kind)
             for n in (1, 2, 2 * s, 2 * s + 1, 2 * s + 2, 160):
@@ -557,10 +565,10 @@ def test_ooa_study_has_no_time_loop(rk_calls):
     assert [u.shape for u, _ in rk_calls] == [(4, 4)] * len(DEFAULT_ELEMENT_COUNTS)
 
 
-@pytest.mark.parametrize("node_kind,builds", [("gauss", 1), ("lobatto", 2)])
-def test_advection_studies_build_one_element_per_node_kind(node_kind, builds, monkeypatch):
-    # the reference limit's Gauss element and operators are the study's own when the study runs on Gauss
-    # points; every mesh rescales those operators (jacobian 1) rather than building its own
+@pytest.mark.parametrize("node_kind", ["gauss", "lobatto"])
+def test_advection_studies_build_one_element_per_node_kind(node_kind, monkeypatch):
+    # the study reads its reference limit from its own element and operators, whatever the node kind;
+    # every mesh rescales those operators (jacobian 1) rather than building its own
     built = {"element": 0, "operators": 0}
 
     def counted(name, fn):
@@ -578,7 +586,26 @@ def test_advection_studies_build_one_element_per_node_kind(node_kind, builds, mo
     ):
         built.update(element=0, operators=0)
         study()
-        assert built == {"element": builds, "operators": builds}
+        assert built == {"element": 1, "operators": 1}
+
+
+def test_lobatto_operators_give_the_gauss_step_limit():
+    # nodal operators of any node kind are similarity transforms of one modal operator, so a Lobatto study
+    # reads its own limit: the same tau_max and probes as on Gauss points, on the published rows and DG
+    points = [CorrectionParams(p, iota) for p, _, iota, _ in PUBLISHED_STEP_LIMITS]
+    points += [CorrectionParams(p, [1.0] + [0.0] * p) for p in (2, 3, 4, 5)]
+    cases = 0
+    for params in points:
+        for alpha in (1.0, 0.5):
+            gauss, lobatto = (reference_operators(params, alpha, kind) for kind in ("gauss", "lobatto"))
+            for rk in ("rk33", "rk44", "rk55"):
+                for k_samples, rho_tol in ((128, 1e-4), (256, 1e-10)):
+                    expected = cfl_limit(gauss, rk, k_samples, rho_tol=rho_tol)
+                    got = cfl_limit(lobatto, rk, k_samples, rho_tol=rho_tol)
+                    case = (params, alpha, rk, k_samples)
+                    assert (got.tau_max, got.probes) == (expected.tau_max, expected.probes), case
+                    cases += 1
+    assert cases == 120
 
 
 def test_hetero_upwind_survives_fifteen_periods():
@@ -611,7 +638,7 @@ UNKNOWN_SCHEME_CALLS = {
     "hetero_energy_study": lambda ops, state: hetero_energy_study(DG3, n_elements=4, n_periods=1, rk="rk99"),
     # refused before the bounds filter, so a point outside the bounds cannot hide the scheme
     "step_limit": lambda ops, state: step_limit(CorrectionParams(3, [1, -0.5, 0, 0]), rk="rk99"),
-    "cfl_search": lambda ops, state: cfl_search(3, "rk99", [np.array([1.0, -0.5, 0.0, 0.0])]),
+    "cfl_search": lambda ops, state: cfl_search("rk99", [CorrectionParams(3, [1.0, -0.5, 0.0, 0.0])]),
     "ooa_study": lambda ops, state: ooa_study(DG3, rk="rk99"),
     "advect_snapshot": lambda ops, state: advect_snapshot(DG3, n_elements=4, rk="rk99"),
 }
@@ -628,24 +655,36 @@ def test_unknown_scheme_is_one_value_error(entry):
 
 def test_default_search_grid_shape():
     grid = default_search_grid(2, magnitudes=(0.0, 1e-3))
-    assert all(len(v) == 3 and v[0] == 1.0 for v in grid)
+    assert all(params.p == 2 and len(params.iota) == 3 and params.iota[0] == 1.0 for params in grid)
     assert len(grid) == 9  # {-1e-3, 0, 1e-3}^2
 
 
+@pytest.mark.parametrize("p", [-1, 0, 1, 6, 7])
+def test_default_search_grid_refuses_a_bad_order_at_its_first_point(p, monkeypatch):
+    # CorrectionParams holds the one range check; at p=7 the other 823,542 points are never built
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return CorrectionParams(*args)
+
+    monkeypatch.setattr(gsfr.experiments, "CorrectionParams", counted)
+    with pytest.raises(UnsupportedOrderError, match=re.escape(f"order p={p} outside supported range 2..5")):
+        default_search_grid(p, [0.0, 1e-4, 1e-3, 1e-2])
+    assert len(built) == 1
+
+
 def test_cfl_search_degenerate_grid_returns_dg():
-    report = cfl_search(3, "rk44", grid=[np.array([1.0, 0.0, 0.0, 0.0])])
+    report = cfl_search("rk44", grid=[DG3])
     assert np.allclose(report.best_iota, [1, 0, 0, 0], atol=0)
     assert report.best_tau == pytest.approx(0.2908, rel=5e-3)
     assert report.ooa_at_best == pytest.approx(4.0, abs=0.15)
 
 
 def test_cfl_search_prefers_faster_member():
-    grid = [
-        np.array([1.0, 0.0, 0.0, 0.0]),
-        np.array([1.0, 2.069e-4, 2.336e-3, 2.336e-3]),
-    ]
-    report = cfl_search(3, "rk44", grid=grid)
-    assert np.allclose(report.best_iota, grid[1], atol=0)
+    grid = [DG3, CorrectionParams(3, [1.0, 2.069e-4, 2.336e-3, 2.336e-3])]
+    report = cfl_search("rk44", grid=grid)
+    assert np.allclose(report.best_iota, grid[1].iota_array, atol=0)
     assert report.best_tau >= 2 * 0.2908  # well above the plain-L2 member
     assert 0.5 * report.best_tau == pytest.approx(0.390, rel=0.02)
     assert report.ooa_at_best >= 3.8
@@ -663,15 +702,11 @@ def test_cfl_search_counts_unstable_runs_as_evaluated(monkeypatch):
         return fit(ops, tau_ref, *args)
 
     monkeypatch.setattr(gsfr.experiments, "_fit_order", first_run_unstable)
-    grid = [
-        np.array([1.0, 0.0, 0.0, 0.0]),
-        np.array([1.0, 2.069e-4, 2.336e-3, 2.336e-3]),
-        np.array([1.0, 0.0, 0.0, -1e-4]),
-    ]
-    report = cfl_search(3, "rk44", grid=grid)
+    grid = [DG3, CorrectionParams(3, [1.0, 2.069e-4, 2.336e-3, 2.336e-3]), CorrectionParams(3, [1.0, 0.0, 0.0, -1e-4])]
+    report = cfl_search("rk44", grid=grid)
     assert report.grid_spec.startswith("3 points, 3 stable")
-    assert studied == [step_limit(CorrectionParams(3, list(grid[1]))).tau_max, step_limit(DG3).tau_max]
-    assert np.array_equal(report.best_iota, grid[0])
+    assert studied == [step_limit(grid[1]).tau_max, step_limit(DG3).tau_max]
+    assert np.array_equal(report.best_iota, grid[0].iota_array)
     assert report.evaluated == 2
     assert (report.unstable_runs, report.below_order) == (1, 0)
 
@@ -680,15 +715,15 @@ def test_cfl_search_reports_every_candidate_fate(monkeypatch):
     # one point outside the bounds, one without a limit, one with a zero limit; the
     # order studies run fastest first: below the order, unstable, then the best
     points = default_search_grid(3, [0.0, 1e-3])
-    inside = [iota for iota in points if sufficient_bounds(CorrectionParams(3, iota)).satisfied]
-    grid = [np.array([1.0, -0.5, 0.0, 0.0])] + inside[:5]
+    inside = [params for params in points if sufficient_bounds(params).satisfied]
+    grid = [CorrectionParams(3, [1.0, -0.5, 0.0, 0.0])] + inside[:5]
     # each record carries its own abscissa, so the winner's can only come from its own record
-    ops = reference_operators(solve_correction(DG3), 1.0)
+    ops = reference_operators(DG3, 1.0)
     limits = [None, None] + [
         StabilityResult(tau, 128, "rk44", pi, 0, abscissa)
         for tau, abscissa in [(0.0, 1e-3), (0.3, 2e-3), (0.01, 3e-3), (0.005, 4.25e-9)]
     ]
-    records = dict(zip(map(tuple, grid), [(ops, limit) for limit in limits]))
+    records = dict(zip(grid, [(ops, limit) for limit in limits]))
     # the 0.01 limit runs the real order study, whose 0.02 check refuses it
     orders, fit = {0.3: 3.0, 0.005: 4.0}, gsfr.experiments._fit_order
 
@@ -697,10 +732,10 @@ def test_cfl_search_reports_every_candidate_fate(monkeypatch):
             return fit(ops, tau_ref, *args)
         return SimpleNamespace(fitted_order=orders[tau_ref])
 
-    monkeypatch.setattr(gsfr.experiments, "_solved_limit", lambda params, *args: records[tuple(params.iota_array)])
+    monkeypatch.setattr(gsfr.experiments, "_solved_limit", lambda params, *args: records[params])
     monkeypatch.setattr(gsfr.experiments, "_fit_order", scripted_fit)
-    report = cfl_search(3, "rk44", grid=grid)
-    assert np.array_equal(report.best_iota, grid[5]) and report.best_tau == 0.005
+    report = cfl_search("rk44", grid=grid)
+    assert np.array_equal(report.best_iota, grid[5].iota_array) and report.best_tau == 0.005
     assert report.spectral_abscissa == 4.25e-9
     assert report.grid_spec.startswith("6 points, 3 stable")
     fates = (report.outside_bounds, report.no_limit, report.zero_tau, report.unstable_runs, report.below_order)
@@ -725,27 +760,27 @@ def test_cfl_search_solves_and_limits_each_point_once(monkeypatch):
     monkeypatch.setattr(gsfr.experiments, "sufficient_bounds", counted("bounds", sufficient_bounds))
     monkeypatch.setattr(gsfr.experiments, "build_reference_element", counted("element", build_reference_element))
     monkeypatch.setattr(gsfr.experiments, "build_scheme_operators", counted("operators", build_scheme_operators))
-    grid = [np.array([1.0, 0.0, 0.0, 0.0]), np.array(PUBLISHED_STEP_LIMITS[1][2]), np.array([1.0, -0.5, 0.0, 0.0])]
-    report = cfl_search(3, "rk44", grid=grid)
-    assert np.array_equal(report.best_iota, grid[1]) and report.evaluated == 1 and report.outside_bounds == 1
+    grid = [DG3, CorrectionParams(3, PUBLISHED_STEP_LIMITS[1][2]), CorrectionParams(3, [1.0, -0.5, 0.0, 0.0])]
+    report = cfl_search("rk44", grid=grid)
+    assert np.array_equal(report.best_iota, grid[1].iota_array) and report.evaluated == 1 and report.outside_bounds == 1
     assert calls == {"bounds": 3, "solve": 2, "element": 2, "operators": 2, "limit": 2}
 
 
 def test_cfl_search_order_route_matches_the_public_route():
     # the search fits each candidate on its grid record; the public study of the winner solves and limits
     # it again, and both routes give the same bits (15 of the 16 candidates fit below the order here)
-    report = cfl_search(4, "rk33", default_search_grid(4, [0.0, 1e-3, 1e-2]))
+    report = cfl_search("rk33", default_search_grid(4, [0.0, 1e-3, 1e-2]))
     winner = CorrectionParams(4, list(report.best_iota))
     assert report.evaluated == 16 and report.below_order == 15
     assert report.ooa_at_best == ooa_study(winner, rk="rk33").fitted_order
     assert report.best_tau == step_limit(winner, rk="rk33").tau_max
     with pytest.raises(EmptyFeasibleSetError, match=re.escape("no grid point reached order 4.8 among 16 stable")):
-        cfl_search(4, "rk33", default_search_grid(4, [0.0, 1e-3]))
+        cfl_search("rk33", default_search_grid(4, [0.0, 1e-3]))
 
 
 def test_cfl_search_empty_feasible_set():
     with pytest.raises(EmptyFeasibleSetError):
-        cfl_search(3, "rk44", grid=[np.array([1.0, -0.5, 0.0, 0.0])])
+        cfl_search("rk44", grid=[CorrectionParams(3, [1.0, -0.5, 0.0, 0.0])])
 
 
 def test_cfl_search_lets_programming_errors_through(monkeypatch):
@@ -755,7 +790,7 @@ def test_cfl_search_lets_programming_errors_through(monkeypatch):
 
     monkeypatch.setattr(gsfr.experiments, "cfl_limit", broken)
     with pytest.raises(TypeError):
-        cfl_search(3, "rk44", grid=[np.array([1.0, 0.0, 0.0, 0.0])])
+        cfl_search("rk44", grid=[DG3])
 
 
 def test_ooa_unstable_run_reported():

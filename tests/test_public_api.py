@@ -47,6 +47,8 @@ def test_removed_names_are_gone():
         assert not hasattr(gsfr.experiments, name) and not hasattr(gsfr.operators, name)
     # step_limit returns the StabilityResult itself, so no helper reads tau_max alone
     assert not hasattr(gsfr, "_reference_tau") and not hasattr(gsfr.experiments, "_reference_tau")
+    # reference_operators is the one place a weight vector becomes operators
+    assert not hasattr(gsfr.experiments, "_reference_limit") and not hasattr(importlib.import_module("gsfr.cli"), "_ops_for")
     assert gsfr.MeshState._fields == ("n_elements", "x_left", "u")
 
 

@@ -255,7 +255,7 @@ def _matrix_route_limit(ops, rk, k_samples, rho_tol):
 def _route_cases():
     cases = [(p, rk, w, rho_tol, 256) for p, rk, w, _ in PUBLISHED_STEP_LIMITS for rho_tol in (1e-10, 1e-4)]
     grid = default_search_grid(3, magnitudes=[0.0, 1e-3])
-    inside = [[float(v) for v in iota] for iota in grid if sufficient_bounds(CorrectionParams(3, iota)).satisfied]
+    inside = [list(params.iota) for params in grid if sufficient_bounds(params).satisfied]
     assert len(inside) == 12
     cases += [(3, "rk44", iota, 1e-10, 64) for iota in inside]
     # strict p=4 point with tau_max ~6.6e-9: every growth is 1 to round-off, so the
@@ -263,7 +263,7 @@ def _route_cases():
     strict = [1.0, 0.0, 1e-2, -1e-3, 1e-3]
     assert sufficient_bounds(CorrectionParams(4, strict)).satisfied
     cases += [(4, rk, strict, 1e-10, 128) for rk in ("rk33", "rk44")]
-    assert any(np.array_equal(iota, [1.0, 1e-3, 1e-3]) for iota in default_search_grid(2, [0.0, 1e-3]))
+    assert CorrectionParams(2, [1.0, 1e-3, 1e-3]) in default_search_grid(2, [0.0, 1e-3])
     return cases + [(2, "rk33", [1.0, 1e-3, 1e-3], 1e-10, 128)]
 
 

@@ -72,11 +72,13 @@ COMMANDS = (
     "run advect --p 3 --iota 1,0,0,0 --nodes lobatto --rk rk55 --out advect.csv",
     "run advect --p 3 --iota 1,-0.3,0,0 --t-end 0.01 --out advect.csv",
     "run hetero --p 3 --iota 1,0,0,0 --periods 1 --out hetero.csv",
+    "run hetero --p 3 --iota 1,0,0,0 --nodes lobatto --periods 1 --out hetero.csv",
     "run hetero --p 3 --iota 1,0,0,0 --alpha 0.5 --out hetero.csv",  # energy blow-up, partial CSV
     "run hetero --p 3 --iota 1,0,0,0 --rk rk33 --out hetero.csv",
     "run hetero --p 3 --iota 1,0,0,0 --rk rk55 --out hetero.csv",
     "run ooa --p 3 --iota 1,0,0,0 --rk rk33 --element-counts 160,192,224,256 --out ooa.json",
     "run ooa --p 3 --iota 1,0,0,0 --nodes lobatto --out ooa.json",
+    "run ooa --p 3 --iota 1,2.069e-4,2.336e-3,2.336e-3 --nodes lobatto --rk rk33 --alpha 0.5 --out ooa.json",
     "run ooa --p 3 --iota 1,0,0,0 --rk rk55 --out ooa.json",
     "run ooa --p 2 --iota 1,0,0 --out ooa.json",
     "run ooa --p 4 --iota 1,0,0,0,0 --rk rk33 --out ooa.json",
