@@ -50,8 +50,12 @@ __all__ = [
 HETERO_PERIOD = 2.0 / sqrt(3.0)
 
 BLOWUP_ENERGY = 1e3
-# steps of the hetero study per energy reduction; its buffer holds their products and the state before them
-_ENERGY_CHUNK = 128
+# the hetero study steps in blocks of _BLOCK_STEPS steps, _CHUNK_BLOCKS blocks filled in at once, on meshes of up
+# to _BLOCK_UNKNOWNS unknowns; at 896 its dense jump, O(unknowns^3), costs more than it saves (p=3, one period, one
+# BLAS thread)
+_BLOCK_STEPS = 64
+_BLOCK_UNKNOWNS = 768
+_CHUNK_BLOCKS = 64
 
 # advection studies: wave cos(WAVENUMBER x), step SAFETY times the limit at REFERENCE_RHO_TOL over REFERENCE_K_SAMPLES
 WAVENUMBER = 1.0
@@ -130,8 +134,9 @@ def step_map(rhs_fn, state, tau: float, rk: str):
     applied to the values of the 3s elements (g*s-s, ..., g*s+2s-1) mod n,
     which sit at the flat positions cols[g] of u. When s does not divide
     n, the last group runs past element n-1 and repeats elements 0, 1,
-    ...; those surplus rows are no part of the step, and the in-place
-    steps of hetero_energy_study leave them unread.
+    ...; those surplus rows are no part of the step. hetero_energy_study
+    steps the states in the columns of u as rows @ u.take(cols, axis=0),
+    the identity once for its dense jump, and reads no surplus row.
 
     The map is assembled by coloured probing. Elements are coloured in
     runs: each whole run of 2s+1 elements takes colours 0..2s in order,
@@ -325,9 +330,13 @@ def hetero_energy_study(
     |E(nT) - 1| measure the aliasing-driven error. The step is sized per
     solution point against the maximum speed 3 and adjusted to land
     exactly on period boundaries. Blow-up (energy above 1e3) stops the
-    run and is flagged with its time rather than raised. Each step gathers
-    into one window allocated per run and writes its product in place into
-    the energy buffer, so no step allocates.
+    run and is flagged with its time rather than raised.
+
+    The steps go in blocks of m: the dense m-step jump (the step map applied
+    to the identity, to the m-th power) chains the block starts, and the
+    step map takes a chunk's block starts at once, m - 1 times, to fill in
+    the steps between them. The jump costs O((n(p+1))^3): above
+    _BLOCK_UNKNOWNS unknowns m = 1, and the chain is the step map itself.
     """
     if n_elements < 1 or n_periods < 1 or not 0.0 < cfl < inf:
         raise ValueError(f"need n_elements >= 1, n_periods >= 1, a finite cfl > 0; got {n_elements}, {n_periods}, {cfl}")
@@ -348,25 +357,38 @@ def hetero_energy_study(
     record_stride = max(1, steps_per_period // 32)
 
     rows, cols = step_map(make_heterogeneous_rhs(ops, state), state, tau, rk)
-    cols, size = cols[..., None], state.u.size
-    window = np.empty(cols.shape)
-    buf = np.zeros((_ENERGY_CHUNK + 1,) + rows.shape[:2] + (1,))  # slot 0: the state before the chunk
-    buf[0].reshape(-1)[:size] = state.u.ravel()
-    slots = list(buf)
+    size = state.u.size
+    m = _BLOCK_STEPS if size <= _BLOCK_UNKNOWNS else 1
     total = n_periods * steps_per_period
     times, energy, period_errors = [np.zeros(1)], [np.array([solution_energy(ops, state.u)])], []
     peak = energy[0][0]
-    # blow-up overflows on its way to inf; the energy check reports it
+    # one step of the states in the columns of u; its surplus rows repeat elements 0, 1, ...
+    step = lambda u: np.matmul(rows, u.take(cols, axis=0)).reshape(-1, u.shape[1])
+    # blow-up overflows on its way to inf, the jump's power too; the energy check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, total, _ENERGY_CHUNK):
-            count = min(_ENERGY_CHUNK, total - start)
-            for slot, next_slot in zip(slots, slots[1 : count + 1]):
-                # cols indexes the slot, so clip never fires; numpy buffers take(out=) under mode="raise"
-                slot.take(cols, out=window, mode="clip")
-                np.matmul(rows, window, out=next_slot)
-            chunk = buf[1 : count + 1].reshape(count, -1)[:, :size].reshape((count,) + state.u.shape)
-            e = solution_energy(ops, chunk)
-            buf[0] = buf[count]
+        if m > 1:
+            jump = np.linalg.matrix_power(step(np.eye(size))[:size], m)
+            chain = lambda u: jump @ u
+        else:
+            chain = step
+        weights = ops.jacobian * np.tile(ops.element.weights, n_elements)
+        starts = np.zeros((_CHUNK_BLOCKS + 1, size))  # row 0: the state before the chunk
+        starts[0] = state.u.ravel()
+        for start in range(0, total, _CHUNK_BLOCKS * m):
+            count = min(_CHUNK_BLOCKS * m, total - start)
+            blocks = ceil(count / m)
+            for b in range(blocks):
+                starts[b + 1] = chain(starts[b, :, None])[:size, 0]
+            # e[b, i]: the energy i + 1 steps after block b's start, by solution_energy if chained, else by one product
+            e = np.empty((blocks, m))
+            e[:, -1] = solution_energy(ops, starts[1 : blocks + 1].reshape((blocks,) + state.u.shape))
+            # fill: step every block start of the chunk at once, one column each
+            u = starts[:blocks].T
+            for i in range(m - 1):
+                u = step(u)
+                np.matmul(weights, u[:size] ** 2, out=e[:, i])
+            e = e.reshape(-1)[:count]
+            starts[0] = starts[blocks]
             bad = ~np.isfinite(e) | (e > BLOWUP_ENERGY)
             blew_up = bool(bad.any())
             stop = np.argmax(bad) + 1 if blew_up else count

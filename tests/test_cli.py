@@ -242,6 +242,26 @@ def test_run_hetero_blowup_exit_code(capsys):
     assert "blow-up" in err
 
 
+def test_run_hetero_jump_overflow_exits_two_with_one_line(monkeypatch, capsys):
+    # cfl 100, about a hundred times the stable step: the dense 64-step jump overflows while it is formed, and
+    # that is no warning (turned into an error here so it cannot hide); the energy check reports the blow-up
+    jumps, matrix_power = [], np.linalg.matrix_power
+
+    def recording(a, m):
+        jumps.append(power := matrix_power(a, m))
+        return power
+
+    monkeypatch.setattr(np.linalg, "matrix_power", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            ["run", "hetero", "--p", "3", "--iota", "1,0,0,0", "--cfl", "100", "--n-elements", "8", "--periods", "3"],
+            capsys,
+        )
+    assert len(jumps) == 1 and not np.all(np.isfinite(jumps[0]))
+    assert (code, out, err) == (2, "", "numerical failure: energy blow-up at t = 1.1547\n")
+
+
 def test_run_hetero_prints_its_peak_energy(capsys):
     code, out, _ = run(["run", "hetero", "--p", "3", "--iota", "1,0,0,0", "--periods", "2", "--n-elements", "16"], capsys)
     report = gsfr.experiments.hetero_energy_study(gsfr.CorrectionParams(3, [1, 0, 0, 0]), n_elements=16, n_periods=2)

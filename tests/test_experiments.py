@@ -22,7 +22,9 @@ from gsfr.experiments import (
     WAVENUMBER,
     EmptyFeasibleSetError,
     UnstableRunError,
-    _ENERGY_CHUNK,
+    _BLOCK_STEPS,
+    _CHUNK_BLOCKS,
+    EnergyReport,
     _advect_cosine,
     _advection_setup,
     advect_snapshot,
@@ -355,9 +357,9 @@ def test_rhs_takes_a_stack_of_states(rhs_kind, dtype):
 
 
 def step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk="rk44", node_kind="gauss", per_element=False):
-    """(times, energy, error_at_periods, blowup_time, peak energy) of hetero_energy_study by the per-step
-    energy loop it ran before the chunked reduction; kept as its oracle. With per_element, each step is
-    the per-element product the study applied before the grouped one."""
+    """The EnergyReport of hetero_energy_study by the per-step energy loop it ran before the chunked reduction
+    and the blocked steps; kept as its oracle. With per_element, each step is the per-element product the
+    study applied before the grouped one."""
     pair = solve_correction(params)
     ops = build_scheme_operators(build_reference_element(params.p, pair, node_kind), alpha, jacobian=1.0 / n_elements)
     state = uniform_mesh(ops, n_elements, -1.0, 1.0, init=lambda x: np.sin(4.0 * np.pi * x))
@@ -386,7 +388,38 @@ def step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk="rk44", node_k
                 break
             if n % steps_per_period == 0:
                 period_errors.append(abs(e - 1.0))
-    return np.array(times), np.array(energy), np.array(period_errors), blowup_time, float(np.max(every))
+    return EnergyReport(
+        np.array(times), np.array(energy), np.array(period_errors), blowup_time is not None, blowup_time,
+        float(np.max(every)), steps_per_period, tau,
+    )
+
+
+# blocked steps reach a state by a jump and a fill rather than step by step: energies and the peak move by at
+# most 2e-11 relative on the cases below, and |E(nT) - 1| inherits the energies' absolute error, at most
+# BLOCKED_TOL * E <= BLOCKED_TOL * (1 + |E(nT) - 1|)
+BLOCKED_TOL = 1e-10
+
+
+def assert_hetero_matches(study, oracle, monkeypatch):
+    """study() against the oracle's EnergyReport: at the default block length the run's course exactly (blow-up,
+    its time, recorded times, steps per period, step) and its energies within BLOCKED_TOL; one step per block,
+    bit for bit."""
+    report = study()
+    assert (report.blew_up, report.blowup_time) == (oracle.blew_up, oracle.blowup_time)
+    assert (report.steps_per_period, report.tau) == (oracle.steps_per_period, oracle.tau)
+    assert np.array_equal(report.times, oracle.times)
+    np.testing.assert_allclose(report.energy, oracle.energy, rtol=BLOCKED_TOL, atol=0)
+    np.testing.assert_allclose(report.peak_energy, oracle.peak_energy, rtol=BLOCKED_TOL, atol=0)
+    assert report.error_at_periods.shape == oracle.error_at_periods.shape
+    moved = np.abs(report.error_at_periods - oracle.error_at_periods)
+    assert np.all(moved <= BLOCKED_TOL * (1.0 + oracle.error_at_periods))
+    monkeypatch.setattr(gsfr.experiments, "_BLOCK_STEPS", 1)
+    report = study()
+    assert np.array_equal(report.times, oracle.times)
+    assert np.array_equal(report.energy, oracle.energy)
+    assert np.array_equal(report.error_at_periods, oracle.error_at_periods)
+    assert report.blowup_time == oracle.blowup_time
+    assert report.peak_energy == oracle.peak_energy
 
 
 @pytest.mark.parametrize(
@@ -394,55 +427,65 @@ def step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk="rk44", node_k
     [
         (3, 1.0, 32, 15, 0.06, "rk44"),
         (3, 0.5, 16, 15, 0.06, "rk44"),
+        (2, 1.0, 5, 32, 0.2, "rk44"),
         (2, 1.0, 5, 2, 0.2, "rk44"),
         (2, 0.75, 6, 4, 0.13, "rk44"),
         (3, 1.0, 8, 3, 100.0, "rk44"),
+        (3, 1.0, 8, 15, 0.92, "rk44"),
         (3, 1.0, 32, 2, 0.06, "rk33"),
         (3, 1.0, 32, 2, 0.06, "rk55"),
     ],
     ids=[
-        "default", "blowup-mid-chunk", "partial-last-chunk", "period-off-stride", "blowup-on-a-period",
-        "rk33-surplus-rows", "rk55-surplus-rows",
+        "default", "blowup-mid-chunk", "partial-last-chunk", "partial-last-block", "period-off-stride",
+        "blowup-on-a-period", "blowup-mid-block", "rk33-surplus-rows", "rk55-surplus-rows",
     ],
 )
-def test_hetero_study_matches_per_step_loop(p, alpha, n_elements, n_periods, cfl, rk, request):
+def test_hetero_study_matches_per_step_loop(p, alpha, n_elements, n_periods, cfl, rk, request, monkeypatch):
     params = CorrectionParams(p, [1.0] + [0.0] * p)
-    report = hetero_energy_study(params, alpha, n_elements, n_periods, cfl, rk)
-    times, energy, period_errors, blowup_time, peak = step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk)
-    steps = n_periods * report.steps_per_period
+    oracle = step_map_hetero(params, alpha, n_elements, n_periods, cfl, rk)
+    steps = n_periods * oracle.steps_per_period
+    block, chunk = _BLOCK_STEPS, _BLOCK_STEPS * _CHUNK_BLOCKS
     case = request.node.callspec.id
-    # each case stands for what its id names
-    stop = round(report.blowup_time / report.tau) if report.blew_up else None
+    # each case stands for what its id names, in blocks and chunks of the default block length
+    stop = round(oracle.blowup_time / oracle.tau) if oracle.blew_up else None
     if case == "blowup-mid-chunk":
-        assert _ENERGY_CHUNK < stop < steps and stop % _ENERGY_CHUNK != 0
+        assert chunk < stop < steps and stop % chunk != 0
+    if case == "blowup-mid-block":
+        assert block < stop < chunk and stop % block != 0  # a filled step, past the first block
     if case == "blowup-on-a-period":
-        assert stop % report.steps_per_period == 0  # a step past the limit: blows up on a period step
+        assert stop % oracle.steps_per_period == 0  # a step past the limit: blows up on a period step
     if case == "partial-last-chunk":
-        assert steps > _ENERGY_CHUNK and steps % _ENERGY_CHUNK != 0
+        assert steps > chunk and steps % chunk != 0 and steps % block == 0
+    if case == "partial-last-block":
+        assert steps % block != 0
     if case == "period-off-stride":
-        assert report.steps_per_period % max(1, report.steps_per_period // 32) != 0
+        assert oracle.steps_per_period % max(1, oracle.steps_per_period // 32) != 0
     if case.endswith("surplus-rows"):
         assert n_elements % degree(rk) != 0  # the last group of s elements runs past element n-1
-    assert report.blew_up == (blowup_time is not None) == case.startswith("blowup")
-    assert np.array_equal(report.times, times)
-    assert np.array_equal(report.energy, energy)
-    assert np.array_equal(report.error_at_periods, period_errors)
-    assert report.blowup_time == blowup_time
-    assert report.peak_energy == peak
+    assert oracle.blew_up == case.startswith("blowup")
+    assert_hetero_matches(lambda: hetero_energy_study(params, alpha, n_elements, n_periods, cfl, rk), oracle, monkeypatch)
+
+
+def test_hetero_study_blocks_up_to_its_unknowns_bound(monkeypatch):
+    # the jump is formed on meshes of at most _BLOCK_UNKNOWNS unknowns; past that each block is one step, bit for bit
+    jumps, matrix_power = [], np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda a, m: jumps.append((a.shape, m)) or matrix_power(a, m))
+    monkeypatch.setattr(gsfr.experiments, "_BLOCK_UNKNOWNS", 24)
+    blocked = hetero_energy_study(DG3, n_elements=6, n_periods=2)  # 24 unknowns
+    assert jumps == [((24, 24), _BLOCK_STEPS)]
+    stepped = hetero_energy_study(DG3, n_elements=7, n_periods=2)  # 28 unknowns
+    assert len(jumps) == 1
+    np.testing.assert_allclose(blocked.energy, step_map_hetero(DG3, 1.0, 6, 2, 0.06).energy, rtol=BLOCKED_TOL, atol=0)
+    assert np.array_equal(stepped.energy, step_map_hetero(DG3, 1.0, 7, 2, 0.06).energy)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5], ids=["default", "central-blowup"])
-def test_hetero_study_matches_per_element_apply(alpha):
+def test_hetero_study_matches_per_element_apply(alpha, monkeypatch):
     # the default run of `run hetero` at p = 3 (32 elements, 15 periods, cfl 0.06), and its central-flux
-    # blow-up, bit for bit against the per-element product
-    report = hetero_energy_study(DG3, alpha)
-    times, energy, period_errors, blowup_time, peak = step_map_hetero(DG3, alpha, 32, 15, 0.06, per_element=True)
-    assert report.blew_up == (blowup_time is not None) == (alpha == 0.5)
-    assert np.array_equal(report.times, times)
-    assert np.array_equal(report.energy, energy)
-    assert np.array_equal(report.error_at_periods, period_errors)
-    assert report.blowup_time == blowup_time
-    assert report.peak_energy == peak
+    # blow-up, against the per-element product
+    oracle = step_map_hetero(DG3, alpha, 32, 15, 0.06, per_element=True)
+    assert oracle.blew_up == (alpha == 0.5)
+    assert_hetero_matches(lambda: hetero_energy_study(DG3, alpha), oracle, monkeypatch)
 
 
 @pytest.mark.parametrize("alpha, cfl", [(1.0, 0.06), (0.5, 0.06), (1.0, 1.5)])

@@ -24,26 +24,48 @@ CLI = '''def main(argv):
 '''
 
 
-@pytest.mark.parametrize("work_text, code", [("same", 0), ("changed", 1)], ids=["identical", "one-changed-output"])
-def test_a_changed_output_names_its_command(work_text, code, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "work_text, size",
+    [
+        ("t,1.5,-2e-3", None),
+        ("t,1.5000015,-2e-3", "largest relative change 1.0e-06"),
+        ("x,1.5,-2e-3", "text differs outside its numbers"),
+    ],
+    ids=["identical", "one-changed-output", "changed-text"],
+)
+def test_a_changed_output_names_its_command(work_text, size, monkeypatch, capsys):
     exported = {}
 
     def export(rev, dest):
         package = dest / "src" / "gsfr"
         package.mkdir(parents=True)
         (package / "__init__.py").write_text("")
-        (package / "cli.py").write_text(CLI.format(text={"BASE": "same", "WORK": work_text}[rev]))
+        (package / "cli.py").write_text(CLI.format(text={"BASE": "t,1.5,-2e-3", "WORK": work_text}[rev]))
         exported[rev] = dest.name
 
     monkeypatch.setattr(same_outputs.bench_pair, "export", export)
     monkeypatch.setattr(same_outputs.bench_pair, "working_tree", lambda: "WORK")
     monkeypatch.setattr(same_outputs, "COMMANDS", (COMMAND,))
+    code = int(size is not None)
     assert same_outputs.main(["--base", "BASE"]) == code
     assert exported == {"BASE": "base", "WORK": "work"}
     out, err = capsys.readouterr()
     # both sides print the same relative --out path, so only the file's bytes differ
-    assert out.splitlines() == ([f"differs in --out file: {COMMAND}"] if code else [])
+    assert out.splitlines() == ([f"differs in --out file: {COMMAND}; --out file {size}"] if code else [])
     assert err == f"{1 - code} of 1 command lines identical\n"
+
+
+@pytest.mark.parametrize(
+    "base, work, size",
+    [
+        (b"e = 1.0, n = 3\n", b"e = 1.0000000001, n = 3\n", "1.0e-10"),
+        (b"-2.5e-3,0\n", b"-2.5e-3,1e-300\n", "inf"),  # a zero that moves
+        (b"nan,inf,7\n", b"nan,inf,7.7\n", "1.0e-01"),  # equal nan and inf move nothing
+        (b"inf\n", b"1e308\n", "inf"),
+    ],
+)
+def test_relative_change_quotes_the_largest_move(base, work, size):
+    assert same_outputs.relative_change(base, work) == f"largest relative change {size}"
 
 
 def test_every_command_is_gated():
